@@ -129,6 +129,7 @@ def cmd_correlate(args) -> int:
             for r in range(args.R)]
     payload = {
         "config": _config_dict(args),
+        "route": prof.route,
         "quadratic_mean": prof.quadratic_mean,
         "absolute_mean": prof.absolute_mean,
         "rows": [{"r": r, "re": re, "im": im, "abs": ab} for r, re, im, ab in rows],
@@ -191,6 +192,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    from .errors import ValidationError
+
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"{flag} must be a comma-separated list of integers") from exc
+
+
 def cmd_experiment(args) -> int:
     from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment
 
@@ -198,8 +208,8 @@ def cmd_experiment(args) -> int:
         alpha_spec=args.alpha,
         fn_spec=args.fn or "theta:0.5",
         N=args.N,
-        R_list=tuple(int(t) for t in args.R_list.split(",")),
-        lambda_list=tuple(int(t) for t in args.lambdas.split(",")) if args.lambdas else (),
+        R_list=_int_list(args.R_list, "--R-list"),
+        lambda_list=_int_list(args.lambdas, "--lambdas") if args.lambdas else (),
         seed=args.seed,
         output_path=args.out,
         format=args.format,

@@ -106,6 +106,10 @@ class ExperimentConfig:
         object.__setattr__(self, "lambda_list", tuple(int(m) for m in self.lambda_list))
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
+        if self.N < 1:
+            raise ValidationError("N must be >= 1")
+        if any(R < 1 for R in self.R_list):
+            raise ValidationError("every R in R_list must be >= 1")
         if self.R_list and self.N < max(self.R_list):
             raise ValidationError("N must be >= max(R_list)")
         scale = expand_max(parse_alpha_spec(self.alpha_spec))
@@ -325,6 +329,8 @@ def _write_output(config: ExperimentConfig, payload: dict, csv_rows, csv_header)
 
 def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     """Correlation quadratic means Q(R) for each configured R at fixed N."""
+    if not config.R_list:
+        raise ValidationError("R_list must not be empty")
     t0 = time.perf_counter()
     _, g = _scale_and_fn(config, config.N + max(config.R_list))
     profile = spectral.correlation_profile(g, max(config.R_list), config.N)
@@ -336,6 +342,7 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     payload = {
         "config": config.to_dict(),
         "N": config.N,
+        "route": profile.route,
         "rows": rows,
         "runtime_seconds": time.perf_counter() - t0,
     }

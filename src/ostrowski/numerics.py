@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .errors import CapError
+
 # Largest count served by the vectorized frac_mul_range path; beyond this the
 # int64 split products would stop being exact.
 RANGE_CAP = 1 << 26
@@ -65,7 +67,7 @@ def frac_mul_range(count: int, beta: float) -> np.ndarray:
     in int64, and the two fractional contributions are recombined in binary64.
     """
     if count > RANGE_CAP:
-        raise ValueError(f"frac_mul_range serves at most {RANGE_CAP} points")
+        raise CapError(f"frac_mul_range serves at most {RANGE_CAP} points, asked for {count}")
     if count <= 0:
         return np.zeros(0)
     if beta == 0.0:

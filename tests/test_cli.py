@@ -63,6 +63,7 @@ def test_correlate_payload(capsys):
     code, out = run(capsys, "correlate", "--N", "2000", "--R", "16")
     assert code == 0
     doc = json.loads(out)
+    assert doc["route"] == "pairwise"
     assert len(doc["rows"]) == 16
     assert doc["rows"][0]["re"] == pytest.approx(1.0)
     assert 0.0 < doc["quadratic_mean"] <= 1.0
@@ -151,6 +152,36 @@ def test_range_error_is_exit_3(capsys):
     assert main(["encode", "-5"]) == 3
 
 
+def run_process(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--N", "0"),
+    ("experiment", "pseudorandomness", "--N", "100", "--R-list", "0,4"),
+    ("experiment", "pseudorandomness", "--N", "100", "--R-list", "4,x"),
+])
+def test_bad_sizes_are_exit_2_without_traceback(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dense_cap_is_exit_3_without_traceback():
+    # RANGE_CAP + 1 points: refused before the value block is allocated
+    proc = run_process("spectrum", "--N", str((1 << 26) + 1))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+
+
+def test_correlate_reports_fft_route(capsys):
+    code, out = run(capsys, "correlate", "--N", "40000", "--R", "32")
+    assert code == 0
+    assert json.loads(out)["route"] == "fft-exact"
+
+
 def test_corrupt_atoms_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"0": [[1.0, 0.0]]}))
@@ -158,9 +189,6 @@ def test_corrupt_atoms_is_exit_2(tmp_path, capsys):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ostrowski.cli", "encode", "4"],
-        capture_output=True, text=True,
-    )
+    proc = run_process("encode", "4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["digits"] == [0, 1, 0, 1]

@@ -181,6 +181,10 @@ def test_experiment_config_validation():
         ExperimentConfig(N=100, R_list=(256,))
     with pytest.raises(ValidationError):
         ExperimentConfig(N=10, R_list=(2,), lambda_list=(9,))
+    with pytest.raises(ValidationError):
+        ExperimentConfig(N=0, R_list=())
+    with pytest.raises(ValidationError):
+        ExperimentConfig(N=100, R_list=(0, 4))
     cfg = ExperimentConfig(N=5000, R_list=(16, 64), lambda_list=(2, 4))
     assert ExperimentConfig(**cfg.to_dict()) == cfg
 
@@ -191,6 +195,7 @@ def test_pseudorandomness_experiment_output(tmp_path):
         N=4000, R_list=(8, 32), lambda_list=(2,), output_path=str(out), format="csv"
     )
     payload = pseudorandomness_experiment(cfg)
+    assert payload["route"] == "pairwise"
     assert [row["R"] for row in payload["rows"]] == [8, 32]
     for row in payload["rows"]:
         assert 0.0 <= row["quadratic_mean"] <= 1.0

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ostrowski.errors import CapError
 from ostrowski.numerics import (
     RANGE_CAP,
     frac_mul_int,
@@ -92,7 +93,7 @@ def test_frac_mul_range_tiny_beta():
 
 
 def test_frac_mul_range_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(CapError):
         frac_mul_range(RANGE_CAP + 1, 0.5)
     assert len(frac_mul_range(0, 0.5)) == 0
 

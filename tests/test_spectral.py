@@ -10,13 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ostrowski.spectral as spectral
 from ostrowski import (
     GOLDEN,
     SILVER,
     AlphaFunction,
     CapError,
     RangeError,
+    ValidationError,
     correlation,
     correlation_profile,
     cyclic_identity_check,
@@ -27,6 +31,8 @@ from ostrowski import (
     fourier_coeffs,
     from_theta,
     large_sieve_check,
+    load_atoms,
+    parse_alpha_spec,
     parseval_check,
     quadratic_mean,
     scale_for,
@@ -36,7 +42,15 @@ from ostrowski import (
     values_range,
     vdc_check,
 )
-from ostrowski.spectral import DIRECT_DFT_MAX, _dft_direct, _dft_fast, block_correlation_estimate
+from ostrowski.numerics import RANGE_CAP
+from ostrowski.spectral import (
+    CORR_FFT_MIN,
+    DIRECT_DFT_MAX,
+    _dft_direct,
+    _dft_fast,
+    _profile_pairwise,
+    block_correlation_estimate,
+)
 
 
 def random_atoms(scale, rng, modulus=2.0):
@@ -97,6 +111,137 @@ def test_correlation_of_constant_function():
     prof = correlation_profile(g, 16, 1000)
     assert np.allclose(prof.gamma, 1.0 + 0j, atol=0)
     assert prof.quadratic_mean == 1.0
+
+
+def test_correlation_profile_validation():
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    for R, N in ((4, 0), (4, -3), (0, 10)):
+        with pytest.raises(ValidationError):
+            correlation_profile(g, R, N)
+
+
+# --- FFT correlation route against the pairwise oracle ---------------------------
+
+# just above CORR_FFT_MIN; 16421 is not a multiple of the block length 16320
+N_FFT, R_FFT = 16421, 65
+FFT_ABS_TOL = 1e-13
+
+
+def pairwise_oracle(g, R, N):
+    return _profile_pairwise(values_range(g, N + R - 1), R, N)
+
+
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER])
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+def test_fft_route_is_exact_for_quarter_turns(spec, theta):
+    assert N_FFT * R_FFT > CORR_FFT_MIN
+    g = from_theta(theta, scale_for(spec, N_FFT + R_FFT))
+    prof = correlation_profile(g, R_FFT, N_FFT)
+    assert prof.route == "fft-exact"
+    assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
+    for r in (0, 1, R_FFT - 1):
+        assert correlation(g, r, N_FFT) == prof.gamma[r]
+
+
+def atom_document(scale, pick):
+    """A load_atoms JSON document with atom pick(k, e) at digit e of row k."""
+    doc = {}
+    for k in range(scale.rows):
+        top = scale.quotients[k] if k < scale.K else scale.a_next
+        doc[str(k)] = [[1.0, 0.0]] + [list(pick(k, e)) for e in range(1, top + 1)]
+    return doc
+
+
+@pytest.mark.parametrize("theta", [0.1234567, 1 / 3])
+def test_fft_route_tolerance_generic_theta(theta):
+    g = from_theta(theta, scale_for(SILVER, N_FFT + R_FFT))
+    prof = correlation_profile(g, R_FFT, N_FFT)
+    assert prof.route == "fft"
+    assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
+
+
+def test_fft_route_tolerance_contracting_atom_table():
+    rng = np.random.default_rng(5)
+    scale = scale_for(GOLDEN, N_FFT + R_FFT)
+
+    def contracting(k, e):
+        z = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
+        return z.real, z.imag
+
+    g = load_atoms(atom_document(scale, contracting), scale)
+    assert max(abs(v) for row in g.atoms for v in row[1:]) < 0.9
+    prof = correlation_profile(g, R_FFT, N_FFT)
+    assert prof.route == "fft"
+    assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
+
+
+@pytest.mark.parametrize("atom, route", [((1.0, 1.0), "fft-exact"), ((4.0, 0.0), "pairwise")])
+def test_fft_route_integer_atom_tables(atom, route):
+    # 1+i keeps N * max|g|^2 near 2**24, far below EXACT_SUM_MAX; atom 4 pushes
+    # it to about 2**54 (|g| reaches 4**10 below N), so only the pairwise route
+    # is trusted there
+    scale = scale_for(GOLDEN, N_FFT + R_FFT)
+    g = load_atoms(atom_document(scale, lambda k, e: atom), scale)
+    prof = correlation_profile(g, R_FFT, N_FFT)
+    assert prof.route == route
+    assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
+
+
+def test_route_selection():
+    g = from_theta(0.5, scale_for(GOLDEN, CORR_FFT_MIN + 20))
+    for R, N, route in ((64, CORR_FFT_MIN // 64, "pairwise"),
+                        (64, CORR_FFT_MIN // 64 + 1, "fft-exact"),
+                        (1, CORR_FFT_MIN, "pairwise"),
+                        (1, CORR_FFT_MIN + 1, "fft-exact")):
+        assert correlation_profile(g, R, N).route == route
+
+
+@pytest.mark.parametrize("R, N", [(1, CORR_FFT_MIN + 1), (8192, 200), (8192, 20000)])
+def test_fft_route_edge_shapes(R, N):
+    # R = 1: one shift over 65 blocks, the last of them a single value;
+    # R = 8192 = L/2 with L = 2**14: the longest lag one transform length
+    # serves, over one block (N = 200) and three (N = 20000)
+    for theta, route in ((0.5, "fft-exact"), (0.1234567, "fft")):
+        g = from_theta(theta, scale_for(GOLDEN, N + R))
+        prof = correlation_profile(g, R, N)
+        assert prof.route == route
+        want = pairwise_oracle(g, R, N)
+        if route == "fft-exact":
+            assert np.array_equal(prof.gamma, want)
+        else:
+            assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
+
+
+def test_fft_route_falls_back_when_rounding_is_not_clean(monkeypatch):
+    g = from_theta(0.5, scale_for(GOLDEN, N_FFT + R_FFT))
+    clean = spectral._correlation_sums_fft
+    monkeypatch.setattr(spectral, "_correlation_sums_fft",
+                        lambda vals, R, N: clean(vals, R, N) + 0.3)
+    prof = correlation_profile(g, R_FFT, N_FFT)
+    assert prof.route == "pairwise"
+    assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4"]),
+    theta=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                    st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    R=st.integers(min_value=1, max_value=700),
+    extra=st.integers(min_value=1, max_value=5000),
+)
+def test_fft_route_matches_pairwise_property(spec, theta, R, extra):
+    N = CORR_FFT_MIN // R + extra
+    g = from_theta(theta, scale_for(parse_alpha_spec(spec), N + R))
+    prof = correlation_profile(g, R, N)
+    want = pairwise_oracle(g, R, N)
+    if theta in (0.0, 0.25, 0.5, 0.75):
+        assert prof.route == "fft-exact"
+    if prof.route == "fft-exact":
+        assert np.array_equal(prof.gamma, want)
+    else:
+        assert prof.route == "fft"
+        assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
 
 
 # --- Fourier tables ----------------------------------------------------------------
@@ -262,6 +407,14 @@ def test_block_correlation_estimate_envelope():
                 est = block_correlation_estimate(g, lam, r, N)
                 true = correlation(g, r, N)
                 assert abs(est - true) <= 4 * (r / q_short + scale.q[lam] / N) + 1e-12
+
+
+def test_dense_sums_refuse_sizes_past_the_cap_before_allocating():
+    g = from_theta(0.5, scale_for(GOLDEN, RANGE_CAP + 1))
+    with pytest.raises(CapError):
+        exponential_sum(g, 0.25, RANGE_CAP + 1)
+    with pytest.raises(CapError):
+        spectrum_scan(g, RANGE_CAP + 1)
 
 
 # --- classical inequalities -----------------------------------------------------------
