@@ -202,17 +202,24 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_experiment(args) -> int:
+    from .errors import ValidationError
     from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment
 
+    sizes = {}
+    if args.kind == "spectrum":
+        if args.R_list is not None:
+            raise ValidationError("--R-list applies to pseudorandomness experiments only")
+        sizes["R_list"] = ()
+    elif args.R_list is not None:
+        sizes["R_list"] = _int_list(args.R_list, "--R-list")
     config = ExperimentConfig(
         alpha_spec=args.alpha,
         fn_spec=args.fn or "theta:0.5",
         N=args.N,
-        R_list=_int_list(args.R_list, "--R-list"),
-        lambda_list=_int_list(args.lambdas, "--lambdas") if args.lambdas else (),
         seed=args.seed,
         output_path=args.out,
         format=args.format,
+        **sizes,
     )
     runner = {"pseudorandomness": pseudorandomness_experiment,
               "spectrum": spectrum_experiment}[args.kind]
@@ -282,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[common], help="run a sweep experiment")
     p.add_argument("kind", choices=("pseudorandomness", "spectrum"))
     p.add_argument("--N", type=int, default=10**6)
-    p.add_argument("--R-list", dest="R_list", default="32,64,128,256,512,1024,2048,4096")
-    p.add_argument("--lambdas", default=None)
+    p.add_argument("--R-list", dest="R_list", default=None,
+                   help="comma list of shift counts R (pseudorandomness only; "
+                        "default 32,64,...,4096)")
     p.set_defaults(func=cmd_experiment)
 
     return parser

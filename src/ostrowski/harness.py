@@ -20,7 +20,6 @@ from . import spectral
 from .alphafun import AlphaFunction, from_theta, parse_fn_spec
 from .cfrac import (
     ConvergentTable,
-    expand_max,
     parse_alpha_spec,
     scale_for,
     tail,
@@ -47,6 +46,9 @@ IDENTITY_TOL = 1e-10
 DENSITY_TOL = 5e-3
 DENSITY_N = 10**6
 CARRY_NS = (10**3, 10**4, 10**5)
+CARRY_SPECS = ("golden", "silver")
+CARRY_UPTO = max(CARRY_NS) + 10**5
+IDENTITY_UPTO = 2 * 1024 + 256
 GAP_COUNT = 10**4
 
 
@@ -96,14 +98,12 @@ class ExperimentConfig:
     fn_spec: str = "theta:0.5"
     N: int = 10**6
     R_list: tuple[int, ...] = (32, 64, 128, 256, 512, 1024, 2048, 4096)
-    lambda_list: tuple[int, ...] = (2, 4, 6, 8)
     seed: int = 0
     output_path: str | None = None
     format: str = "json"
 
     def __post_init__(self):
         object.__setattr__(self, "R_list", tuple(int(r) for r in self.R_list))
-        object.__setattr__(self, "lambda_list", tuple(int(m) for m in self.lambda_list))
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.N < 1:
@@ -112,10 +112,7 @@ class ExperimentConfig:
             raise ValidationError("every R in R_list must be >= 1")
         if self.R_list and self.N < max(self.R_list):
             raise ValidationError("N must be >= max(R_list)")
-        scale = expand_max(parse_alpha_spec(self.alpha_spec))
-        for lam in self.lambda_list:
-            if not 0 <= lam <= scale.K or scale.q[lam] > self.N:
-                raise ValidationError(f"lambda={lam} has q_lambda > N or is out of range")
+        parse_alpha_spec(self.alpha_spec)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -400,12 +397,20 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
 
 # --- the full battery --------------------------------------------------------
 
+def _scales(spec_texts, upto: int) -> list[ConvergentTable]:
+    """One table per alpha spec, each covering n < upto."""
+    return [scale_for(parse_alpha_spec(spec_text), upto) for spec_text in spec_texts]
+
+
+def _with_fn(scales, fn_spec: str) -> list[tuple[ConvergentTable, AlphaFunction]]:
+    """fn_spec parsed against every scale (ValidationError where it does not fit)."""
+    return [(scale, parse_fn_spec(fn_spec, scale)) for scale in scales]
+
+
 def _identity_family():
     """Scales and functions the identity checks run over (q_lam <= 1024)."""
-    for spec_text in DEFAULT_ALPHA_SPECS:
-        scale = scale_for(parse_alpha_spec(spec_text), 2 * 1024 + 256)
-        for theta in DEFAULT_THETAS:
-            yield scale, from_theta(theta, scale)
+    return [(scale, from_theta(theta, scale))
+            for scale in _scales(DEFAULT_ALPHA_SPECS, IDENTITY_UPTO) for theta in DEFAULT_THETAS]
 
 
 def _run_fejer(rng) -> CheckReport:
@@ -440,9 +445,9 @@ def _run_vdc(rng) -> CheckReport:
     return _report("van_der_corput", margins)
 
 
-def _run_parseval(rng) -> CheckReport:
+def _run_parseval(rng, family=None) -> CheckReport:
     margins = []
-    for scale, g in _identity_family():
+    for scale, g in family or _identity_family():
         for lam in range(1, scale.K + 1):
             if scale.q[lam] > 1024:
                 break
@@ -451,9 +456,9 @@ def _run_parseval(rng) -> CheckReport:
     return _report("parseval", margins)
 
 
-def _run_cyclic(rng) -> CheckReport:
+def _run_cyclic(rng, family=None) -> CheckReport:
     margins = []
-    for scale, g in _identity_family():
+    for scale, g in family or _identity_family():
         for lam in range(1, scale.K + 1):
             q = scale.q[lam]
             if q > 1024:
@@ -463,13 +468,9 @@ def _run_cyclic(rng) -> CheckReport:
     return _report("cyclic_identity", margins)
 
 
-def _run_carry(rng) -> CheckReport:
-    reports = []
-    for spec_text in ("golden", "silver"):
-        scale = scale_for(parse_alpha_spec(spec_text), max(CARRY_NS) + 10**5)
-        g = from_theta(0.5, scale)
-        reports.append(carry_bound_sweep(g, 12))
-    return _merge("carry_bound", reports)
+def _run_carry(rng, family=None) -> CheckReport:
+    family = family or [(scale, from_theta(0.5, scale)) for scale in _scales(CARRY_SPECS, CARRY_UPTO)]
+    return _merge("carry_bound", [carry_bound_sweep(g, 12) for _, g in family])
 
 
 def _run_density(rng) -> CheckReport:
@@ -521,12 +522,17 @@ def verify_all(
 ) -> list[CheckReport]:
     """Run the check battery (or a subset: `only` is a family name or a list).
 
-    A fn_spec argument is validated up front, so a corrupted atom table raises
-    ValidationError before any check runs.
+    With fn_spec, the families that check a function (parseval and cyclic
+    over the four default scales, carry over golden and silver) run on
+    fn_spec parsed against each scale instead of the default theta family.
+    It is parsed against every one of those scales before any check runs, so
+    an atom table that does not fit raises ValidationError first.
     """
+    families = {}
     if fn_spec is not None:
-        scale = scale_for(parse_alpha_spec(DEFAULT_ALPHA_SPECS[0]), 4096)
-        parse_fn_spec(fn_spec, scale)
+        identity = _with_fn(_scales(DEFAULT_ALPHA_SPECS, IDENTITY_UPTO), fn_spec)
+        carry = _with_fn(_scales(CARRY_SPECS, CARRY_UPTO), fn_spec)
+        families = {"parseval": identity, "cyclic": identity, "carry": carry}
     if only is None:
         names = list(CHECK_FAMILIES)
     elif isinstance(only, str):
@@ -537,4 +543,5 @@ def verify_all(
     if unknown:
         raise ValidationError(f"unknown check families: {unknown}; know {sorted(CHECK_FAMILIES)}")
     rng = np.random.default_rng(seed)
-    return [CHECK_FAMILIES[name](rng) for name in names]
+    return [CHECK_FAMILIES[name](rng, families[name]) if name in families
+            else CHECK_FAMILIES[name](rng) for name in names]

@@ -60,29 +60,32 @@ def frac_mul_int(m: int, beta: float) -> float:
 
 
 def frac_mul_range(count: int, beta: float) -> np.ndarray:
-    """(n * beta) mod 1 for n = 0..count-1, each entry exact up to ~2**-52.
+    """(n * beta) mod 1 for n = 0..count-1, each entry exact up to ~2**-52."""
+    if count > RANGE_CAP:
+        raise CapError(f"frac_mul_range serves at most {RANGE_CAP} points, asked for {count}")
+    return frac_mul_array(np.arange(max(count, 0), dtype=np.int64), beta)
+
+
+def frac_mul_array(m: np.ndarray, beta: float) -> np.ndarray:
+    """(m * beta) mod 1 for an int64 array of multipliers 0 <= m <= RANGE_CAP.
 
     Same reduction as frac_mul_int but vectorized: beta = b * 2**-s exactly,
     b is split into 27-bit halves so every intermediate product stays exact
     in int64, and the two fractional contributions are recombined in binary64.
+    Callers keep the multipliers in range; past RANGE_CAP the products wrap.
     """
-    if count > RANGE_CAP:
-        raise CapError(f"frac_mul_range serves at most {RANGE_CAP} points, asked for {count}")
-    if count <= 0:
-        return np.zeros(0)
-    if beta == 0.0:
-        return np.zeros(count)
+    if m.size == 0 or beta == 0.0:
+        return np.zeros(m.shape)
     b, s = _dyadic(beta)
     if s <= 0:
-        return np.zeros(count)
+        return np.zeros(m.shape)
     if s > 79:
-        # |beta| < 2**-26 and n < 2**26, so n*beta never wraps past 1.
-        return np.mod(np.arange(count, dtype=np.float64) * beta, 1.0)
+        # |beta| < 2**-26 and m <= 2**26, so m*beta never wraps past 1.
+        return np.mod(m.astype(np.float64) * beta, 1.0)
     neg = b < 0
     b = abs(b)
-    n = np.arange(count, dtype=np.int64)
-    hi = n * (b >> 27)             # <= 2**52, exact
-    lo = n * (b & ((1 << 27) - 1))  # <= 2**53, exact
+    hi = m * (b >> 27)             # <= 2**52, exact
+    lo = m * (b & ((1 << 27) - 1))  # <= 2**53, exact
     if s <= 27:
         # hi * 2**(27-s) is an integer, only lo contributes a fraction
         f = (lo & ((1 << s) - 1)).astype(np.float64) * 2.0**-s

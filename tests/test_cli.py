@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ostrowski import CheckReport
+from ostrowski import GOLDEN, CheckReport, from_theta, scale_for
 from ostrowski.cli import main
 import ostrowski.harness as harness
 
@@ -132,6 +132,39 @@ def test_experiment_csv(tmp_path, capsys):
     assert lines[1] == "R,quadratic_mean,absolute_mean"
     assert len(lines) == 4
     assert "wrote" in out
+
+
+def test_spectrum_experiment_needs_no_r_list(capsys):
+    # R_list is a pseudorandomness input; its default must not constrain N here
+    code, out = run(capsys, "experiment", "spectrum", "--N", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert [row["N"] for row in doc["ladder"]] == [1000]
+    assert doc["config"]["R_list"] == []
+
+
+def test_spectrum_experiment_refuses_r_list(capsys):
+    assert main(["experiment", "spectrum", "--N", "5000", "--R-list", "8"]) == 2
+    assert "pseudorandomness" in capsys.readouterr().err
+
+
+def test_verify_fn_runs_the_given_function(capsys):
+    base_code, base = run(capsys, "verify", "--only", "parseval,cyclic")
+    fn_code, with_fn = run(capsys, "verify", "--only", "parseval,cyclic", "--fn", "theta:0.3")
+    assert base_code == fn_code == 0
+    assert with_fn != base
+    # one function per default scale instead of four theta values
+    assert with_fn.splitlines()[0].startswith("PASS parseval: 42/42")
+
+
+def test_verify_fn_atoms_must_fit_every_scale(tmp_path, capsys):
+    scale = scale_for(GOLDEN, 2 * 1024 + 256)
+    g = from_theta(0.3, scale)
+    doc = {str(k): [[v.real, v.imag] for v in row] for k, row in enumerate(g.atoms)}
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--only", "parseval", "--fn", f"atoms:{path}"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --- exit codes -------------------------------------------------------------------

@@ -26,6 +26,7 @@ from ostrowski import (
     encode,
     from_theta,
     gap_structure_check,
+    parse_fn_spec,
     pseudorandomness_experiment,
     psi,
     scale_for,
@@ -180,19 +181,17 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(N=100, R_list=(256,))
     with pytest.raises(ValidationError):
-        ExperimentConfig(N=10, R_list=(2,), lambda_list=(9,))
-    with pytest.raises(ValidationError):
         ExperimentConfig(N=0, R_list=())
     with pytest.raises(ValidationError):
         ExperimentConfig(N=100, R_list=(0, 4))
-    cfg = ExperimentConfig(N=5000, R_list=(16, 64), lambda_list=(2, 4))
+    cfg = ExperimentConfig(N=5000, R_list=(16, 64))
     assert ExperimentConfig(**cfg.to_dict()) == cfg
 
 
 def test_pseudorandomness_experiment_output(tmp_path):
     out = tmp_path / "corr.csv"
     cfg = ExperimentConfig(
-        N=4000, R_list=(8, 32), lambda_list=(2,), output_path=str(out), format="csv"
+        N=4000, R_list=(8, 32), output_path=str(out), format="csv"
     )
     payload = pseudorandomness_experiment(cfg)
     assert payload["route"] == "pairwise"
@@ -210,7 +209,7 @@ def test_pseudorandomness_experiment_output(tmp_path):
 def test_spectrum_experiment_output(tmp_path):
     out = tmp_path / "spec.json"
     cfg = ExperimentConfig(
-        N=8192, R_list=(8,), lambda_list=(2,), seed=5, output_path=str(out), format="json"
+        N=8192, R_list=(8,), seed=5, output_path=str(out), format="json"
     )
     payload = spectrum_experiment(cfg)
     assert [row["N"] for row in payload["ladder"]] == [4096, 8192]
@@ -233,6 +232,31 @@ def test_verify_all_single_family():
 def test_verify_all_unknown_family():
     with pytest.raises(ValidationError):
         verify_all(only="nope")
+
+
+def test_verify_all_runs_fn_spec_families(monkeypatch):
+    import ostrowski.harness as harness
+
+    fn = "theta:0.25+beta:0.1"
+    with_fn = verify_all(only=["parseval", "cyclic"], fn_spec=fn)
+    default = verify_all(only=["parseval", "cyclic"])
+    assert all(rep.ok for rep in with_fn + default)
+    # one function per default scale in place of the four default thetas
+    assert [rep.instances_run * 4 for rep in with_fn] == [rep.instances_run for rep in default]
+
+    seen = []
+
+    def record(g, lam_max):
+        seen.append(g)
+        return CheckReport("carry_bound", 1, 1, 0.0)
+
+    monkeypatch.setattr(harness, "carry_bound_sweep", record)
+    verify_all(only="carry", fn_spec=fn)
+    assert [g.atoms for g in seen] == [parse_fn_spec(fn, g.scale).atoms for g in seen]
+    assert [g.scale.spec for g in seen] == [GOLDEN, SILVER]
+    seen.clear()
+    verify_all(only="carry")
+    assert [g.theta for g in seen] == [0.5, 0.5]
 
 
 def test_verify_all_validates_fn_spec_first(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from ostrowski.errors import CapError
 from ostrowski.numerics import (
     RANGE_CAP,
+    frac_mul_array,
     frac_mul_int,
     frac_mul_range,
     pairwise_sum,
@@ -90,6 +91,20 @@ def test_frac_mul_range_tiny_beta():
     got = frac_mul_range(2000, beta)
     want = np.array([float((Fraction(beta) * n) % 1) for n in range(2000)])
     assert np.max(np.abs(got - want)) < 2**-52
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.015625, -0.25, 1 / 3, 0.1234567, -0.9999999, 2.0**-30])
+def test_frac_mul_array_matches_rational_oracle_up_to_the_cap(beta):
+    # scattered multipliers up to RANGE_CAP itself, the largest the spectrum
+    # scan's digit route passes (b * q_k <= N - 1 < RANGE_CAP)
+    rng = np.random.default_rng(41)
+    m = np.concatenate([[0, 1, RANGE_CAP - 1, RANGE_CAP], rng.integers(0, RANGE_CAP, 200)])
+    got = frac_mul_array(m.astype(np.int64), beta)
+    want = np.array([float((Fraction(beta) * int(k)) % 1) for k in m])
+    assert np.all(got >= 0.0) and np.all(got < 1.0)
+    d = np.abs(got - want)
+    assert np.max(np.minimum(d, 1.0 - d)) <= 2.0**-52
+    assert np.array_equal(frac_mul_array(np.arange(3000), beta), frac_mul_range(3000, beta))
 
 
 def test_frac_mul_range_cap():

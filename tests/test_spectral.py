@@ -1,8 +1,9 @@
 """Correlations, Fourier tables, scale sums, spectrum scans, inequalities.
 
 Oracles: naive double-loop correlations off the scalar evaluation route, a
-quadratic-time reference transform, and exact phase arithmetic in rationals
-for the exponential sums.
+quadratic-time reference transform, exact phase arithmetic in rationals
+for the exponential sums, and the dense exponential sum for the digit route
+of the spectrum-scan probes.
 """
 
 import cmath
@@ -25,7 +26,9 @@ from ostrowski import (
     correlation_profile,
     cyclic_identity_check,
     cyclic_identity_sweep,
+    encode,
     evaluate,
+    expand,
     exponential_sum,
     fejer_check,
     fourier_coeffs,
@@ -33,6 +36,7 @@ from ostrowski import (
     large_sieve_check,
     load_atoms,
     parse_alpha_spec,
+    parse_fn_spec,
     parseval_check,
     quadratic_mean,
     scale_for,
@@ -48,6 +52,9 @@ from ostrowski.spectral import (
     DIRECT_DFT_MAX,
     _dft_direct,
     _dft_fast,
+    _digit_exp_sum,
+    _digit_plan,
+    _exp_sum,
     _profile_pairwise,
     block_correlation_estimate,
 )
@@ -362,6 +369,98 @@ def test_scale_sums_contraction():
         S = np.abs(scale_sums(g, float(rng.random())))
         for i in range(1, len(S) - 1):
             assert S[i + 1] <= max(S[i], S[i - 1]) + 1e-12
+
+
+# --- digit route for exponential sums against the dense oracle -----------------------
+
+DIGIT_ABS_TOL = 1e-13
+ALPHA_SPECS = ["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4"]
+
+
+def digit_gap(g, N, betas):
+    """Largest |digit route - dense _exp_sum| over betas, on one value block."""
+    plan = _digit_plan(g, N)
+    vals = values_range(g, N)
+    return max(abs(_digit_exp_sum(plan, beta) - _exp_sum(vals, beta)) for beta in betas)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(ALPHA_SPECS),
+    theta=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1 / 3]),
+                    st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    beta=st.one_of(st.sampled_from([0.0, 1.0, -0.5, -1.0]),
+                   st.integers(min_value=-256, max_value=256).map(lambda k: k / 128),
+                   st.floats(min_value=-2.0, max_value=2.0)),
+    N=st.integers(min_value=1, max_value=20000),
+)
+def test_digit_route_matches_dense_property(spec, theta, beta, N):
+    g = from_theta(theta, scale_for(parse_alpha_spec(spec), N))
+    assert digit_gap(g, N, [beta]) <= DIGIT_ABS_TOL
+
+
+EDGE_SCALES = {
+    **{spec: (spec, 5000) for spec in ALPHA_SPECS},
+    # a finite quotient list: no a_{K+1}, so the table stops at q_K
+    "list": ("list:2,3,1,4,1,1,2", None),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SCALES)
+def test_digit_route_edge_lengths(name):
+    # N = 1, every q_k and its neighbours, and N = scale.limit, whose greedy
+    # digits are not a legal Ostrowski expansion (encode refuses it)
+    spec, upto = EDGE_SCALES[name]
+    spec = parse_alpha_spec(spec)
+    scale = scale_for(spec, upto) if upto else expand(spec, len(spec.preperiod))
+    with pytest.raises(RangeError):
+        encode(scale.limit, scale)
+    lengths = {1, scale.limit} | {q + d for q in scale.q for d in (-1, 0, 1)
+                                  if 1 <= q + d <= scale.limit}
+    betas = (0.0, 1.0, 0.1234567, -0.3, 0.5, 2.0**-40)
+    for theta in (1 / 3, 0.5):
+        g = from_theta(theta, scale)
+        for N in sorted(lengths):
+            assert digit_gap(g, N, betas) <= DIGIT_ABS_TOL, (theta, N)
+    control = from_theta(0.0, scale)
+    for N in sorted(lengths):
+        assert _digit_exp_sum(_digit_plan(control, N), 0.0) == 1.0
+
+
+def test_digit_route_twisted_spec_and_atom_tables():
+    rng = np.random.default_rng(43)
+    scale = scale_for(SILVER, 30000)
+    betas = [0.0, 0.2, 0.8, -0.45, *rng.random(4)]
+    g = parse_fn_spec("theta:0.3+beta:0.2", scale)
+    for N in (1, 17, 4096, 29999, scale.limit):
+        assert digit_gap(g, N, betas) <= DIGIT_ABS_TOL
+
+    def pick(k, e):
+        z = 1.3 * rng.random() * np.exp(2j * np.pi * rng.random())
+        return z.real, z.imag
+
+    g = load_atoms(atom_document(scale, pick), scale)
+    assert not g.is_unimodular
+    for N in (1, 17, 4096, 29999, scale.limit):
+        peak = float(np.max(np.abs(values_range(g, N))))
+        assert digit_gap(g, N, betas) <= DIGIT_ABS_TOL * max(1.0, peak)
+
+
+def test_spectrum_peak_matches_dense_recheck(monkeypatch):
+    cases = [(GOLDEN, "theta:0.0+beta:0.3", 10**4), (SILVER, "theta:0.3333", 8192),
+             (parse_alpha_spec("periodic:/1,2,3,1,1,4"), "theta:0.1234567+beta:0.61", 12345)]
+
+    def no_dense_probes(vals, beta):
+        raise AssertionError("refinement probe took the dense route")
+
+    for spec, fn, N in cases:
+        g = parse_fn_spec(fn, scale_for(spec, N))
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_exp_sum", no_dense_probes)
+            scan = spectrum_scan(g, N, grid_size=512)
+        assert 0.0 < scan.beta_peak < 1.0
+        dense = abs(exponential_sum(g, scan.beta_peak, N))
+        assert abs(scan.peak_value - dense) <= 1e-12, (fn, scan.beta_peak)
 
 
 # --- spectrum scans ----------------------------------------------------------------
