@@ -170,7 +170,12 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     row of length a_{k+1} + 1; v[k][0] must be 1.  The modulus bound is taken
     as the largest atom modulus found.
     """
-    data = json.loads(document) if isinstance(document, str) else document
+    try:
+        data = json.loads(document) if isinstance(document, str) else document
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"atom table is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("atom table must be a JSON object of rows")
     rows = []
     for k, top in _rows_for(scale):
         key = str(k)
@@ -223,8 +228,12 @@ def _build_theta(arg: str, scale: ConvergentTable) -> AlphaFunction:
 
 
 def _build_atoms(arg: str, scale: ConvergentTable) -> AlphaFunction:
-    with open(arg, "r", encoding="utf-8") as fh:
-        return load_atoms(fh.read(), scale)
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read atom table {arg!r}: {exc}") from exc
+    return load_atoms(text, scale)
 
 
 FN_BUILDERS = {

@@ -4,23 +4,28 @@ Subcommands: encode, decode, sigma, convergents, correlate, fourier,
 spectrum, verify, experiment.  Exit codes: 0 success, 1 a check or
 verification failed, 2 usage or validation error, 3 range/overflow/cap error.
 
-Heavy imports happen inside the handlers so that --threads can pin the BLAS
-thread pools before numpy comes up.
+Every subcommand accepts only the flags it reads.  All output except the
+verify report goes through `_emit`: JSON, or CSV whose first line is
+`# config: ` and the JSON of the payload's `config`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+
+from .alphafun import parse_fn_spec
+from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, scale_for
+from .errors import CapError, RangeError, ValidationError
+from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
+from .numeration import DigitString, decode, encode, psi, sigma
+from .spectral import correlation_profile, fourier_coeffs, parseval_check, spectrum_scan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -29,35 +34,41 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, payload: dict, rows, header) -> None:
-    """Write the result as JSON (default) or CSV with a config comment line."""
+    """Write the payload as JSON (default) or CSV, to stdout or --out.
+
+    CSV starts with `# config: ` and the JSON of payload["config"], then the
+    header and one line per row; every line ends in a bare newline.
+    """
     if args.format == "csv":
-        lines = ["# config: " + json.dumps(_config_dict(args))]
+        lines = ["# config: " + json.dumps(payload["config"])]
         lines.append(",".join(header))
         lines += [",".join(str(c) for c in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _scale_fn(args, upto: int):
-    from .alphafun import parse_fn_spec
-    from .cfrac import parse_alpha_spec, scale_for
-
     scale = scale_for(parse_alpha_spec(args.alpha), upto)
     return scale, parse_fn_spec(args.fn or "theta:0.5", scale)
+
+
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers (blank entries skipped), else ValidationError."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be a comma-separated list of integers") from exc
 
 
 # --- handlers -----------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    from .cfrac import parse_alpha_spec, scale_for
-    from .numeration import encode, psi
-
     scale = scale_for(parse_alpha_spec(args.alpha), args.n + 1)
     d = encode(args.n, scale)
     payload = {
@@ -75,10 +86,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    from .cfrac import expand, parse_alpha_spec
-    from .numeration import DigitString, decode
-
-    digits = tuple(int(t) for t in args.digits.split(",") if t.strip() != "")
+    digits = _int_list(args.digits, "digits")
     scale = expand(parse_alpha_spec(args.alpha), max(len(digits), 2))
     n = decode(DigitString(digits, scale))
     payload = {"config": _config_dict(args), "digits": list(digits), "n": n}
@@ -87,9 +95,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    from .cfrac import parse_alpha_spec, scale_for
-    from .numeration import sigma
-
     scale = scale_for(parse_alpha_spec(args.alpha), max(args.n) + 1)
     rows = [[n, sigma(n, scale)] for n in args.n]
     payload = {"config": _config_dict(args), "rows": [{"n": n, "sigma": s} for n, s in rows]}
@@ -98,10 +103,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_convergents(args) -> int:
-    from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec
-
     spec = parse_alpha_spec(args.alpha)
-    scale = expand(spec, args.depth) if args.depth else expand_max(spec)
+    scale = expand(spec, args.depth) if args.depth is not None else expand_max(spec)
     rows = [[i, scale.quotients[i - 1] if i else "", scale.p[i], scale.q[i]]
             for i in range(scale.K + 1)]
     payload = {
@@ -121,8 +124,6 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    from .spectral import correlation_profile
-
     _, g = _scale_fn(args, args.N + args.R)
     prof = correlation_profile(g, args.R, args.N)
     rows = [[r, prof.gamma[r].real, prof.gamma[r].imag, abs(prof.gamma[r])]
@@ -139,10 +140,6 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    from .alphafun import parse_fn_spec
-    from .cfrac import expand_max, parse_alpha_spec
-    from .spectral import fourier_coeffs, parseval_check
-
     scale = expand_max(parse_alpha_spec(args.alpha))
     g = parse_fn_spec(args.fn or "theta:0.5", scale)
     table = fourier_coeffs(g, args.lam)
@@ -160,8 +157,6 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .spectral import spectrum_scan
-
     _, g = _scale_fn(args, args.N)
     scan = spectrum_scan(g, args.N, grid_size=args.grid)
     order = scan.grid.argsort()[::-1][:5]
@@ -177,8 +172,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .harness import verify_all
-
     only = args.only.split(",") if args.only else None
     reports = verify_all(seed=args.seed, only=only, fn_spec=args.fn)
     for rep in reports:
@@ -192,106 +185,93 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    from .errors import ValidationError
-
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"{flag} must be a comma-separated list of integers") from exc
-
-
 def cmd_experiment(args) -> int:
-    from .errors import ValidationError
-    from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment
-
-    sizes = {}
+    fields = {"alpha_spec": args.alpha, "N": args.N}
+    if args.fn is not None:
+        fields["fn_spec"] = args.fn
     if args.kind == "spectrum":
         if args.R_list is not None:
             raise ValidationError("--R-list applies to pseudorandomness experiments only")
-        sizes["R_list"] = ()
-    elif args.R_list is not None:
-        sizes["R_list"] = _int_list(args.R_list, "--R-list")
-    config = ExperimentConfig(
-        alpha_spec=args.alpha,
-        fn_spec=args.fn or "theta:0.5",
-        N=args.N,
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-        **sizes,
-    )
-    runner = {"pseudorandomness": pseudorandomness_experiment,
-              "spectrum": spectrum_experiment}[args.kind]
-    payload = runner(config)
-    if args.out:
-        print(f"wrote {args.out} ({config.format}), "
-              f"runtime {payload['runtime_seconds']:.2f}s")
+        fields["R_list"] = ()
+        if args.seed is not None:
+            fields["seed"] = args.seed
+        payload = spectrum_experiment(ExperimentConfig(**fields))
+        rows = [["ladder", r["N"], r["beta_peak"], r["peak_value"]] for r in payload["ladder"]]
+        rows += [["scale_sums", s["beta"], len(s["moduli"]), s["contraction_margin"]]
+                 for s in payload["scale_sums"]]
+        _emit(args, payload, rows, ["section", "x", "y", "z"])
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        if args.seed is not None:
+            raise ValidationError("--seed applies to spectrum experiments only")
+        if args.R_list is not None:
+            fields["R_list"] = _int_list(args.R_list, "--R-list")
+        payload = pseudorandomness_experiment(ExperimentConfig(**fields))
+        rows = [[r["R"], r["quadratic_mean"], r["absolute_mean"]] for r in payload["rows"]]
+        _emit(args, payload, rows, ["R", "quadratic_mean", "absolute_mean"])
     return EXIT_OK
 
 
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", default="golden",
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--alpha", default="golden",
                         help="quotient spec: golden | silver | periodic:<pre>/<per> | list:<a1,...>")
-    common.add_argument("--fn", default=None,
-                        help="function spec: theta:<x>[+beta:<y>] | atoms:<path>[+beta:<y>]")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None,
-                        help="pin BLAS/OpenMP thread pools before numpy loads")
+    shared.add_argument("--out", default=None, help="output path (default stdout)")
+    shared.add_argument("--format", choices=("json", "csv"), default="json")
+    fn = argparse.ArgumentParser(add_help=False)
+    fn.add_argument("--fn", default=None,
+                    help="function spec: theta:<x>[+beta:<y>] | atoms:<path>[+beta:<y>]")
 
     parser = argparse.ArgumentParser(prog="ostrowski",
                                      description="Ostrowski numeration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common], help="digits of n")
+    p = sub.add_parser("encode", parents=[shared], help="digits of n")
     p.add_argument("n", type=int)
     p.add_argument("--lam", type=int, action="append", help="also report psi at this level")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", parents=[common], help="value of a digit string")
+    p = sub.add_parser("decode", parents=[shared], help="value of a digit string")
     p.add_argument("digits", help="comma-separated digits, least significant first")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("sigma", parents=[common], help="digit sums")
+    p = sub.add_parser("sigma", parents=[shared], help="digit sums")
     p.add_argument("n", type=int, nargs="+")
     p.set_defaults(func=cmd_sigma)
 
-    p = sub.add_parser("convergents", parents=[common], help="convergent table")
+    p = sub.add_parser("convergents", parents=[shared], help="convergent table")
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_convergents)
 
-    p = sub.add_parser("correlate", parents=[common], help="autocorrelation profile")
+    p = sub.add_parser("correlate", parents=[shared, fn], help="autocorrelation profile")
     p.add_argument("--N", type=int, default=10**5)
     p.add_argument("--R", type=int, default=256)
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("fourier", parents=[common], help="level-lam Fourier table")
+    p = sub.add_parser("fourier", parents=[shared, fn], help="level-lam Fourier table")
     p.add_argument("--lam", type=int, required=True)
     p.set_defaults(func=cmd_fourier)
 
-    p = sub.add_parser("spectrum", parents=[common], help="Fourier-Bohr peak scan")
+    p = sub.add_parser("spectrum", parents=[shared, fn], help="Fourier-Bohr peak scan")
     p.add_argument("--N", type=int, default=10**5)
     p.add_argument("--grid", type=int, default=4096)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", parents=[common], help="run the check battery")
+    p = sub.add_parser("verify", parents=[fn], help="run the check battery")
+    p.add_argument("--out", default=None, help="also write the reports as a JSON list here")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, help="comma list of check families to run")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a sweep experiment")
+    p = sub.add_parser("experiment", parents=[shared, fn], help="run a sweep experiment")
     p.add_argument("kind", choices=("pseudorandomness", "spectrum"))
     p.add_argument("--N", type=int, default=10**6)
     p.add_argument("--R-list", dest="R_list", default=None,
                    help="comma list of shift counts R (pseudorandomness only; "
                         "default 32,64,...,4096)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the scale-sum betas (spectrum only; default 0)")
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -299,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-    from .errors import CapError, RangeError, ValidationError
-
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -8,7 +8,6 @@ passing instances have margin >= 0.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from collections.abc import Sequence
@@ -92,20 +91,16 @@ def _report(name: str, margins, details=()) -> CheckReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs for an experiment run; serializable into output headers."""
+    """Inputs for an experiment run; recorded as the payload's config."""
 
     alpha_spec: str = "golden"
     fn_spec: str = "theta:0.5"
     N: int = 10**6
     R_list: tuple[int, ...] = (32, 64, 128, 256, 512, 1024, 2048, 4096)
     seed: int = 0
-    output_path: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
         object.__setattr__(self, "R_list", tuple(int(r) for r in self.R_list))
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.N < 1:
             raise ValidationError("N must be >= 1")
         if any(R < 1 for R in self.R_list):
@@ -309,21 +304,6 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
 
 # --- experiments -------------------------------------------------------------
 
-def _write_output(config: ExperimentConfig, payload: dict, csv_rows, csv_header) -> None:
-    if config.output_path is None:
-        return
-    if config.format == "json":
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("# config: " + json.dumps(config.to_dict()) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-
-
 def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     """Correlation quadratic means Q(R) for each configured R at fixed N."""
     if not config.R_list:
@@ -343,12 +323,6 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
         "rows": rows,
         "runtime_seconds": time.perf_counter() - t0,
     }
-    _write_output(
-        config,
-        payload,
-        [(r["R"], r["quadratic_mean"], r["absolute_mean"]) for r in rows],
-        ("R", "quadratic_mean", "absolute_mean"),
-    )
     return payload
 
 
@@ -389,9 +363,6 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
         "scale_sums": sums,
         "runtime_seconds": time.perf_counter() - t0,
     }
-    csv_rows = [("ladder", row["N"], row["beta_peak"], row["peak_value"]) for row in ladder]
-    csv_rows += [("scale_sums", s["beta"], len(s["moduli"]), s["contraction_margin"]) for s in sums]
-    _write_output(config, payload, csv_rows, ("section", "x", "y", "z"))
     return payload
 
 

@@ -214,6 +214,9 @@ def test_load_atoms_rejects_bad_tables():
     doc["1"] = [[1.0, 0.0]]  # wrong arity for the row
     with pytest.raises(ValidationError):
         load_atoms(doc, scale)
+    for text in ("not json", "[[1.0, 0.0]]"):
+        with pytest.raises(ValidationError):
+            load_atoms(text, scale)
 
 
 def test_parse_fn_spec(tmp_path):

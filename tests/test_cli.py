@@ -1,5 +1,6 @@
 """Command line interface: payload shapes, exit codes, output formats."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from ostrowski import GOLDEN, CheckReport, from_theta, scale_for
-from ostrowski.cli import main
+from ostrowski.cli import build_parser, main
 import ostrowski.harness as harness
 
 
@@ -131,7 +132,7 @@ def test_experiment_csv(tmp_path, capsys):
     assert lines[0].startswith("# config: ")
     assert lines[1] == "R,quadratic_mean,absolute_mean"
     assert len(lines) == 4
-    assert "wrote" in out
+    assert out == ""
 
 
 def test_spectrum_experiment_needs_no_r_list(capsys):
@@ -167,6 +168,99 @@ def test_verify_fn_atoms_must_fit_every_scale(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# --- one flag surface, one writer -------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "4", "--fn", "theta:0.3"),
+    ("sigma", "4", "--seed", "1"),
+    ("fourier", "--lam", "2", "--seed", "1"),
+    ("verify", "--only", "fejer", "--alpha", "silver"),
+    ("verify", "--only", "fejer", "--format", "csv"),
+    ("correlate", "--threads", "1"),
+    ("experiment", "pseudorandomness", "--N", "100", "--R-list", "4", "--seed", "3"),
+    ("encode", "4", "--format", "yaml"),
+])
+def test_unread_flags_are_refused(argv, capsys):
+    # argparse refuses all but the pseudorandomness --seed, which its handler refuses
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+FLAGS = {
+    "encode": {"--alpha", "--out", "--format", "--lam"},
+    "decode": {"--alpha", "--out", "--format"},
+    "sigma": {"--alpha", "--out", "--format"},
+    "convergents": {"--alpha", "--out", "--format", "--depth"},
+    "correlate": {"--alpha", "--out", "--format", "--fn", "--N", "--R"},
+    "fourier": {"--alpha", "--out", "--format", "--fn", "--lam"},
+    "spectrum": {"--alpha", "--out", "--format", "--fn", "--N", "--grid"},
+    "verify": {"--fn", "--out", "--seed", "--only"},
+    "experiment": {"--alpha", "--out", "--format", "--fn", "--seed", "--N", "--R-list"},
+}
+
+
+def test_each_subcommand_takes_the_flags_of_the_readme_table():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help"} == FLAGS[name], name
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("encode", "4", "--lam", "2"), {"command", "alpha", "n", "lam"}),
+    (("decode", "0,1"), {"command", "alpha", "digits"}),
+    (("sigma", "4", "5"), {"command", "alpha", "n"}),
+    (("convergents", "--depth", "3"), {"command", "alpha", "depth"}),
+    (("correlate", "--N", "200", "--R", "4", "--fn", "theta:0.3"),
+     {"command", "alpha", "fn", "N", "R"}),
+    (("fourier", "--lam", "2"), {"command", "alpha", "lam"}),
+    (("spectrum", "--N", "4096", "--grid", "64"), {"command", "alpha", "N", "grid"}),
+    (("experiment", "spectrum", "--N", "1000", "--seed", "2"),
+     {"alpha_spec", "fn_spec", "N", "R_list", "seed"}),
+])
+def test_config_holds_only_what_is_read(argv, keys, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert set(json.loads(out)["config"]) == keys
+
+
+WRITER_CASES = {
+    "encode": (("encode", "12", "--lam", "2"), "n,sigma,digits,psi_2"),
+    "correlate": (("correlate", "--N", "500", "--R", "4"), "r,re,im,abs"),
+    "pseudorandomness": (("experiment", "pseudorandomness", "--N", "2000", "--R-list", "4,8"),
+                         "R,quadratic_mean,absolute_mean"),
+    "spectrum": (("experiment", "spectrum", "--N", "1000", "--seed", "3"), "section,x,y,z"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_csv_config_line_is_the_json_config(case, to_file, tmp_path, capsys):
+    argv, header = WRITER_CASES[case]
+
+    def produce(fmt: str) -> str:
+        path = tmp_path / f"{case}.{fmt}"
+        code, out = run(capsys, *argv, "--format", fmt, *(["--out", str(path)] if to_file else []))
+        assert code == 0
+        if not to_file:
+            return out
+        assert out == ""
+        return path.read_bytes().decode()  # undecoded line endings
+
+    json_text, csv_text = produce("json"), produce("csv")
+    assert "\r" not in json_text + csv_text
+    doc = json.loads(json_text)
+    lines = csv_text.split("\n")
+    assert lines[0].startswith("# config: ")
+    assert json.loads(lines[0][len("# config: "):]) == doc["config"]
+    assert lines[1] == header
+
+
 # --- exit codes -------------------------------------------------------------------
 
 def test_usage_error_is_exit_2():
@@ -194,9 +288,15 @@ def run_process(*argv) -> subprocess.CompletedProcess:
     ("correlate", "--N", "0"),
     ("experiment", "pseudorandomness", "--N", "100", "--R-list", "0,4"),
     ("experiment", "pseudorandomness", "--N", "100", "--R-list", "4,x"),
+    ("decode", "1,x"),
+    ("convergents", "--depth", "0"),
+    ("spectrum", "--N", "100", "--fn", "atoms:{tmp}/missing.json"),
+    ("spectrum", "--N", "100", "--fn", "atoms:{tmp}"),  # a directory
+    ("spectrum", "--N", "100", "--fn", "atoms:{tmp}/not.json"),
 ])
-def test_bad_sizes_are_exit_2_without_traceback(argv):
-    proc = run_process(*argv)
+def test_bad_sizes_are_exit_2_without_traceback(argv, tmp_path):
+    (tmp_path / "not.json").write_text("not json")
+    proc = run_process(*(arg.format(tmp=tmp_path) for arg in argv))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -177,8 +177,6 @@ def test_gap_structure_across_specs():
 
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig(format="yaml")
-    with pytest.raises(ValidationError):
         ExperimentConfig(N=100, R_list=(256,))
     with pytest.raises(ValidationError):
         ExperimentConfig(N=0, R_list=())
@@ -186,40 +184,29 @@ def test_experiment_config_validation():
         ExperimentConfig(N=100, R_list=(0, 4))
     cfg = ExperimentConfig(N=5000, R_list=(16, 64))
     assert ExperimentConfig(**cfg.to_dict()) == cfg
+    assert list(cfg.to_dict()) == ["alpha_spec", "fn_spec", "N", "R_list", "seed"]
 
 
-def test_pseudorandomness_experiment_output(tmp_path):
-    out = tmp_path / "corr.csv"
-    cfg = ExperimentConfig(
-        N=4000, R_list=(8, 32), output_path=str(out), format="csv"
-    )
+def test_pseudorandomness_experiment_output():
+    cfg = ExperimentConfig(N=4000, R_list=(8, 32))
     payload = pseudorandomness_experiment(cfg)
     assert payload["route"] == "pairwise"
     assert [row["R"] for row in payload["rows"]] == [8, 32]
     for row in payload["rows"]:
         assert 0.0 <= row["quadratic_mean"] <= 1.0
         assert 0.0 <= row["absolute_mean"] <= 1.0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# config: ")
-    assert json.loads(lines[0][len("# config: "):])["N"] == 4000
-    assert lines[1] == "R,quadratic_mean,absolute_mean"
-    assert len(lines) == 4
+    assert payload["config"]["N"] == 4000
 
 
-def test_spectrum_experiment_output(tmp_path):
-    out = tmp_path / "spec.json"
-    cfg = ExperimentConfig(
-        N=8192, R_list=(8,), seed=5, output_path=str(out), format="json"
-    )
+def test_spectrum_experiment_output():
+    cfg = ExperimentConfig(N=8192, R_list=(8,), seed=5)
     payload = spectrum_experiment(cfg)
     assert [row["N"] for row in payload["ladder"]] == [4096, 8192]
     assert len(payload["scale_sums"]) == 16
     for entry in payload["scale_sums"]:
         assert entry["contraction_margin"] <= 1e-12
         assert all(m <= 1.0 + 1e-9 for m in entry["moduli"])
-    disk = json.loads(out.read_text())
-    assert disk["config"]["seed"] == 5
-    assert disk["ladder"] == payload["ladder"]
+    assert payload["config"]["seed"] == 5
 
 
 # --- the battery -------------------------------------------------------------------
