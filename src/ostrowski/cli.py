@@ -55,7 +55,7 @@ def _emit(args, payload: dict, rows, header) -> None:
 
 def _scale_fn(args, upto: int):
     scale = scale_for(parse_alpha_spec(args.alpha), upto)
-    return scale, parse_fn_spec(args.fn or "theta:0.5", scale)
+    return scale, parse_fn_spec(args.fn, scale)
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -141,7 +141,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_fourier(args) -> int:
     scale = expand_max(parse_alpha_spec(args.alpha))
-    g = parse_fn_spec(args.fn or "theta:0.5", scale)
+    g = parse_fn_spec(args.fn, scale)
     table = fourier_coeffs(g, args.lam)
     lhs, rhs, delta = parseval_check(g, args.lam)
     rows = [[h, table.G[h].real, table.G[h].imag, abs(table.G[h])] for h in range(table.q)]
@@ -186,9 +186,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    fields = {"alpha_spec": args.alpha, "N": args.N}
-    if args.fn is not None:
-        fields["fn_spec"] = args.fn
+    fields = {"alpha_spec": args.alpha, "fn_spec": args.fn, "N": args.N}
     if args.kind == "spectrum":
         if args.R_list is not None:
             raise ValidationError("--R-list applies to pseudorandomness experiments only")
@@ -220,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None, help="output path (default stdout)")
     shared.add_argument("--format", choices=("json", "csv"), default="json")
     fn = argparse.ArgumentParser(add_help=False)
-    fn.add_argument("--fn", default=None,
-                    help="function spec: theta:<x>[+beta:<y>] | atoms:<path>[+beta:<y>]")
+    fn_help = "function spec: theta:<x>[+beta:<y>] | atoms:<path>[+beta:<y>]"
+    fn.add_argument("--fn", default="theta:0.5", help=fn_help)
 
     parser = argparse.ArgumentParser(prog="ostrowski",
                                      description="Ostrowski numeration toolkit")
@@ -258,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4096)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", parents=[fn], help="run the check battery")
+    p = sub.add_parser("verify", help="run the check battery")
+    p.add_argument("--fn", default=None, help=fn_help + " (default: the theta family)")
     p.add_argument("--out", default=None, help="also write the reports as a JSON list here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, help="comma list of check families to run")

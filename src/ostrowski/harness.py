@@ -24,12 +24,7 @@ from .cfrac import (
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import (
-    digit_at_range,
-    high_digit_sum_range,
-    psi_range,
-    w_sequence,
-)
+from .numeration import _greedy, high_digit_sum_range, psi_range, w_sequence
 from .numerics import frac_mul_int, pairwise_sum
 
 # Default verification family.
@@ -156,11 +151,33 @@ def _digit_carry_counts(g, lam: int, r_values, N: int) -> list[int]:
     return [int(np.count_nonzero(ps[r : r + N] - ps[:N] != r)) for r in r_values]
 
 
+def _carry_instances(g: AlphaFunction, lam: int, r_values, N: int):
+    """(margin, detail) per r: the slack N*r/q_{lam-1} - count, or -1 on failure.
+
+    The comparison count * q_{lam-1} <= N * r runs in exact integers; detail
+    is None for a passing instance and names the instance otherwise.
+    """
+    counter = _theta_carry_counts if g.theta is not None else _digit_carry_counts
+    q_prev = g.scale.q[lam - 1]
+    for r, count in zip(r_values, counter(g, lam, r_values, N)):
+        if count * q_prev <= N * r:
+            yield N * r / q_prev - count, None
+        else:
+            yield -1.0, {"lam": lam, "r": r, "N": N, "count": count}
+
+
+def _instance_report(name: str, instances) -> CheckReport:
+    """Report over (margin, detail) pairs, keeping the first ten failure details."""
+    instances = list(instances)
+    details = [d for _, d in instances if d is not None][:10]
+    return _report(name, [m for m, _ in instances], details)
+
+
 def carry_bound_check(g: AlphaFunction, lam: int, r: int, N: int) -> CheckReport:
     """Count truncation-sensitive n < N and compare against N*r/q_{lam-1}.
 
-    The comparison count * q_{lam-1} <= N * r runs in exact integers; the
-    reported margin is the slack in count units.
+    One instance of carry_bound_sweep; the reported margin is the slack in
+    count units.
     """
     if lam < 1:
         raise ValidationError("lam must be >= 1")
@@ -170,13 +187,7 @@ def carry_bound_check(g: AlphaFunction, lam: int, r: int, N: int) -> CheckReport
         raise ValidationError("N must be >= 1")
     if N + r > g.scale.limit:
         raise RangeError(f"N + r = {N + r} beyond table limit {g.scale.limit}")
-    counter = _theta_carry_counts if g.theta is not None else _digit_carry_counts
-    count = counter(g, lam, [r], N)[0]
-    q_prev = g.scale.q[lam - 1]
-    ok = count * q_prev <= N * r
-    margin = N * r / q_prev - count
-    details = () if ok else ({"lam": lam, "r": r, "N": N, "count": count},)
-    return _report("carry_bound", [margin if ok else min(margin, -1.0)], details)
+    return _instance_report("carry_bound", _carry_instances(g, lam, [r], N))
 
 
 def carry_bound_sweep(
@@ -184,26 +195,27 @@ def carry_bound_sweep(
 ) -> CheckReport:
     """Exhaustive carry check: every lam <= lam_max, every r < q_{lam-1}."""
     scale = g.scale
-    counter = _theta_carry_counts if g.theta is not None else _digit_carry_counts
-    margins = []
-    details = []
-    for N in N_values:
-        for lam in range(1, lam_max + 1):
-            if lam > scale.K:
-                continue
-            r_values = list(range(scale.q[lam - 1]))
-            q_prev = scale.q[lam - 1]
-            for r, count in zip(r_values, counter(g, lam, r_values, N)):
-                if count * q_prev <= N * r:
-                    margins.append(N * r / q_prev - count)
-                else:
-                    margins.append(-1.0)
-                    if len(details) < 10:
-                        details.append({"lam": lam, "r": r, "N": N, "count": count})
-    return _report("carry_bound", margins, details)
+    return _instance_report("carry_bound", (
+        instance
+        for N in N_values
+        for lam in range(1, min(lam_max, scale.K) + 1)
+        for instance in _carry_instances(g, lam, range(scale.q[lam - 1]), N)
+    ))
 
 
 # --- block densities ---------------------------------------------------------
+
+def _density_formulas(scale: ConvergentTable, lam: int, a: np.ndarray) -> np.ndarray:
+    """Limit densities of {n : psi_lam(n) = a} for an array of a (see density_formula)."""
+    if not 1 <= lam <= scale.K:
+        raise RangeError(f"lam={lam} outside 1..{scale.K}")
+    if a.size and not (a.min() >= 0 and a.max() < scale.q[lam]):
+        bad = a.min() if a.min() < 0 else a.max()
+        raise RangeError(f"a={bad} outside [0, q_lam={scale.q[lam]})")
+    t = tail(scale.spec, lam).value
+    delta = 1.0 / (scale.q[lam] + scale.q[lam - 1] * t)
+    return np.where(a < scale.q[lam - 1], delta * (1.0 + t), delta)
+
 
 def density_formula(scale: ConvergentTable, lam: int, a: int) -> float:
     """Limit density of {n : psi_lam(n) = a}.
@@ -212,22 +224,29 @@ def density_formula(scale: ConvergentTable, lam: int, a: int) -> float:
     below, with t the tail [0; a_{lam+1}, a_{lam+2}, ...].  The two bands sum
     to exactly 1 over a < q_lam.
     """
-    if not 1 <= lam <= scale.K:
-        raise RangeError(f"lam={lam} outside 1..{scale.K}")
-    if not 0 <= a < scale.q[lam]:
-        raise RangeError(f"a={a} outside [0, q_lam={scale.q[lam]})")
-    t = tail(scale.spec, lam).value
-    delta = 1.0 / (scale.q[lam] + scale.q[lam - 1] * t)
-    return delta * (1.0 + t) if a < scale.q[lam - 1] else delta
+    return float(_density_formulas(scale, lam, np.array([a]))[0])
+
+
+def _density_instances(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
+    """Formula densities and (margin, detail) per a for psi_lam(n) = a over n < N."""
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    formulas = _density_formulas(scale, lam, a)
+    counts = np.bincount(psi_range(scale, lam, N))
+    if len(counts) > scale.q[lam]:
+        raise AssertionError("psi_lam produced a value >= q_lam")
+    empirical = np.append(counts, 0)[np.minimum(a, len(counts))] / N  # 0 past the largest psi
+    margins = DENSITY_TOL - np.abs(empirical - formulas)
+    instances = []
+    for m, ai, e, f in zip(margins.tolist(), a.tolist(), empirical.tolist(), formulas.tolist()):
+        detail = {"lam": lam, "a": ai, "N": N, "empirical": e, "formula": f}
+        instances.append((m, None if m >= 0 else detail))
+    return formulas, instances
 
 
 def density_check(lam: int, a: int, N: int, scale: ConvergentTable) -> CheckReport:
     """Empirical density of psi_lam(n) = a over n < N against the formula."""
-    formula = density_formula(scale, lam, a)
-    hits = int(np.count_nonzero(psi_range(scale, lam, N) == a))
-    margin = DENSITY_TOL - abs(hits / N - formula)
-    detail = {"lam": lam, "a": a, "N": N, "empirical": hits / N, "formula": formula}
-    return _report("density", [margin], () if margin >= 0 else (detail,))
+    return _instance_report("density", _density_instances(scale, lam, np.array([a]), N)[1])
 
 
 def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> CheckReport:
@@ -235,25 +254,12 @@ def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> C
 
     Also verifies that the formula masses sum to 1 (within 1e-10) per level.
     """
-    margins = []
-    details = []
+    instances = []
     for lam in range(1, min(lam_max, scale.K) + 1):
-        t = tail(scale.spec, lam).value
-        q_lam, q_prev = scale.q[lam], scale.q[lam - 1]
-        delta = 1.0 / (q_lam + q_prev * t)
-        formulas = np.where(np.arange(q_lam) < q_prev, delta * (1.0 + t), delta)
-        total_gap = 1e-10 - abs(float(np.sum(formulas)) - 1.0)
-        margins.append(total_gap)
-        counts = np.bincount(psi_range(scale, lam, N), minlength=q_lam)
-        if len(counts) > q_lam:
-            raise AssertionError("psi_lam produced a value >= q_lam")
-        gaps = DENSITY_TOL - np.abs(counts / N - formulas)
-        margins.extend(gaps.tolist())
-        for a in np.nonzero(gaps < 0)[0][:10]:
-            details.append(
-                {"lam": lam, "a": int(a), "empirical": counts[a] / N, "formula": float(formulas[a])}
-            )
-    return _report("density", margins, details)
+        formulas, level = _density_instances(scale, lam, np.arange(scale.q[lam]), N)
+        instances.append((1e-10 - abs(float(np.sum(formulas)) - 1.0), None))
+        instances.extend(level)
+    return _instance_report("density", instances)
 
 
 # --- gap structure -----------------------------------------------------------
@@ -267,8 +273,8 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
     """
     block = w_sequence(lam, count + 1, scale)
     starts = np.asarray(block.starts, dtype=np.int64)
-    M = int(starts[-1]) + 1
-    bf_starts = np.nonzero(psi_range(scale, lam, M) == 0)[0]
+    eps_lam, psi_lam = _greedy(scale, int(starts[-1]) + 1, lam)
+    bf_starts = np.nonzero(psi_lam == 0)[0]
     margins = []
     details = []
     if len(bf_starts) != len(starts) or not np.array_equal(bf_starts, starts):
@@ -282,7 +288,7 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
     if not member_ok:
         details.append({"lam": lam, "mismatch": "gap outside {q_lam, q_lam-1}"})
     a_top = scale.digit_bound(lam)
-    eps_lam = digit_at_range(scale, lam, M)[starts[:-1]]
+    eps_lam = eps_lam[starts[:-1]]
     if q_long != q_short:
         rule_ok = bool(np.array_equal(gaps == q_short, eps_lam == a_top))
         margins.append(0.0 if rule_ok else -1.0)

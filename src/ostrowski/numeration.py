@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -141,33 +142,35 @@ class BlockIndex:
     kinds: tuple[str, ...]
 
 
-def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
-    """First `count` members of {n : eps_k(n) = 0 for all k < lam}, with gap kinds.
+def _gaps(lam: int, scale: ConvergentTable, end: int) -> Iterator[tuple[int, int, str]]:
+    """Yield (w, gap, kind) for the level-lam block starts w < end, in order from 0.
 
-    Generated gap by gap: from a start w, the next start is w + q_{lam-1} when
-    eps_lam(w) is maximal (the digit at lam cannot be raised) and w + q_lam
-    otherwise.  Cost is O(count) digit inspections, no scan over [0, w_count).
+    From a start w the next one is w + q_{lam-1} (SHORT) when eps_lam(w) is
+    maximal (the digit at lam cannot be raised) and w + q_lam (LONG)
+    otherwise: one scalar digit inspection per gap.
     """
     if lam < 1:
         raise ValidationError("lam must be >= 1")
-    if count < 1:
-        raise ValidationError("count must be >= 1")
     a_top = scale.digit_bound(lam)  # a_{lam+1}; RangeError if table too short
     q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    starts = [0]
-    kinds = []
     w = 0
-    for _ in range(count - 1):
-        if encode(w, scale).digit(lam) == a_top:
-            gap, kind = q_short, SHORT
-        else:
-            gap, kind = q_long, LONG
+    while w < end:
+        gap, kind = (q_short, SHORT) if encode(w, scale).digit(lam) == a_top else (q_long, LONG)
+        yield w, gap, kind
         w += gap
-        if w >= scale.limit:
-            raise OverflowError(f"block start {w} beyond table limit {scale.limit}")
-        starts.append(w)
-        kinds.append(kind)
-    return BlockIndex(lam, tuple(starts), tuple(kinds))
+
+
+def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
+    """First `count` members of {n : eps_k(n) = 0 for all k < lam}, with gap kinds.
+
+    Generated gap by gap (_gaps), with no scan over [0, w_count).
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    blocks = list(islice(_gaps(lam, scale, scale.limit), count))
+    if len(blocks) < count:
+        raise OverflowError(f"block {len(blocks)} starts beyond table limit {scale.limit}")
+    return BlockIndex(lam, tuple(w for w, _, _ in blocks), tuple(k for _, _, k in blocks[:-1]))
 
 
 def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
@@ -177,21 +180,14 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     q_lam = q_{lam-1} (lam = 1, a_1 = 1) every gap counts as long.
     Satisfies |a*q_lam + b*q_{lam-1} - N| <= q_lam.
     """
-    if lam < 1:
-        raise ValidationError("lam must be >= 1")
-    a_top = scale.digit_bound(lam)
-    q_long, q_short = scale.q[lam], scale.q[lam - 1]
     a = b = 0
-    w = 0
-    while w < N:
-        gap = q_short if encode(w, scale).digit(lam) == a_top else q_long
+    for w, gap, _ in _gaps(lam, scale, N):
         if w + gap > N:
             break
-        if gap == q_long:
+        if gap == scale.q[lam]:
             a += 1
         else:
             b += 1
-        w += gap
     return a, b
 
 
@@ -209,55 +205,50 @@ def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, fl
 # arithmetic is identical integer arithmetic).
 
 
-def _top_index(scale: ConvergentTable, n_max: int) -> int:
-    return max(bisect.bisect_right(scale.q, n_max) - 1, 0)
+def _greedy(
+    scale: ConvergentTable, count: int, lo: int, digit_sum: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-down greedy reduction of n = 0..count-1 from the top index to level lo.
 
-
-def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
-    """psi_lam(n) for n = 0..count-1 (int64).
-
-    The greedy reduction peels digits from the top down; once positions
-    >= lam are removed, the remainder is exactly psi_lam(n).
+    Returns the int64 arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k,
+    psi_lo) with digit_sum; with no level between the top index of count - 1
+    and lo they hold (0, n).  The remainder is reduced in place and the digit
+    buffer holds eps_k * q_k in between (floor_divide by a scalar has a fast
+    path that np.divmod lacks), so the working memory is those arrays.
     """
-    if lam < 0:
-        raise ValidationError("lam must be >= 0")
     if count > scale.limit:
         raise RangeError(f"count={count} beyond table limit {scale.limit}")
     rem = np.arange(count, dtype=np.int64)
-    if count == 0:
-        return rem
+    d = np.zeros_like(rem)
+    total = np.zeros_like(rem) if digit_sum else d
     q = scale.q
-    for k in range(_top_index(scale, count - 1), lam - 1, -1):
-        d = rem // q[k]
-        rem -= d * q[k]
-    return rem
+    levels = range(max(bisect.bisect_right(q, count - 1) - 1, 0), lo - 1, -1)
+    for k in levels:
+        np.floor_divide(rem, q[k], out=d)
+        if digit_sum:
+            total += d
+        d *= q[k]
+        rem -= d
+    if levels and not digit_sum:
+        d //= q[lo]
+    return total, rem
+
+
+def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
+    """psi_lam(n) for n = 0..count-1 (int64): the remainder once digits >= lam are peeled."""
+    if lam < 0:
+        raise ValidationError("lam must be >= 0")
+    return _greedy(scale, count, lam)[1]
 
 
 def digit_at_range(scale: ConvergentTable, k: int, count: int) -> np.ndarray:
     """eps_k(n) for n = 0..count-1 (int64)."""
-    if count > scale.limit:
-        raise RangeError(f"count={count} beyond table limit {scale.limit}")
-    rem = np.arange(count, dtype=np.int64)
-    q = scale.q
-    out = np.zeros(count, dtype=np.int64)
-    for j in range(_top_index(scale, count - 1), k - 1, -1):
-        out = rem // q[j]
-        rem -= out * q[j]
-    return out
+    return _greedy(scale, count, k)[0]
 
 
 def high_digit_sum_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
     """sum_{k >= lam} eps_k(n) for n = 0..count-1 (int64)."""
-    if count > scale.limit:
-        raise RangeError(f"count={count} beyond table limit {scale.limit}")
-    rem = np.arange(count, dtype=np.int64)
-    total = np.zeros(count, dtype=np.int64)
-    q = scale.q
-    for k in range(_top_index(scale, count - 1), lam - 1, -1):
-        d = rem // q[k]
-        rem -= d * q[k]
-        total += d
-    return total
+    return _greedy(scale, count, lam, digit_sum=True)[0]
 
 
 def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:

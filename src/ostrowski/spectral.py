@@ -26,7 +26,6 @@ from .errors import CapError, RangeError, ValidationError
 from .numeration import block_counts, encode
 from .numerics import RANGE_CAP, frac_mul_array, frac_mul_range, pairwise_sum, unit
 
-DIRECT_DFT_MAX = 4096  # direct O(q^2) evaluation is the reference below this size
 DFT_CAP = 1 << 20      # hard cap on transform length
 
 CORR_FFT_MIN = 1 << 20      # correlation profiles with N * R above this go through the FFT
@@ -177,7 +176,7 @@ class FourierTable:
 
 
 def _dft_direct(vals: np.ndarray) -> np.ndarray:
-    """O(q^2) evaluation of G(h) = (1/q) sum_u g(u) e(-h*u/q).
+    """O(q^2) evaluation of G(h) = (1/q) sum_u g(u) e(-h*u/q), the test oracle of _dft_fast.
 
     Phases are reduced through integer h*u mod q, so every kernel entry is an
     exact root-of-unity lookup.
@@ -192,7 +191,7 @@ def _dft_direct(vals: np.ndarray) -> np.ndarray:
 
 
 def _dft_fast(vals: np.ndarray) -> np.ndarray:
-    """Exact-length fast transform for sizes past DIRECT_DFT_MAX."""
+    """Exact-length fast transform, the route of every Fourier table."""
     return np.fft.fft(vals) / len(vals)
 
 
@@ -204,8 +203,7 @@ def fourier_coeffs(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> FourierTab
     if q > cap:
         raise CapError(f"q_lam = {q} exceeds the transform cap {cap}")
     vals = values_range(g, q)
-    G = _dft_direct(vals) if q <= DIRECT_DFT_MAX else _dft_fast(vals)
-    return FourierTable(lam, q, G)
+    return FourierTable(lam, q, _dft_fast(vals))
 
 
 def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
@@ -217,40 +215,35 @@ def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-def _cyclic_sides(table: FourierTable, vals: np.ndarray, r: int) -> tuple[complex, complex]:
+def _cyclic_sides(g: AlphaFunction, lam: int, r_values):
+    """Yield (lhs, rhs) of the cyclic identity per shift, all off one Fourier table."""
+    r_values = list(r_values)
+    if any(r < 0 for r in r_values):
+        raise ValidationError("r must be >= 0")
+    table = fourier_coeffs(g, lam)
+    vals = values_range(g, table.q)
     q = table.q
     power = table.G.real**2 + table.G.imag**2
     h = np.arange(q, dtype=np.int64)
-    lhs = pairwise_sum(power * unit(((h * (r % q)) % q) / q))
-    rhs = pairwise_sum(np.roll(vals, -(r % q)) * np.conj(vals)) / q
-    return lhs, rhs
+    for r in r_values:
+        lhs = pairwise_sum(power * unit(((h * (r % q)) % q) / q))
+        rhs = pairwise_sum(np.roll(vals, -(r % q)) * np.conj(vals)) / q
+        yield lhs, rhs
 
 
 def cyclic_identity_check(g: AlphaFunction, lam: int, r: int) -> tuple[complex, complex, float]:
     """Both sides of the exact cyclic correlation identity and their distance.
 
     lhs = sum_h |G(h)|^2 e(h*r/q); rhs = (1/q) sum_v g((v+r) mod q) conj(g(v)).
-    delta stays below 1e-10 * q_lam.
+    delta stays below 1e-10 * q_lam.  One shift of cyclic_identity_sweep.
     """
-    if r < 0:
-        raise ValidationError("r must be >= 0")
-    table = fourier_coeffs(g, lam)
-    vals = values_range(g, table.q)
-    lhs, rhs = _cyclic_sides(table, vals, r)
+    ((lhs, rhs),) = _cyclic_sides(g, lam, [r])
     return lhs, rhs, abs(lhs - rhs)
 
 
 def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
     """Deltas of the cyclic identity for many shifts off one Fourier table."""
-    table = fourier_coeffs(g, lam)
-    vals = values_range(g, table.q)
-    out = []
-    for r in r_values:
-        if r < 0:
-            raise ValidationError("r must be >= 0")
-        lhs, rhs = _cyclic_sides(table, vals, r)
-        out.append(abs(lhs - rhs))
-    return out
+    return [abs(lhs - rhs) for lhs, rhs in _cyclic_sides(g, lam, r_values)]
 
 
 def _exp_sum(vals: np.ndarray, beta: float) -> complex:

@@ -218,8 +218,8 @@ def test_each_subcommand_takes_the_flags_of_the_readme_table():
     (("convergents", "--depth", "3"), {"command", "alpha", "depth"}),
     (("correlate", "--N", "200", "--R", "4", "--fn", "theta:0.3"),
      {"command", "alpha", "fn", "N", "R"}),
-    (("fourier", "--lam", "2"), {"command", "alpha", "lam"}),
-    (("spectrum", "--N", "4096", "--grid", "64"), {"command", "alpha", "N", "grid"}),
+    (("fourier", "--lam", "2"), {"command", "alpha", "fn", "lam"}),
+    (("spectrum", "--N", "4096", "--grid", "64"), {"command", "alpha", "fn", "N", "grid"}),
     (("experiment", "spectrum", "--N", "1000", "--seed", "2"),
      {"alpha_spec", "fn_spec", "N", "R_list", "seed"}),
 ])

@@ -14,6 +14,7 @@ import pytest
 from ostrowski import (
     GOLDEN,
     SILVER,
+    BlockIndex,
     CheckReport,
     ExperimentConfig,
     RangeError,
@@ -35,6 +36,7 @@ from ostrowski import (
     tail,
     verify_all,
 )
+from ostrowski import harness
 from ostrowski.harness import DEFAULT_ALPHA_SPECS
 
 
@@ -158,6 +160,10 @@ def test_density_check_and_sweep():
     sweep = density_sweep(scale, 4, N=10**5)
     assert sweep.ok
     assert sweep.instances_run == 4 + sum(scale.q[lam] for lam in range(1, 5))
+    with pytest.raises(ValidationError):
+        density_check(3, 7, 0, scale)
+    with pytest.raises(RangeError):
+        density_check(3, scale.q[3], 10**5, scale)
 
 
 # --- gap structure -----------------------------------------------------------------
@@ -171,6 +177,28 @@ def test_gap_structure_across_specs():
         for lam in (1, 2, 3):
             rep = gap_structure_check(lam, 200, scale)
             assert rep.ok, (spec_text, lam, rep.details)
+
+
+@pytest.mark.parametrize("fault", ["gap", "kind"])
+def test_gap_check_catches_a_wrong_w_sequence(fault, monkeypatch):
+    # the brute-force scan is an oracle independent of w_sequence: one gap
+    # one too long (every later start shifted), or one kind tag flipped
+    real = harness.w_sequence
+
+    def broken(lam, count, scale):
+        block = real(lam, count, scale)
+        starts, kinds = list(block.starts), list(block.kinds)
+        if fault == "gap":
+            starts[5:] = [w + 1 for w in starts[5:]]
+        else:
+            kinds[5] = "short" if kinds[5] == "long" else "long"
+        return BlockIndex(lam, tuple(starts), tuple(kinds))
+
+    scale = scale_for(SILVER, 10**4)
+    assert gap_structure_check(2, 50, scale).ok
+    monkeypatch.setattr(harness, "w_sequence", broken)
+    rep = gap_structure_check(2, 50, scale)
+    assert not rep.ok and rep.details
 
 
 # --- experiment configs and runs ----------------------------------------------------

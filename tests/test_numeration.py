@@ -5,7 +5,9 @@ completeness of the numeration below a cutoff), and per-n recomputation of
 the quantities the vectorized kernels produce in bulk.
 """
 
+import bisect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +175,19 @@ def test_block_counts_cover_N():
                 assert used <= N < used + scale.q[lam]
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=["golden", "silver", "p12", "p123114"])
+def test_block_counts_match_psi_scan(spec):
+    # blocks fully inside [0, N) are the gaps between consecutive starts
+    # {n <= N : psi_lam(n) = 0}; golden lam = 1 has q_1 = q_0, all long
+    scale = scale_for(spec, 10**4 + 100)
+    for lam in (1, 2, 3, 4):
+        q_long = scale.q[lam]
+        for N in (1, q_long - 1, q_long, q_long + 1, 997, 10**4 + 7):
+            gaps = np.diff(np.nonzero(psi_range(scale, lam, N + 1) == 0)[0])
+            n_long = int(np.count_nonzero(gaps == q_long))
+            assert block_counts(lam, N, scale) == (n_long, len(gaps) - n_long)
+
+
 def test_block_densities_degenerate_level():
     # golden level 1 has q_1 = q_0 = 1: every block has length one and the
     # length-based split attributes full density to the long kind
@@ -209,6 +224,40 @@ def test_kernels_match_encode(spec):
     for k in (0, 1, 4):
         da = digit_at_range(scale, k, count)
         assert da.tolist() == [d.digit(k) for d in digits]
+    # counts at the scale edges: the top level is chosen from count - 1
+    edges = {0, 1} | {q + e for q in scale.q if q + 1 <= count for e in (-1, 0, 1)}
+    for c in sorted(edges):
+        top = max(bisect.bisect_right(scale.q, c - 1) - 1, 0)
+        for lam in (0, 1, 2, 3, top, top + 1):
+            assert psi_range(scale, lam, c).tolist() == [psi(n, lam, scale) for n in range(c)]
+            assert digit_at_range(scale, lam, c).tolist() == [d.digit(lam) for d in digits[:c]]
+            assert high_digit_sum_range(scale, lam, c).tolist() == [
+                sum(d.digits[lam:]) for d in digits[:c]
+            ]
+        # above the top index no digit is peeled: psi = n and eps = 0
+        assert psi_range(scale, top + 1, c).tolist() == list(range(c))
+        assert digit_at_range(scale, top + 1, c).tolist() == [0] * c
+        assert sigma_range(scale, c).tolist() == [d.sigma for d in digits[:c]]
+
+
+@pytest.mark.parametrize("kernel, arrays", [
+    (lambda scale, count: psi_range(scale, 3, count), 2),
+    (lambda scale, count: digit_at_range(scale, 3, count), 2),
+    (lambda scale, count: high_digit_sum_range(scale, 3, count), 3),
+], ids=["psi_range", "digit_at_range", "high_digit_sum_range"])
+def test_kernel_peak_memory(kernel, arrays):
+    # the greedy pass splits the remainder in place: working memory is the
+    # remainder and digit arrays (plus the running sum), no temporaries
+    count = 10**6
+    scale = scale_for(GOLDEN, count)
+    tracemalloc.start()
+    try:
+        out = kernel(scale, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == count
+    assert peak <= arrays * 8 * count + 64 * 1024
 
 
 def test_psi_range_validation():

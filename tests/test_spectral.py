@@ -49,7 +49,6 @@ from ostrowski import (
 from ostrowski.numerics import RANGE_CAP
 from ostrowski.spectral import (
     CORR_FFT_MIN,
-    DIRECT_DFT_MAX,
     _dft_direct,
     _dft_fast,
     _digit_exp_sum,
@@ -261,14 +260,13 @@ def test_direct_and_fast_transforms_agree():
 
 
 def test_transform_path_switches_at_cap():
-    # the production table must stay consistent across the route boundary
+    # production tables (always the FFT) against the direct O(q^2) oracle
     scale = scale_for(GOLDEN, 10**4 + 7000)
     g = from_theta(1 / 3, scale)
-    lam_small = scale.q.index(2584)   # direct route
-    lam_big = scale.q.index(6765)     # fast route
-    assert scale.q[lam_small] <= DIRECT_DFT_MAX < scale.q[lam_big]
+    lam_small = scale.q.index(2584)
+    lam_big = scale.q.index(6765)
     vals_small = values_range(g, 2584)
-    assert np.max(np.abs(fourier_coeffs(g, lam_small).G - _dft_fast(vals_small))) < 1e-12
+    assert np.max(np.abs(fourier_coeffs(g, lam_small).G - _dft_direct(vals_small))) < 1e-12
     vals_big = values_range(g, 6765)
     direct = _dft_direct(vals_big)
     assert np.max(np.abs(fourier_coeffs(g, lam_big).G - direct)) < 1e-12
