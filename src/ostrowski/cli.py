@@ -20,7 +20,7 @@ from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
 from .numeration import DigitString, decode, encode, psi, sigma
-from .spectral import correlation_profile, fourier_coeffs, parseval_check, spectrum_scan
+from .spectral import _fourier_table, _parseval, correlation_profile, spectrum_scan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -142,8 +142,8 @@ def cmd_correlate(args) -> int:
 def cmd_fourier(args) -> int:
     scale = expand_max(parse_alpha_spec(args.alpha))
     g = parse_fn_spec(args.fn, scale)
-    table = fourier_coeffs(g, args.lam)
-    lhs, rhs, delta = parseval_check(g, args.lam)
+    table, vals = _fourier_table(g, args.lam)
+    _, _, delta = _parseval(table, vals)
     rows = [[h, table.G[h].real, table.G[h].imag, abs(table.G[h])] for h in range(table.q)]
     payload = {
         "config": _config_dict(args),

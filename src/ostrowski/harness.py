@@ -24,7 +24,7 @@ from .cfrac import (
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import _greedy, high_digit_sum_range, psi_range, w_sequence
+from .numeration import _greedy, psi_range, w_sequence
 from .numerics import frac_mul_int, pairwise_sum
 
 # Default verification family.
@@ -115,52 +115,81 @@ def _scale_and_fn(config: ExperimentConfig, upto: int) -> tuple[ConvergentTable,
 
 # --- carry bound -------------------------------------------------------------
 
-def _theta_carry_counts(g, lam: int, r_values, N: int) -> list[int]:
-    """Exact counts of n < N whose high-digit factor ratio differs from 1.
+def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
+    """Where a difference d of carry keys moves the atom product over digits >= lam.
 
-    For g(n) = e(theta * sigma(n)) the ratio over digits >= lam is
-    e(theta * (sigma_hi(n+r) - sigma_hi(n))); it differs from 1 exactly when
-    theta times that integer difference is not an integer, decided in exact
-    arithmetic per distinct difference value.
+    With a theta tag the key is sigma_{>=lam}(n), and d moves the product
+    unless theta * d is an integer (exact arithmetic, once per distinct d).
+    Without one the key is the block start n - psi_lam(n), and any d != 0
+    counts: the digits at lam and above changed, which the same
+    N*r/q_{lam-1} bound covers.
     """
-    scale = g.scale
-    r_max = max(r_values)
-    hi = high_digit_sum_range(scale, lam, N + r_max)
-    counts = []
+    if g.theta is None or not d.size:
+        return d != 0
+    lo, top = int(d.min()), int(d.max())
+    table = np.fromiter(
+        (frac_mul_int(abs(v), g.theta) != 0.0 for v in range(lo, top + 1)),
+        dtype=bool,
+        count=top - lo + 1,
+    )
+    return table[d - lo]
+
+
+def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per block transition w_j -> w_{j+1}: whether crossing it moves the atom product."""
+    return _moved(g, np.diff(key[starts]))
+
+
+def _carry_counts(g: AlphaFunction, lam: int, r_values, N: int) -> list[tuple[int, int | None]]:
+    """(count, recount) per r: the n < N for which n + r moves g's atom product over digits >= lam.
+
+    Every level-lam gap is at least q_{lam-1}, so for r < q_{lam-1} the shift
+    n -> n + r leaves the block [w_j, w_{j+1}) exactly for the r values of n
+    just below w_{j+1}, and lands in the next block.  The count is then
+    r * M, with M the moved transitions ending at or below N, plus the
+    max(0, r - (w_{j+1} - N)) values of n below N that cross the one moved
+    transition with w_j < N < w_{j+1}.  Shifts r >= q_{lam-1} are counted n
+    by n through the same keys; so are r = 1 and r = q_{lam-1} - 1 whenever
+    the block count served them, and that dense recount is returned beside
+    the count (None elsewhere).
+    """
+    q_prev = g.scale.q[lam - 1]
+    size = N + max(r_values)
+    hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
+    key = hi if g.theta is not None else np.arange(size) - ps
+    starts = np.flatnonzero(ps == 0)
+    moved = _moved_transitions(g, key, starts)
+    ends = starts[1:]
+    M = int(np.count_nonzero(moved[ends <= N]))
+    j = int(np.searchsorted(ends, N, side="right"))
+    # a transition q_{lam-1} or more past N (or none scanned) adds nothing for r < q_{lam-1}
+    overhang = int(ends[j]) - N if j < len(ends) and moved[j] else q_prev
+
+    def dense(r):
+        return int(np.count_nonzero(_moved(g, key[r : r + N] - key[:N])))
+
+    out = []
     for r in r_values:
-        d = hi[r : r + N] - hi[:N]
-        lo, top = int(d.min()), int(d.max())
-        moved = np.fromiter(
-            (frac_mul_int(abs(v), g.theta) != 0.0 for v in range(lo, top + 1)),
-            dtype=bool,
-            count=top - lo + 1,
-        )
-        counts.append(int(np.count_nonzero(moved[d - lo])))
-    return counts
-
-
-def _digit_carry_counts(g, lam: int, r_values, N: int) -> list[int]:
-    """Counts of n < N whose digits at positions >= lam change between n and n+r.
-
-    Used when g carries no theta tag; a superset of the set where the atom
-    product actually moves, and the same N*r/q_{lam-1} bound covers it.
-    """
-    scale = g.scale
-    r_max = max(r_values)
-    ps = psi_range(scale, lam, N + r_max)
-    return [int(np.count_nonzero(ps[r : r + N] - ps[:N] != r)) for r in r_values]
+        if r >= q_prev:
+            out.append((dense(r), None))
+        else:
+            recount = dense(r) if r in (1, q_prev - 1) else None
+            out.append((r * M + max(0, r - overhang), recount))
+    return out
 
 
 def _carry_instances(g: AlphaFunction, lam: int, r_values, N: int):
     """(margin, detail) per r: the slack N*r/q_{lam-1} - count, or -1 on failure.
 
     The comparison count * q_{lam-1} <= N * r runs in exact integers; detail
-    is None for a passing instance and names the instance otherwise.
+    is None for a passing instance and names the instance otherwise.  An
+    instance whose dense recount differs from its block count fails too.
     """
-    counter = _theta_carry_counts if g.theta is not None else _digit_carry_counts
     q_prev = g.scale.q[lam - 1]
-    for r, count in zip(r_values, counter(g, lam, r_values, N)):
-        if count * q_prev <= N * r:
+    for r, (count, recount) in zip(r_values, _carry_counts(g, lam, r_values, N)):
+        if recount is not None and recount != count:
+            yield -1.0, {"lam": lam, "r": r, "N": N, "count": count, "recount": recount}
+        elif count * q_prev <= N * r:
             yield N * r / q_prev - count, None
         else:
             yield -1.0, {"lam": lam, "r": r, "N": N, "count": count}
@@ -323,7 +352,7 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
         rows.append({"R": R, "quadratic_mean": spectral.quadratic_mean(profile, R),
                      "absolute_mean": absm})
     payload = {
-        "config": config.to_dict(),
+        "config": {k: v for k, v in config.to_dict().items() if k != "seed"},  # seed is never read
         "N": config.N,
         "route": profile.route,
         "rows": rows,

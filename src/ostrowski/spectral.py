@@ -195,24 +195,32 @@ def _dft_fast(vals: np.ndarray) -> np.ndarray:
     return np.fft.fft(vals) / len(vals)
 
 
-def fourier_coeffs(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> FourierTable:
-    """Fourier table of g at level lam (CapError past `cap`)."""
+def _fourier_table(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> tuple[FourierTable, np.ndarray]:
+    """The level-lam Fourier table and the value block g(u), u < q_lam, it was built from."""
     if not 0 <= lam <= g.scale.K:
         raise RangeError(f"lam={lam} outside 0..{g.scale.K}")
     q = g.scale.q[lam]
     if q > cap:
         raise CapError(f"q_lam = {q} exceeds the transform cap {cap}")
     vals = values_range(g, q)
-    return FourierTable(lam, q, _dft_fast(vals))
+    return FourierTable(lam, q, _dft_fast(vals)), vals
+
+
+def fourier_coeffs(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> FourierTable:
+    """Fourier table of g at level lam (CapError past `cap`)."""
+    return _fourier_table(g, lam, cap)[0]
+
+
+def _parseval(table: FourierTable, vals: np.ndarray) -> tuple[float, float, float]:
+    """Both sides of Parseval's identity for one table and its value block, and their distance."""
+    lhs = pairwise_sum(table.G.real**2 + table.G.imag**2).real
+    rhs = pairwise_sum(vals.real**2 + vals.imag**2).real / table.q
+    return lhs, rhs, abs(lhs - rhs)
 
 
 def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
     """(sum_h |G|^2, (1/q) sum_u |g(u)|^2, |difference|)."""
-    table = fourier_coeffs(g, lam)
-    vals = values_range(g, table.q)
-    lhs = pairwise_sum(table.G.real**2 + table.G.imag**2).real
-    rhs = pairwise_sum(vals.real**2 + vals.imag**2).real / table.q
-    return lhs, rhs, abs(lhs - rhs)
+    return _parseval(*_fourier_table(g, lam))
 
 
 def _cyclic_sides(g: AlphaFunction, lam: int, r_values):
@@ -220,8 +228,7 @@ def _cyclic_sides(g: AlphaFunction, lam: int, r_values):
     r_values = list(r_values)
     if any(r < 0 for r in r_values):
         raise ValidationError("r must be >= 0")
-    table = fourier_coeffs(g, lam)
-    vals = values_range(g, table.q)
+    table, vals = _fourier_table(g, lam)
     q = table.q
     power = table.G.real**2 + table.G.imag**2
     h = np.arange(q, dtype=np.int64)

@@ -79,6 +79,26 @@ def test_fourier_payload(capsys):
     assert [round(r["re"], 12) for r in doc["rows"]] == [0.0, 1.0]
 
 
+def test_fourier_builds_the_value_block_once(monkeypatch, capsys):
+    import ostrowski.spectral as spectral
+
+    real, sizes = spectral.values_range, []
+
+    def counted(g, count):
+        sizes.append(count)
+        return real(g, count)
+
+    monkeypatch.setattr(spectral, "values_range", counted)
+    code, _ = run(capsys, "fourier", "--lam", "4")
+    assert code == 0 and sizes == [5]  # golden q_4 = 5
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    for check in (lambda: spectral.parseval_check(g, 4),
+                  lambda: spectral.cyclic_identity_sweep(g, 4, range(3))):
+        sizes.clear()
+        check()
+        assert sizes == [5]
+
+
 def test_spectrum_payload(capsys):
     code, out = run(capsys, "spectrum", "--N", "4096", "--grid", "256",
                     "--fn", "theta:0.0+beta:0.25")
@@ -222,6 +242,8 @@ def test_each_subcommand_takes_the_flags_of_the_readme_table():
     (("spectrum", "--N", "4096", "--grid", "64"), {"command", "alpha", "fn", "N", "grid"}),
     (("experiment", "spectrum", "--N", "1000", "--seed", "2"),
      {"alpha_spec", "fn_spec", "N", "R_list", "seed"}),
+    (("experiment", "pseudorandomness", "--N", "2000", "--R-list", "4"),
+     {"alpha_spec", "fn_spec", "N", "R_list"}),
 ])
 def test_config_holds_only_what_is_read(argv, keys, capsys):
     code, out = run(capsys, *argv)

@@ -1,8 +1,8 @@
 """Check reports, bound checks against brute-force oracles, experiments.
 
-Oracles: per-n recomputation of carry counts through exact rational phases,
-empirical densities at moderate N, and direct file inspection for the
-experiment outputs.
+Oracles: per-n recomputation of carry counts through exact rational phases
+or digit comparison, empirical densities at moderate N, a brute-force psi
+scan for the gap structure, and the payloads the experiments return.
 """
 
 import json
@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     GOLDEN,
@@ -27,6 +29,7 @@ from ostrowski import (
     encode,
     from_theta,
     gap_structure_check,
+    parse_alpha_spec,
     parse_fn_spec,
     pseudorandomness_experiment,
     psi,
@@ -63,17 +66,14 @@ def brute_carry_count(g, lam, r, N):
 
     For the sigma-phase family the product over digits >= lam moves exactly
     when theta times the high digit-sum difference is a non-integer; decided
-    in exact rationals on the float's binary value.
+    in exact rationals on the float's binary value.  A table without a theta
+    tag counts the n whose digits at lam and above differ from those of n + r.
     """
-    scale = g.scale
+    high = [encode(m, g.scale).digits[lam:] for m in range(N + r)]
+    if g.theta is None:
+        return sum(1 for n in range(N) if high[n + r] != high[n])
     th = Fraction(g.theta)
-    count = 0
-    for n in range(N):
-        hi_n = sum(e for k, e in enumerate(encode(n, scale).digits) if k >= lam)
-        hi_m = sum(e for k, e in enumerate(encode(n + r, scale).digits) if k >= lam)
-        if (th * (hi_m - hi_n)) % 1 != 0:
-            count += 1
-    return count
+    return sum(1 for n in range(N) if (th * (sum(high[n + r]) - sum(high[n]))) % 1 != 0)
 
 
 @pytest.mark.parametrize("spec,theta", [(GOLDEN, 0.5), (SILVER, 0.25), (GOLDEN, 1 / 3)])
@@ -101,6 +101,51 @@ def test_carry_digit_route_without_theta():
     brute = sum(1 for n in range(N) if psi(n + r, lam, scale) - psi(n, lam, scale) != r)
     assert rep.worst_margin == N * r / scale.q[lam - 1] - brute
     assert rep.ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec_text=st.sampled_from(DEFAULT_ALPHA_SPECS + ("list:2,1,3,1,1,4,2,1,3,2,1,2",)),
+    theta=st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1 / 3, None)),
+                    st.floats(0.0, 1.0, exclude_max=True)),
+    N=st.integers(1, 800),
+    lam=st.integers(1, 5),
+    data=st.data(),
+)
+def test_carry_margin_matches_per_n_oracle(spec_text, theta, N, lam, data):
+    # r < q_{lam-1} takes the block-transition count, r >= q_{lam-1} the dense
+    # scan; theta None is an untagged table, compared digit by digit
+    scale = scale_for(parse_alpha_spec(spec_text), 2000)
+    g = from_theta(1 / 3 if theta is None else theta, scale)
+    if theta is None:
+        g = type(g)(scale, g.atoms, g.modulus_bound, None)
+    q_prev = scale.q[lam - 1]
+    r = data.draw(st.integers(0, q_prev + 8), label="r")
+    rep = carry_bound_check(g, lam, r, N)
+    assert rep.instances_run == 1 and rep.ok, rep.details
+    assert rep.worst_margin == N * r / q_prev - brute_carry_count(g, lam, r, N)
+
+
+def test_carry_recount_catches_a_wrong_transition_count(monkeypatch):
+    # the dense recount of r = 1 and r = q_{lam-1} - 1 does not rest on the
+    # block lemma: one block transition marked wrongly fails those instances
+    real = harness._moved_transitions
+
+    def broken(g, key, starts):
+        moved = real(g, key, starts).copy()
+        moved[0] = not moved[0]
+        return moved
+
+    scale = scale_for(SILVER, 3000)
+    g = from_theta(0.5, scale)
+    runs = sum(scale.q[lam - 1] for lam in range(1, 5))
+    assert carry_bound_sweep(g, 4, N_values=(500,)).ok
+    monkeypatch.setattr(harness, "_moved_transitions", broken)
+    rep = carry_bound_sweep(g, 4, N_values=(500,))
+    assert not rep.ok and rep.instances_run == runs
+    assert rep.worst_margin == -1.0
+    first = rep.details[0]
+    assert first["r"] == 1 and first["count"] != first["recount"]
 
 
 def test_carry_sweep_all_pass():
