@@ -17,7 +17,7 @@ import numpy as np
 from .cfrac import ConvergentTable
 from .errors import RangeError, ValidationError
 from .numeration import encode, psi, psi_range
-from .numerics import frac_mul_int, unit1
+from .numerics import check_size, frac_mul_int, unit1
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
 
@@ -121,6 +121,7 @@ def values_range(g: AlphaFunction, count: int) -> np.ndarray:
     """
     if count < 0 or count > g.scale.limit:
         raise RangeError(f"count={count} outside [0, {g.scale.limit}] for this scale")
+    check_size(count, "values_range")
     if count == 0:
         return np.zeros(0, dtype=np.complex128)
     prev = np.ones(1, dtype=np.complex128)  # values over [0, q_0)

@@ -44,6 +44,7 @@ CARRY_SPECS = ("golden", "silver")
 CARRY_UPTO = max(CARRY_NS) + 10**5
 IDENTITY_UPTO = 2 * 1024 + 256
 GAP_COUNT = 10**4
+GAP_SCAN_CHUNK = 1 << 20  # points per greedy pass of the gap check's brute-force scan
 
 
 @dataclass(frozen=True)
@@ -298,12 +299,20 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
 
     Verifies the first `count` gaps: starts match {n : psi_lam(n) = 0}, every
     gap is q_lam or q_{lam-1}, and (away from the degenerate q_lam = q_{lam-1}
-    case) a gap is short exactly when the digit at lam is maximal.
+    case) a gap is short exactly when the digit at lam is maximal.  The scan
+    reduces every n <= w_count, GAP_SCAN_CHUNK points per greedy pass, and
+    keeps only the zeros of psi_lam and eps_lam at them.
     """
     block = w_sequence(lam, count + 1, scale)
     starts = np.asarray(block.starts, dtype=np.int64)
-    eps_lam, psi_lam = _greedy(scale, int(starts[-1]) + 1, lam)
-    bf_starts = np.nonzero(psi_lam == 0)[0]
+    zero_chunks, eps_chunks = [], []
+    stop = int(starts[-1]) + 1
+    for lo in range(0, stop, GAP_SCAN_CHUNK):
+        eps_lam, psi_lam = _greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
+        zeros = np.flatnonzero(psi_lam == 0)
+        zero_chunks.append(lo + zeros)
+        eps_chunks.append(eps_lam[zeros])
+    bf_starts = np.concatenate(zero_chunks)
     margins = []
     details = []
     if len(bf_starts) != len(starts) or not np.array_equal(bf_starts, starts):
@@ -317,7 +326,7 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
     if not member_ok:
         details.append({"lam": lam, "mismatch": "gap outside {q_lam, q_lam-1}"})
     a_top = scale.digit_bound(lam)
-    eps_lam = eps_lam[starts[:-1]]
+    eps_lam = np.concatenate(eps_chunks)[:-1]
     if q_long != q_short:
         rule_ok = bool(np.array_equal(gaps == q_short, eps_lam == a_top))
         margins.append(0.0 if rule_ok else -1.0)

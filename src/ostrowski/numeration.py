@@ -12,12 +12,12 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .cfrac import ConvergentTable
 from .errors import RangeError, ValidationError
+from .numerics import check_size
 
 LONG = "long"
 SHORT = "short"
@@ -42,6 +42,14 @@ class DigitString:
         reason = _violation(ds, self.scale)
         if reason:
             raise ValidationError(reason)
+
+    @classmethod
+    def _trusted(cls, digits: tuple[int, ...], scale: ConvergentTable) -> DigitString:
+        """Wrap digits already known to be legal and trimmed (encode's greedy output)."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "digits", digits)
+        object.__setattr__(d, "scale", scale)
+        return d
 
     def digit(self, k: int) -> int:
         return self.digits[k] if k < len(self.digits) else 0
@@ -81,7 +89,8 @@ def encode(n: int, scale: ConvergentTable) -> DigitString:
     """Greedy Ostrowski expansion: split off the largest q_k at each step.
 
     When consecutive denominators tie (q_0 = q_1 = 1), the higher index wins,
-    which is what keeps eps_0 < a_1.
+    which is what keeps eps_0 < a_1.  The greedy digits are legal and their
+    top digit is nonzero by construction, so they are wrapped unvalidated.
     """
     n = int(n)
     if n < 0 or n >= scale.limit:
@@ -95,7 +104,7 @@ def encode(n: int, scale: ConvergentTable) -> DigitString:
         digits[k] = d
         rem -= d * q[k]
         k -= 1
-    return DigitString(tuple(digits), scale)
+    return DigitString._trusted(tuple(digits), scale)
 
 
 def decode(d: DigitString) -> int:
@@ -142,53 +151,85 @@ class BlockIndex:
     kinds: tuple[str, ...]
 
 
-def _gaps(lam: int, scale: ConvergentTable, end: int) -> Iterator[tuple[int, int, str]]:
-    """Yield (w, gap, kind) for the level-lam block starts w < end, in order from 0.
+def _block_table(
+    lam: int, scale: ConvergentTable, count: int = 0, end: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-lam block starts in increasing order, with eps_lam of each (int64 arrays).
 
-    From a start w the next one is w + q_{lam-1} (SHORT) when eps_lam(w) is
-    maximal (the digit at lam cannot be raised) and w + q_lam (LONG)
-    otherwise: one scalar digit inspection per gap.
+    The starts below q_lam and below q_{lam-1} are both {0}.  The starts
+    below q_{i+1} are those below q_i shifted by b*q_i for each b < a_{i+1},
+    then those below q_{i-1} shifted by a_{i+1}*q_i; at i = lam the shift
+    sets eps_lam to b (or a_{lam+1}), above lam every copy inherits it.  The
+    assembly stops at the first level holding `count` starts and reaching
+    `end`, and never passes scale.limit (q_{K+1} when a_next is known); that
+    last level keeps only the copies needed to reach both.  The start count
+    follows c_{i+1} = a_{i+1}*c_i + c_{i-1}, so the size is known, and checked
+    against RANGE_CAP, before any array exists.
     """
     if lam < 1:
         raise ValidationError("lam must be >= 1")
-    a_top = scale.digit_bound(lam)  # a_{lam+1}; RangeError if table too short
-    q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    w = 0
-    while w < end:
-        gap, kind = (q_short, SHORT) if encode(w, scale).digit(lam) == a_top else (q_long, LONG)
-        yield w, gap, kind
-        w += gap
+    scale.digit_bound(lam)  # RangeError if the table has no level lam
+    q = scale.q
+    bounds = (*q, scale.limit)  # starts below bounds[i]; q_{K+1} = limit when a_next is known
+    top, c_prev, c = lam, 1, 1
+    while (c < count or bounds[top] < end) and top < scale.rows:
+        c_prev, c = c, scale.digit_bound(top) * c + c_prev
+        top += 1
+    if c < count:
+        raise OverflowError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
+    if bounds[top] < end:
+        raise RangeError(f"end={end} beyond table limit {scale.limit}")
+    copies = 0
+    if top > lam:
+        a = scale.digit_bound(top - 1)
+        copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
+        if copies < a:
+            c = copies * c_prev  # the tail block (shifted by a*q_{top-1}) is dropped too
+    check_size(c, f"level-{lam} block-start table")
+    starts = prev_starts = np.zeros(1, dtype=np.int64)
+    eps = prev_eps = np.zeros(1, dtype=np.int64)
+    for i in range(lam, top):
+        a = scale.digit_bound(i)
+        b = np.arange(a if i < top - 1 else copies, dtype=np.int64)[:, None]
+        step = int(i == lam)
+        new_starts, new_eps = [(starts + b * q[i]).ravel()], [(eps + b * step).ravel()]
+        if len(b) == a:
+            new_starts.append(prev_starts + a * q[i])
+            new_eps.append(prev_eps + a * step)
+        prev_starts, starts = starts, np.concatenate(new_starts)
+        prev_eps, eps = eps, np.concatenate(new_eps)
+    return starts, eps
 
 
 def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
     """First `count` members of {n : eps_k(n) = 0 for all k < lam}, with gap kinds.
 
-    Generated gap by gap (_gaps), with no scan over [0, w_count).
+    Read off the level-lam block-start table (_block_table); a gap is SHORT
+    iff eps_lam of its start is a_{lam+1}.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    blocks = list(islice(_gaps(lam, scale, scale.limit), count))
-    if len(blocks) < count:
-        raise OverflowError(f"block {len(blocks)} starts beyond table limit {scale.limit}")
-    return BlockIndex(lam, tuple(w for w, _, _ in blocks), tuple(k for _, _, k in blocks[:-1]))
+    starts, eps = _block_table(lam, scale, count=count)
+    short = (eps[: count - 1] == scale.digit_bound(lam)).tolist()
+    return BlockIndex(lam, tuple(starts[:count].tolist()),
+                      tuple(SHORT if s else LONG for s in short))
 
 
 def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     """Counts (a, b) of long and short gaps among blocks fully inside [0, N).
 
+    Each start w < N from the block-start table ends its block at
+    w + q_{lam-1} when eps_lam(w) = a_{lam+1} and at w + q_lam otherwise.
     Gaps are classified by their length; in the degenerate case
     q_lam = q_{lam-1} (lam = 1, a_1 = 1) every gap counts as long.
     Satisfies |a*q_lam + b*q_{lam-1} - N| <= q_lam.
     """
-    a = b = 0
-    for w, gap, _ in _gaps(lam, scale, N):
-        if w + gap > N:
-            break
-        if gap == scale.q[lam]:
-            a += 1
-        else:
-            b += 1
-    return a, b
+    starts, eps = _block_table(lam, scale, end=N)
+    q_long = scale.q[lam]
+    gaps = np.where(eps == scale.digit_bound(lam), scale.q[lam - 1], q_long)
+    inside = starts + gaps <= N
+    a = int(np.count_nonzero(gaps[inside] == q_long))
+    return a, int(np.count_nonzero(inside)) - a
 
 
 def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, float]:
@@ -206,23 +247,24 @@ def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, fl
 
 
 def _greedy(
-    scale: ConvergentTable, count: int, lo: int, digit_sum: bool = False
+    scale: ConvergentTable, stop: int, lo: int, digit_sum: bool = False, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-down greedy reduction of n = 0..count-1 from the top index to level lo.
+    """Top-down greedy reduction of n in [start, stop) from the top index of stop - 1 to level lo.
 
     Returns the int64 arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k,
-    psi_lo) with digit_sum; with no level between the top index of count - 1
+    psi_lo) with digit_sum; with no level between the top index of stop - 1
     and lo they hold (0, n).  The remainder is reduced in place and the digit
     buffer holds eps_k * q_k in between (floor_divide by a scalar has a fast
     path that np.divmod lacks), so the working memory is those arrays.
     """
-    if count > scale.limit:
-        raise RangeError(f"count={count} beyond table limit {scale.limit}")
-    rem = np.arange(count, dtype=np.int64)
+    if stop > scale.limit:
+        raise RangeError(f"count={stop} beyond table limit {scale.limit}")
+    check_size(stop - start, "greedy digit pass")
+    rem = np.arange(start, stop, dtype=np.int64)
     d = np.zeros_like(rem)
     total = np.zeros_like(rem) if digit_sum else d
     q = scale.q
-    levels = range(max(bisect.bisect_right(q, count - 1) - 1, 0), lo - 1, -1)
+    levels = range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1)
     for k in levels:
         np.floor_divide(rem, q[k], out=d)
         if digit_sum:

@@ -13,9 +13,16 @@ import numpy as np
 
 from .errors import CapError
 
-# Largest count served by the vectorized frac_mul_range path; beyond this the
-# int64 split products would stop being exact.
+# Largest array any range routine allocates (frac_mul_range, the greedy digit
+# kernels, the block-start table, values_range); beyond this the int64 split
+# products of frac_mul_array would stop being exact.
 RANGE_CAP = 1 << 26
+
+
+def check_size(count: int, what: str) -> None:
+    """CapError when `what` would need more than RANGE_CAP entries; call before allocating."""
+    if count > RANGE_CAP:
+        raise CapError(f"{what} needs {count} entries, past the cap {RANGE_CAP}")
 
 
 def pairwise_sum(values) -> complex:
@@ -61,8 +68,7 @@ def frac_mul_int(m: int, beta: float) -> float:
 
 def frac_mul_range(count: int, beta: float) -> np.ndarray:
     """(n * beta) mod 1 for n = 0..count-1, each entry exact up to ~2**-52."""
-    if count > RANGE_CAP:
-        raise CapError(f"frac_mul_range serves at most {RANGE_CAP} points, asked for {count}")
+    check_size(count, "frac_mul_range")
     return frac_mul_array(np.arange(max(count, 0), dtype=np.int64), beta)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .alphafun import AlphaFunction, trunc_values_range, twist, values_range
 from .errors import CapError, RangeError, ValidationError
 from .numeration import block_counts, encode
-from .numerics import RANGE_CAP, frac_mul_array, frac_mul_range, pairwise_sum, unit
+from .numerics import frac_mul_array, frac_mul_range, pairwise_sum, unit
 
 DFT_CAP = 1 << 20      # hard cap on transform length
 
@@ -258,17 +258,10 @@ def _exp_sum(vals: np.ndarray, beta: float) -> complex:
     return pairwise_sum(vals * unit(frac_mul_range(N, -beta))) / N
 
 
-def _check_dense_size(N: int) -> None:
-    """Validate N for a dense exponential sum before its value block is built."""
+def exponential_sum(g: AlphaFunction, beta: float, N: int) -> complex:
+    """(1/N) sum_{n<N} g(n) e(-n*beta); CapError past RANGE_CAP (from values_range)."""
     if N < 1:
         raise ValidationError("N must be >= 1")
-    if N > RANGE_CAP:
-        raise CapError(f"N = {N} exceeds the dense exponential-sum cap {RANGE_CAP}")
-
-
-def exponential_sum(g: AlphaFunction, beta: float, N: int) -> complex:
-    """(1/N) sum_{n<N} g(n) e(-n*beta); CapError past RANGE_CAP."""
-    _check_dense_size(N)
     return _exp_sum(values_range(g, N), beta)
 
 
@@ -404,8 +397,9 @@ def spectrum_scan(
     """
     if grid_size < 16:
         raise ValidationError("grid_size must be >= 16")
-    _check_dense_size(N)
-    vals = values_range(g, N)
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    vals = values_range(g, N)  # CapError past RANGE_CAP
     M = grid_size
     rows = -(-N // M)
     padded = np.zeros(rows * M, dtype=np.complex128)

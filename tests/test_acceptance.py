@@ -5,8 +5,8 @@ captured output on failure) and then asserts.  Identities are checked against
 their own two sides; decay criteria compare against values frozen from
 independent oracle runs, recorded inline where they are used.
 
-Heavier than most unit suites: the full battery takes about 17 s on a
-shared 2-core machine, most of it in criteria 1 and 8.
+Heavier than most unit suites: the full battery takes about 8 s on a
+shared 2-core machine, most of it in criterion 1.
 """
 
 import itertools

@@ -16,6 +16,7 @@ from ostrowski import (
     GOLDEN,
     SILVER,
     AlphaFunction,
+    CapError,
     ValidationError,
     encode,
     evaluate,
@@ -30,6 +31,7 @@ from ostrowski import (
     twist,
     values_range,
 )
+from ostrowski.numerics import RANGE_CAP
 
 THETAS = (0.5, 1 / 3, 0.1234567, 0.0)
 
@@ -120,6 +122,13 @@ def test_values_range_agrees_with_evaluate(theta):
     assert np.max(np.abs(vr - ev)) < 1e-13
     if theta in (0.0, 0.5):
         assert np.array_equal(vr.view(np.float64), ev.view(np.float64))
+
+
+def test_values_range_size_cap():
+    # refused from the count alone, before the value block is allocated
+    g = from_theta(0.5, scale_for(GOLDEN, RANGE_CAP + 2))
+    with pytest.raises(CapError):
+        values_range(g, RANGE_CAP + 1)
 
 
 def test_values_range_prefix_stability():

@@ -331,6 +331,14 @@ def test_dense_cap_is_exit_3_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_correlate_past_the_size_cap_is_exit_3_without_traceback():
+    # N + R - 1 = RANGE_CAP + 1 values: values_range refuses before allocating
+    proc = run_process("correlate", "--N", str(1 << 26), "--R", "2")
+    assert proc.returncode == 3
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_correlate_reports_fft_route(capsys):
     code, out = run(capsys, "correlate", "--N", "40000", "--R", "32")
     assert code == 0

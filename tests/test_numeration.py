@@ -1,20 +1,27 @@
 """Digit strings, truncations, block structure, and the vectorized kernels.
 
 Oracles: exhaustive enumeration of every legal digit string (uniqueness and
-completeness of the numeration below a cutoff), and per-n recomputation of
-the quantities the vectorized kernels produce in bulk.
+completeness of the numeration below a cutoff), per-n recomputation of
+the quantities the vectorized kernels produce in bulk, and a scalar gap walk
+(one encode per block start) for the block-start table.
 """
 
 import bisect
 import itertools
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     GOLDEN,
+    LONG,
+    SHORT,
     SILVER,
+    CapError,
     DigitString,
     QuotientSpec,
     RangeError,
@@ -23,10 +30,14 @@ from ostrowski import (
     block_densities,
     decode,
     digit_at_range,
+    digit_string,
     encode,
     expand,
+    expand_max,
+    gap_structure_check,
     high_digit_sum_range,
     iterate,
+    parse_alpha_spec,
     psi,
     psi_range,
     scale_for,
@@ -35,10 +46,14 @@ from ostrowski import (
     validate,
     w_sequence,
 )
+from ostrowski import harness, numeration
+from ostrowski.numeration import _greedy, _violation
+from ostrowski.numerics import RANGE_CAP
 
 PERIOD12 = QuotientSpec((), (1, 2))
 MIXED = QuotientSpec((), (1, 2, 3, 1, 1, 4))
 SPECS = (GOLDEN, SILVER, PERIOD12, MIXED)
+FINITE = parse_alpha_spec("list:2,1,3,1,1,4,2,1,3,2,1,2")
 
 CUTOFF = 500
 
@@ -131,6 +146,22 @@ def test_sigma_and_psi_against_digits():
                 assert psi(n, lam, scale) == expected
 
 
+@pytest.mark.parametrize("spec", SPECS + (FINITE,), ids=["golden", "silver", "p12", "p123114", "list"])
+def test_encode_output_is_legal(spec):
+    # encode wraps its greedy digits without re-validating them: they must be
+    # legal and trimmed at every n below 10^4, at the scale edges q_k - 1,
+    # q_k, q_k + 1 and at the last encodable n
+    scale = expand_max(spec)
+    ns = set(range(min(10**4, scale.limit))) | {scale.limit - 1}
+    ns |= {q + e for q in scale.q for e in (-1, 0, 1) if 0 <= q + e < scale.limit}
+    for n in sorted(ns):
+        d = encode(n, scale)
+        assert _violation(d.digits, scale) is None, n
+        assert not d.digits or d.digits[-1] != 0
+        assert decode(d) == n
+    assert encode(scale.limit - 1, scale) == digit_string(encode(scale.limit - 1, scale).digits, scale)
+
+
 def test_iterate_matches_encode():
     scale = scale_for(GOLDEN, 50)
     pairs = list(iterate(scale, 20))
@@ -139,6 +170,171 @@ def test_iterate_matches_encode():
 
 
 # --- block structure ------------------------------------------------------------
+
+def scalar_gaps(lam, scale, end):
+    """Yield (w, gap, kind) for the level-lam block starts w < end: one encode per start.
+
+    From a start w the next one is w + q_{lam-1} (SHORT) when eps_lam(w) is
+    maximal and w + q_lam (LONG) otherwise.
+    """
+    if lam < 1:
+        raise ValidationError("lam must be >= 1")
+    a_top = scale.digit_bound(lam)
+    q_long, q_short = scale.q[lam], scale.q[lam - 1]
+    w = 0
+    while w < end:
+        gap, kind = (q_short, SHORT) if encode(w, scale).digit(lam) == a_top else (q_long, LONG)
+        yield w, gap, kind
+        w += gap
+
+
+def walk_w_sequence(lam, count, scale):
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    blocks = list(islice(scalar_gaps(lam, scale, scale.limit), count))
+    if len(blocks) < count:
+        raise OverflowError(f"block {len(blocks)} starts beyond table limit {scale.limit}")
+    return tuple(w for w, _, _ in blocks), tuple(k for _, _, k in blocks[:-1])
+
+
+def walk_block_counts(lam, N, scale):
+    a = b = 0
+    for w, gap, _ in scalar_gaps(lam, scale, N):
+        if w + gap > N:
+            break
+        if gap == scale.q[lam]:
+            a += 1
+        else:
+            b += 1
+    return a, b
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except (ValidationError, RangeError, OverflowError, CapError) as exc:
+        return type(exc)
+
+
+def table_sequence(lam, count, scale):
+    block = w_sequence(lam, count, scale)
+    return block.starts, block.kinds
+
+
+quotients = st.lists(st.integers(1, 4), min_size=1, max_size=14).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(periodic=st.booleans(), head=quotients, period=quotients,
+       lam=st.integers(1, 8), count=st.integers(1, 3000), data=st.data())
+def test_block_table_matches_scalar_walk(periodic, head, period, lam, count, data):
+    # a periodic spec gets a table reaching count blocks; a finite list: spec
+    # takes its whole table, so lam or count may run past it
+    spec = QuotientSpec(head[:4], period[:4]) if periodic else QuotientSpec(head)
+    scale = expand_max(spec)
+    if periodic:
+        scale = scale_for(spec, (count + 2) * scale.q[lam])
+    assert outcome(table_sequence, lam, count, scale) == outcome(walk_w_sequence, lam, count, scale)
+    q_lam = scale.q[min(lam, scale.K)]
+    top = min(count * q_lam, scale.limit)
+    for N in (1, q_lam - 1, q_lam + 1, data.draw(st.integers(0, top), label="N")):
+        assert outcome(block_counts, lam, N, scale) == outcome(walk_block_counts, lam, N, scale), N
+
+
+def test_block_table_golden_level_one():
+    # q_1 = q_0 = 1: every n is a start and, by length, every block is long
+    scale = scale_for(GOLDEN, 10**4)
+    block = w_sequence(1, 200, scale)
+    assert block.starts == tuple(range(200))
+    assert (block.starts, block.kinds) == walk_w_sequence(1, 200, scale)
+    for N in (0, 1, 2, 999, 10**4):
+        assert block_counts(1, N, scale) == (N, 0) == walk_block_counts(1, N, scale)
+
+
+def test_block_table_runs_to_the_limit_without_a_next():
+    # a finite list: spec has no a_{K+1}, so the table stops at q_K = limit
+    scale = expand_max(parse_alpha_spec("list:1,2,3,1,2,2"))
+    assert scale.a_next is None
+    for lam in range(1, scale.rows):
+        below = int(np.count_nonzero(psi_range(scale, lam, scale.limit) == 0))
+        block = w_sequence(lam, below, scale)
+        assert (block.starts, block.kinds) == walk_w_sequence(lam, below, scale)
+        with pytest.raises(OverflowError):
+            w_sequence(lam, below + 1, scale)
+        assert block_counts(lam, scale.limit, scale) == walk_block_counts(lam, scale.limit, scale)
+        with pytest.raises(RangeError):
+            block_counts(lam, scale.limit + 1, scale)
+
+
+def test_block_table_builds_only_the_copies_it_needs():
+    # a_2 = 10^8: the full level below q_2 would hold 10^8 + 1 starts
+    scale = expand_max(parse_alpha_spec("periodic:/1,100000000"))
+    for lam, count in ((1, 3), (2, 5), (3, 40)):
+        block = w_sequence(lam, count, scale)
+        assert (block.starts, block.kinds) == walk_w_sequence(lam, count, scale)
+        for N in (5, scale.q[lam] + 7, 3 * scale.q[lam]):
+            assert block_counts(lam, N, scale) == walk_block_counts(lam, N, scale)
+
+
+def test_block_table_errors():
+    scale = expand(SILVER, 6)
+    with pytest.raises(ValidationError):
+        w_sequence(0, 5, scale)
+    with pytest.raises(ValidationError):
+        w_sequence(2, 0, scale)
+    with pytest.raises(ValidationError):
+        block_counts(0, 5, scale)
+    with pytest.raises(RangeError):
+        w_sequence(scale.rows, 2, scale)
+    with pytest.raises(RangeError):
+        block_counts(scale.rows, 5, scale)
+    with pytest.raises(OverflowError):
+        w_sequence(2, 10**6, scale)
+
+
+def test_block_routes_make_no_scalar_encode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar encode called")
+
+    monkeypatch.setattr(numeration, "encode", refuse)
+    scale = scale_for(SILVER, 10**6)
+    w_sequence(3, 1000, scale)
+    block_counts(3, 10**5, scale)
+    rep = harness._run_gaps(None)
+    assert rep.ok and rep.instances_run == 93
+
+
+def test_size_checks_refuse_before_allocating():
+    # each size is refused from the start count or point count alone
+    scale = scale_for(GOLDEN, 2**41)
+    with pytest.raises(CapError):
+        block_counts(1, 2**40, scale)
+    with pytest.raises(CapError):
+        block_counts(4, 2**40, scale)
+    with pytest.raises(CapError):
+        w_sequence(2, RANGE_CAP + 1, scale)
+    with pytest.raises(CapError):
+        psi_range(scale, 3, RANGE_CAP + 1)
+    with pytest.raises(CapError):
+        _greedy(scale, 2**40, 0, start=2**40 - RANGE_CAP - 1)
+
+
+def test_gap_check_scan_peak_memory():
+    # the brute-force scan runs in fixed chunks: silver lam = 8 reduces
+    # about 10^7 points, which one pass would hold as two 80 MB arrays
+    spec = SILVER
+    probe = scale_for(spec, 4096)
+    scale = scale_for(spec, (10**4 + 2) * probe.q[8])
+    tracemalloc.start()
+    try:
+        rep = gap_structure_check(8, 10**4, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 48 * 2**20
+
 
 @pytest.mark.parametrize("spec", SPECS, ids=["golden", "silver", "p12", "p123114"])
 def test_w_sequence_brute_force(spec):
@@ -258,6 +454,20 @@ def test_kernel_peak_memory(kernel, arrays):
         tracemalloc.stop()
     assert len(out) == count
     assert peak <= arrays * 8 * count + 64 * 1024
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["golden", "silver", "p12", "p123114"])
+def test_greedy_offset_matches_full_pass(spec):
+    scale = scale_for(spec, 3000)
+    stop = 2500
+    starts = {0} | {q + e for q in scale.q if q + 1 < stop for e in (-1, 0, 1)}
+    for digit_sum in (False, True):
+        for lo in (0, 1, 2, 3, 5):
+            full = _greedy(scale, stop, lo, digit_sum)
+            for start in sorted(starts):
+                part = _greedy(scale, stop, lo, digit_sum, start=start)
+                assert part[0].tolist() == full[0][start:].tolist()
+                assert part[1].tolist() == full[1][start:].tolist()
 
 
 def test_psi_range_validation():
