@@ -9,6 +9,7 @@ splits the phase across digit positions.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -37,23 +38,24 @@ class AlphaFunction:
 
     def __post_init__(self):
         rows = tuple(tuple(complex(v) for v in row) for row in self.atoms)
-        object.__setattr__(self, "atoms", rows)
         scale = self.scale
         if len(rows) != scale.rows:
             raise ValidationError(
                 f"atom table has {len(rows)} rows, scale certifies {scale.rows} digit positions"
             )
-        for k, row in enumerate(rows):
-            want = (scale.quotients[k] if k < scale.K else scale.a_next) + 1
-            if len(row) != want:
-                raise ValidationError(f"atom row {k} has {len(row)} entries, expected {want}")
+        for (k, top), row in zip(_rows_for(scale), rows):
+            if len(row) != top + 1:
+                raise ValidationError(f"atom row {k} has {len(row)} entries, expected {top + 1}")
             if abs(row[0] - 1.0) > ATOM_UNIT_TOL:
                 raise ValidationError(f"atom v[{k}][0] = {row[0]} but must equal 1")
             for e, v in enumerate(row):
+                if not cmath.isfinite(v):
+                    raise ValidationError(f"atom v[{k}][{e}] = {v} is not finite")
                 if abs(v) > self.modulus_bound + ATOM_UNIT_TOL:
                     raise ValidationError(
                         f"|v[{k}][{e}]| = {abs(v)} exceeds modulus bound {self.modulus_bound}"
                     )
+        object.__setattr__(self, "atoms", tuple((1 + 0j,) + row[1:] for row in rows))
 
     @property
     def is_unimodular(self) -> bool:
@@ -168,8 +170,9 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
 
     The document maps digit positions to rows of [re, im] pairs:
     {"0": [[1,0], [re,im], ...], "1": ...}.  Every certified position needs a
-    row of length a_{k+1} + 1; v[k][0] must be 1.  The modulus bound is taken
-    as the largest atom modulus found.
+    row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1 and that
+    every atom is finite.  The modulus bound is taken as the largest atom
+    modulus found.
     """
     try:
         data = json.loads(document) if isinstance(document, str) else document
@@ -178,18 +181,18 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     if not isinstance(data, dict):
         raise ValidationError("atom table must be a JSON object of rows")
     rows = []
-    for k, top in _rows_for(scale):
+    for k in range(scale.rows):
         key = str(k)
         if key not in data:
             raise ValidationError(f"atom table missing row {k}")
         raw = data[key]
-        if len(raw) != top + 1:
-            raise ValidationError(f"atom row {k} has {len(raw)} entries, expected {top + 1}")
+        if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
+            raise ValidationError(f"atom row {k} must be a list of [re, im] pairs")
         try:
             rows.append(tuple(complex(float(re), float(im)) for re, im in raw))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"atom row {k} entries must be [re, im] pairs") from exc
-    bound = max(abs(v) for row in rows for v in row)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"atom row {k} entries must be [re, im] pairs of numbers") from exc
+    bound = max((abs(v) for row in rows for v in row), default=1.0)
     return AlphaFunction(scale, tuple(rows), bound, None)
 
 

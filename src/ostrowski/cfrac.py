@@ -8,6 +8,7 @@ partial quotients exactly, so all integer structure stays exact.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import RangeError, ValidationError
@@ -40,11 +41,6 @@ class QuotientSpec:
             raise ValidationError("quotient spec needs at least one partial quotient")
         if any(a < 1 for a in self.preperiod + self.period):
             raise ValidationError("partial quotients must be integers >= 1")
-
-    @property
-    def explicit_tail_allowed(self) -> bool:
-        """Whether quotient access may run past the explicit (preperiod) list."""
-        return bool(self.period)
 
     def quotient(self, i: int) -> int:
         """a_i, 1-indexed."""
@@ -206,13 +202,15 @@ def expand_max(spec: QuotientSpec) -> ConvergentTable:
 
 
 def scale_for(spec: QuotientSpec, upto: int) -> ConvergentTable:
-    """A table able to encode every n < upto (minimal K that covers it)."""
+    """A table able to encode every n < upto (minimal K that covers it).
+
+    Below the largest table's K, expand(spec, K) has limit q_{K+1}, so the
+    minimal K is read off that table's denominators.
+    """
     table = expand_max(spec)
     if table.limit < upto:
         raise RangeError(f"spec cannot cover n < {upto} within the 63-bit budget")
-    K = 1
-    while expand(spec, K).limit < upto:
-        K += 1
+    K = min(bisect.bisect_left(table.q, upto, 2) - 1, table.K)
     return expand(spec, K)
 
 

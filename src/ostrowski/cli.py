@@ -20,7 +20,7 @@ from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
 from .numeration import DigitString, decode, encode, psi, sigma
-from .spectral import _fourier_table, _parseval, correlation_profile, spectrum_scan
+from .spectral import GRID_DEFAULT, _fourier_table, _parseval, correlation_profile, spectrum_scan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[shared, fn], help="Fourier-Bohr peak scan")
     p.add_argument("--N", type=int, default=10**5)
-    p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--grid", type=int, default=GRID_DEFAULT)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the check battery")

@@ -312,6 +312,7 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
         zeros = np.flatnonzero(psi_lam == 0)
         zero_chunks.append(lo + zeros)
         eps_chunks.append(eps_lam[zeros])
+        del eps_lam, psi_lam  # else two chunks are alive while the next pass allocates
     bf_starts = np.concatenate(zero_chunks)
     margins = []
     details = []

@@ -234,6 +234,8 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
 
 def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, float]:
     """(a/N, b/N) for the long/short gap counts of block_counts."""
+    if N < 1:
+        raise ValidationError("N must be >= 1")
     a, b = block_counts(lam, N, scale)
     return a / N, b / N
 
@@ -257,6 +259,8 @@ def _greedy(
     buffer holds eps_k * q_k in between (floor_divide by a scalar has a fast
     path that np.divmod lacks), so the working memory is those arrays.
     """
+    if stop < start:
+        raise RangeError(f"count={stop - start} is negative")
     if stop > scale.limit:
         raise RangeError(f"count={stop} beyond table limit {scale.limit}")
     check_size(stop - start, "greedy digit pass")

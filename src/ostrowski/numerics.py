@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import CapError
+from .errors import CapError, ValidationError
 
 # Largest array any range routine allocates (frac_mul_range, the greedy digit
 # kernels, the block-start table, values_range); beyond this the int64 split
@@ -46,7 +46,9 @@ def pairwise_sum(values) -> complex:
 
 
 def _dyadic(x: float) -> tuple[int, int]:
-    """Write the float x exactly as b * 2**-s with integer b."""
+    """Write the float x exactly as b * 2**-s with integer b (ValidationError unless finite)."""
+    if not math.isfinite(x):
+        raise ValidationError(f"phase argument {x} is not finite")
     mant, exp = math.frexp(x)
     return int(mant * (1 << 53)), 53 - exp
 

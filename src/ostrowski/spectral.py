@@ -195,20 +195,20 @@ def _dft_fast(vals: np.ndarray) -> np.ndarray:
     return np.fft.fft(vals) / len(vals)
 
 
-def _fourier_table(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> tuple[FourierTable, np.ndarray]:
+def _fourier_table(g: AlphaFunction, lam: int) -> tuple[FourierTable, np.ndarray]:
     """The level-lam Fourier table and the value block g(u), u < q_lam, it was built from."""
     if not 0 <= lam <= g.scale.K:
         raise RangeError(f"lam={lam} outside 0..{g.scale.K}")
     q = g.scale.q[lam]
-    if q > cap:
-        raise CapError(f"q_lam = {q} exceeds the transform cap {cap}")
+    if q > DFT_CAP:
+        raise CapError(f"q_lam = {q} exceeds the transform cap {DFT_CAP}")
     vals = values_range(g, q)
     return FourierTable(lam, q, _dft_fast(vals)), vals
 
 
-def fourier_coeffs(g: AlphaFunction, lam: int, cap: int = DFT_CAP) -> FourierTable:
-    """Fourier table of g at level lam (CapError past `cap`)."""
-    return _fourier_table(g, lam, cap)[0]
+def fourier_coeffs(g: AlphaFunction, lam: int) -> FourierTable:
+    """Fourier table of g at level lam (CapError past DFT_CAP)."""
+    return _fourier_table(g, lam)[0]
 
 
 def _parseval(table: FourierTable, vals: np.ndarray) -> tuple[float, float, float]:
@@ -365,27 +365,21 @@ class SpectrumScan:
     grid: np.ndarray  # |exponential sum| at beta = j/grid_size
 
 
-def _local_maxima(profile: np.ndarray) -> list[int]:
-    left = np.roll(profile, 1)
-    right = np.roll(profile, -1)
-    idx = np.nonzero((profile >= left) & (profile >= right))[0]
-    return sorted(idx, key=lambda j: (-profile[j], j))
+def _top_local_maxima(profile: np.ndarray, k: int) -> np.ndarray:
+    """The k largest cyclic local maxima (>= both neighbours): value descending, then index."""
+    idx = np.flatnonzero((profile >= np.roll(profile, 1)) & (profile >= np.roll(profile, -1)))
+    return idx[np.lexsort((idx, -profile[idx]))[:k]]
 
 
-def spectrum_scan(
-    g: AlphaFunction,
-    N: int,
-    grid_size: int = GRID_DEFAULT,
-    refine_width: float = REFINE_WIDTH,
-    peaks: int = REFINE_PEAKS,
-) -> SpectrumScan:
+def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> SpectrumScan:
     """Scan beta -> |(1/N) sum g(n) e(-n*beta)| on a uniform grid, then refine.
 
     The grid stage folds the value block modulo the grid size, so the j-th
     entry is the exponential sum at beta = j/grid_size evaluated through one
-    exact-length transform.  The top local maxima are then refined by ternary
-    subdivision down to `refine_width`; the reported peak is the largest
-    modulus seen anywhere (grid or refinement probes).
+    exact-length transform.  The REFINE_PEAKS largest local maxima are then
+    refined by ternary subdivision down to REFINE_WIDTH.  The candidates, in
+    order, are grid[0], then per refined peak its grid value, each probe pair
+    and the final midpoint; the reported peak is the first largest of them.
 
     Refinement probes take the digit route (_digit_exp_sum): the digits of
     N - 1 and the atom layout are built once per scan, after which each probe
@@ -408,28 +402,23 @@ def spectrum_scan(
     grid = np.abs(np.fft.fft(folded)) / N
 
     plan = _digit_plan(g, N)
-    best_beta, best_val = 0.0, float(grid[0])
-    for j in _local_maxima(grid)[:peaks]:
-        if grid[j] > best_val:
-            best_beta, best_val = j / M, float(grid[j])
+    candidates = [(0.0, float(grid[0]))]
+    for j in _top_local_maxima(grid, REFINE_PEAKS).tolist():
+        candidates.append((j / M, float(grid[j])))
         lo, hi = (j - 1) / M, (j + 1) / M
-        while hi - lo > refine_width:
+        while hi - lo > REFINE_WIDTH:
             m1 = lo + (hi - lo) / 3
             m2 = hi - (hi - lo) / 3
             f1, f2 = abs(_digit_exp_sum(plan, m1)), abs(_digit_exp_sum(plan, m2))
-            if f1 > best_val:
-                best_beta, best_val = m1, f1
-            if f2 > best_val:
-                best_beta, best_val = m2, f2
+            candidates += [(m1, f1), (m2, f2)]
             if f1 < f2:
                 lo = m1
             else:
                 hi = m2
         mid = (lo + hi) / 2
-        fmid = abs(_digit_exp_sum(plan, mid))
-        if fmid > best_val:
-            best_beta, best_val = mid, fmid
-    return SpectrumScan(float(best_beta) % 1.0, float(best_val), grid)
+        candidates.append((mid, abs(_digit_exp_sum(plan, mid))))
+    best_beta, best_val = max(candidates, key=lambda c: c[1])
+    return SpectrumScan(best_beta % 1.0, best_val, grid)
 
 
 def block_correlation_estimate(g: AlphaFunction, lam: int, r: int, N: int) -> complex:

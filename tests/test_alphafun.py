@@ -246,3 +246,44 @@ def test_parse_fn_spec(tmp_path):
     for bad in ("", "theta:", "gamma:1", "theta:0.5+beta:", "theta:x", "atoms:/nope.json"):
         with pytest.raises((ValidationError, OSError)):
             parse_fn_spec(bad, scale)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_phases_are_refused(x):
+    scale = scale_for(GOLDEN, 200)
+    with pytest.raises(ValidationError, match="not finite"):
+        from_theta(x, scale)
+    with pytest.raises(ValidationError, match="not finite"):
+        twist(from_theta(0.5, scale), x)
+
+
+def test_nan_atom_is_refused():
+    scale = scale_for(GOLDEN, 200)
+    doc = rows_payload(scale, lambda k, e: complex(1.0))
+    doc["2"][1] = [float("nan"), 0.0]
+    with pytest.raises(ValidationError, match="not finite"):
+        load_atoms(json.dumps(doc), scale)  # json writes the NaN literal it reads back
+    rows = [[1.0] * (row_top(scale, k) + 1) for k in range(scale.rows)]
+    rows[0][1] = complex(0.0, float("nan"))
+    with pytest.raises(ValidationError, match="not finite"):
+        AlphaFunction(scale, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("row", [5, "ab", {"0": [1, 0]}, [1.0, 0.0], [[1.0, 0.0], [0.0]],
+                                 [[1.0, 0.0], ["x", 1.0]], [[1.0, 0.0], [10**400, 0.0]]],
+                         ids=["int", "str", "dict", "flat", "short_pair", "text", "huge_int"])
+def test_malformed_atom_row_is_a_validation_error(row):
+    scale = scale_for(GOLDEN, 200)
+    doc = rows_payload(scale, lambda k, e: complex(1.0))
+    doc["1"] = row
+    with pytest.raises(ValidationError, match="atom row 1"):
+        load_atoms(doc, scale)
+
+
+def test_unit_atom_is_stored_as_exactly_one():
+    scale = scale_for(GOLDEN, 200)
+    doc = rows_payload(scale, lambda k, e: complex(1.0 + 5e-13 if e == 0 else -1.0))
+    g = load_atoms(doc, scale)
+    assert all(row[0] == 1 + 0j for row in g.atoms)
+    # prefix stability: g(0) is 1 however long the block
+    assert values_range(g, 2)[0] == values_range(g, 1)[0] == evaluate(g, 0) == 1.0

@@ -324,6 +324,29 @@ def test_bad_sizes_are_exit_2_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fn", ["theta:nan", "theta:0.5+beta:nan", "theta:inf", "theta:0.5+beta:inf"])
+def test_non_finite_theta_or_beta_is_exit_2_without_traceback(fn):
+    proc = run_process("correlate", "--fn", fn, "--N", "100", "--R", "4")
+    assert proc.returncode == 2
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("row1, message", [
+    ([[1.0, 0.0], [float("nan"), 0.0]], "not finite"),
+    (5, "must be a list of"),
+], ids=["nan_atom", "non_list_row"])
+def test_malformed_atom_table_is_exit_2_without_traceback(row1, message, tmp_path):
+    doc = {str(k): [[1.0, 0.0], [0.0, 1.0]] for k in range(40)}  # golden rows
+    doc["1"] = row1
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(doc))
+    proc = run_process("correlate", "--fn", f"atoms:{path}", "--N", "100", "--R", "4")
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_dense_cap_is_exit_3_without_traceback():
     # RANGE_CAP + 1 points: refused before the value block is allocated
     proc = run_process("spectrum", "--N", str((1 << 26) + 1))

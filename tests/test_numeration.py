@@ -476,3 +476,47 @@ def test_psi_range_validation():
         psi_range(scale, -1, 10)
     with pytest.raises(RangeError):
         psi_range(scale, 2, scale.limit + 1)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda scale: psi_range(scale, 2, -1),
+    lambda scale: digit_at_range(scale, 2, -1),
+    lambda scale: high_digit_sum_range(scale, 2, -1),
+    lambda scale: sigma_range(scale, -1),
+], ids=["psi", "digit_at", "high_digit_sum", "sigma"])
+def test_kernels_refuse_a_negative_count(kernel):
+    # as values_range does, rather than returning an empty array
+    with pytest.raises(RangeError):
+        kernel(scale_for(GOLDEN, 100))
+
+
+def test_block_densities_refuse_empty_range():
+    scale = expand(GOLDEN, 6)
+    for N in (0, -3):
+        with pytest.raises(ValidationError, match="N must be >= 1"):
+            block_densities(2, N, scale)
+
+
+@st.composite
+def quotient_specs(draw):
+    """Random periodic:<pre>/<per> and finite list: specs with small quotients."""
+    small = st.lists(st.integers(1, 6), max_size=4)
+    if draw(st.booleans()):
+        return QuotientSpec(tuple(draw(small)), tuple(draw(small.filter(bool))))
+    return QuotientSpec(tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))), ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=quotient_specs(), data=st.data())
+def test_encode_decode_round_trip_property(spec, data):
+    scale = expand_max(spec)
+    k = data.draw(st.integers(0, scale.K), label="k")
+    near = [scale.q[k] + d for d in (-1, 0, 1)]
+    n = data.draw(st.sampled_from(near) | st.integers(0, scale.limit - 1), label="n")
+    if not 0 <= n < scale.limit:
+        with pytest.raises(RangeError):
+            encode(n, scale)
+        return
+    d = encode(n, scale)
+    assert validate(d.digits, scale)
+    assert decode(digit_string(d.digits, scale)) == n

@@ -29,6 +29,7 @@ from ostrowski import (
     encode,
     evaluate,
     expand,
+    expand_max,
     exponential_sum,
     fejer_check,
     fourier_coeffs,
@@ -49,12 +50,14 @@ from ostrowski import (
 from ostrowski.numerics import RANGE_CAP
 from ostrowski.spectral import (
     CORR_FFT_MIN,
+    DFT_CAP,
     _dft_direct,
     _dft_fast,
     _digit_exp_sum,
     _digit_plan,
     _exp_sum,
     _profile_pairwise,
+    _top_local_maxima,
     block_correlation_estimate,
 )
 
@@ -281,13 +284,17 @@ def test_fourier_known_table():
     assert t4.G[0] == pytest.approx(-0.2)
 
 
-def test_fourier_range_and_cap_errors():
+def test_fourier_range_and_cap_errors(monkeypatch):
     scale = scale_for(GOLDEN, 10**5)
     g = from_theta(0.5, scale)
     with pytest.raises(RangeError):
         fourier_coeffs(g, scale.K + 1)
+    # a table built for the first level past the cap: refused before any value block
+    lam = next(k for k, q in enumerate(expand_max(GOLDEN).q) if q > DFT_CAP)
+    g = from_theta(0.5, expand(GOLDEN, lam))
+    monkeypatch.setattr(spectral, "values_range", lambda *a: pytest.fail("value block built"))
     with pytest.raises(CapError):
-        fourier_coeffs(g, scale.K, cap=64)
+        fourier_coeffs(g, lam)
 
 
 def test_parseval():
@@ -489,6 +496,27 @@ def test_spectrum_grid_matches_direct_sums():
     for j in (0, 1, 17, 64, 127):
         direct = abs(exponential_sum(g, j / M, N))
         assert abs(scan.grid[j] - direct) < 1e-11
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(levels=st.lists(st.integers(0, 4), min_size=1, max_size=64), k=st.integers(0, 8))
+def test_top_local_maxima_is_the_sorted_rule(levels, k):
+    # few distinct levels give plateaus and ties; the order is value
+    # descending, then index ascending, over the >= cyclic local maxima
+    profile = np.array(levels, dtype=np.float64) / 3
+    left, right = np.roll(profile, 1), np.roll(profile, -1)
+    idx = np.nonzero((profile >= left) & (profile >= right))[0]
+    want = sorted(idx, key=lambda j: (-profile[j], j))[:k]
+    assert _top_local_maxima(profile, k).tolist() == [int(j) for j in want]
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_beta_is_a_validation_error(beta):
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    with pytest.raises(ValidationError, match="not finite"):
+        exponential_sum(g, beta, 10)
+    with pytest.raises(ValidationError, match="not finite"):
+        scale_sums(g, beta)
 
 
 # --- block-count correlation estimate ------------------------------------------------
