@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,16 @@ from .numeration import encode, psi, psi_range
 from .numerics import check_size, frac_mul_int, unit1
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
+
+# Largest value bound B = prod_k max_e |v[k][e]| an atom table may have.  No
+# value g(n), and no partial product values_range forms, exceeds B.  The
+# largest intermediate of any estimator is the FFT correlation accumulator:
+# a chunk of b reference values, transformed at length L, contributes a
+# spectrum product of modulus at most (b * B) * (L * B), so the accumulated
+# spectrum stays below N * L * B**2 <= 2**26 * 2**27 * B**2 = 2**53 * B**2
+# (N + R - 1 <= RANGE_CAP = 2**26, L = 2**bitlen(2R - 1) <= 2**27).  Past
+# this bound that accumulator could overflow to inf and the result to NaN.
+VALUE_BOUND_MAX = math.sqrt(np.finfo(np.float64).max / 2.0**53)
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,7 @@ class AlphaFunction:
             raise ValidationError(
                 f"atom table has {len(rows)} rows, scale certifies {scale.rows} digit positions"
             )
+        value_bound = 1.0  # B = prod_k max_e |v[k][e]|, see VALUE_BOUND_MAX
         for (k, top), row in zip(_rows_for(scale), rows):
             if len(row) != top + 1:
                 raise ValidationError(f"atom row {k} has {len(row)} entries, expected {top + 1}")
@@ -51,10 +63,23 @@ class AlphaFunction:
             for e, v in enumerate(row):
                 if not cmath.isfinite(v):
                     raise ValidationError(f"atom v[{k}][{e}] = {v} is not finite")
-                if abs(v) > self.modulus_bound + ATOM_UNIT_TOL:
+            try:
+                sizes = [abs(v) for v in row]
+            except OverflowError:
+                raise ValidationError(
+                    f"atom row {k} has a modulus past the float range: correlation sums could overflow"
+                ) from None
+            for e, size in enumerate(sizes):
+                if size > self.modulus_bound + ATOM_UNIT_TOL:
                     raise ValidationError(
-                        f"|v[{k}][{e}]| = {abs(v)} exceeds modulus bound {self.modulus_bound}"
+                        f"|v[{k}][{e}]| = {size} exceeds modulus bound {self.modulus_bound}"
                     )
+            value_bound *= max(1.0, *sizes[1:])
+        if value_bound > VALUE_BOUND_MAX:
+            raise ValidationError(
+                f"atom table value bound {value_bound:.3g} exceeds {VALUE_BOUND_MAX:.3g}: "
+                "correlation sums could overflow"
+            )
         object.__setattr__(self, "atoms", tuple((1 + 0j,) + row[1:] for row in rows))
 
     @property
@@ -171,8 +196,9 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     The document maps digit positions to rows of [re, im] pairs:
     {"0": [[1,0], [re,im], ...], "1": ...}.  Every certified position needs a
     row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1 and that
-    every atom is finite.  The modulus bound is taken as the largest atom
-    modulus found.
+    every atom is finite and that the atom products stay below
+    VALUE_BOUND_MAX.  The modulus bound is taken as the largest atom modulus
+    found.
     """
     try:
         data = json.loads(document) if isinstance(document, str) else document
@@ -192,7 +218,8 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
             rows.append(tuple(complex(float(re), float(im)) for re, im in raw))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"atom row {k} entries must be [re, im] pairs of numbers") from exc
-    bound = max((abs(v) for row in rows for v in row), default=1.0)
+    # hypot, not abs: abs(v) raises OverflowError where |v| passes the float range
+    bound = max((math.hypot(v.real, v.imag) for row in rows for v in row), default=1.0)
     return AlphaFunction(scale, tuple(rows), bound, None)
 
 

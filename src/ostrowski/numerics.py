@@ -1,8 +1,9 @@
-"""Reproducible floating-point kernels: tree summation and exact phase reduction.
+"""Reproducible floating-point kernels: pairwise summation and exact phase reduction.
 
-Every estimator in the package funnels its big sums through pairwise_sum and
-its phases through the frac_mul_* routines, so repeated runs (and differential
-tests between independent code paths) agree bit for bit.
+Every estimator in the package funnels its big sums through pairwise_sum
+(numpy's pairwise add.reduce, returned as a Python scalar) and its phases
+through the frac_mul_* routines, so repeated runs (and differential tests
+between independent code paths) agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 from .errors import CapError, ValidationError
 
 # Largest array any range routine allocates (frac_mul_range, the greedy digit
-# kernels, the block-start table, values_range); beyond this the int64 split
-# products of frac_mul_array would stop being exact.
+# kernels, the block-start table, values_range); beyond this the binary64
+# split products of frac_mul_array would stop being exact.
 RANGE_CAP = 1 << 26
 
 
@@ -26,23 +27,14 @@ def check_size(count: int, what: str) -> None:
 
 
 def pairwise_sum(values) -> complex:
-    """Sum a 1-d array by repeatedly adding adjacent pairs.
+    """Sum a 1-d array through numpy's pairwise add.reduce, error O(eps log n).
 
-    The reduction tree is fixed by the input length alone (an odd trailing
-    element is promoted to the next level unchanged), so results are
-    reproducible, and a partitioned run can match them exactly by aligning
-    its partition boundaries with tree nodes.
+    The result is a Python scalar, so dividing it by an int N rounds each
+    part on its own as CPython does; numpy's complex division would multiply
+    by the reciprocal instead, and the fft-exact correlation route relies on
+    matching the former bit for bit.
     """
-    buf = np.asarray(values)
-    if buf.size == 0:
-        return 0j
-    while buf.size > 1:
-        m = buf.size // 2
-        nxt = buf[0 : 2 * m : 2] + buf[1 : 2 * m : 2]
-        if buf.size & 1:
-            nxt = np.concatenate([nxt, buf[-1:]])
-        buf = nxt
-    return buf[0].item()
+    return np.asarray(values).sum().item()
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -55,6 +47,11 @@ def _dyadic(x: float) -> tuple[int, int]:
 
 def frac_mul_int(m: int, beta: float) -> float:
     """(m * beta) mod 1 for an integer m >= 0, exact up to one final rounding.
+
+    The rounding is to nearest, so a value within 2**-54 below 1 comes back
+    as 1.0 (the same point of the circle as 0.0).  The carry counter
+    (harness._moved) relies on that: short of subnormal underflow, 0.0 means
+    m * beta is an integer.
 
     Naive float evaluation loses the fractional part entirely once
     m * beta ~ 2**53; going through the dyadic representation of beta keeps
@@ -77,39 +74,28 @@ def frac_mul_range(count: int, beta: float) -> np.ndarray:
 def frac_mul_array(m: np.ndarray, beta: float) -> np.ndarray:
     """(m * beta) mod 1 for an int64 array of multipliers 0 <= m <= RANGE_CAP.
 
-    Same reduction as frac_mul_int but vectorized: beta = b * 2**-s exactly,
-    b is split into 27-bit halves so every intermediate product stays exact
-    in int64, and the two fractional contributions are recombined in binary64.
-    Callers keep the multipliers in range; past RANGE_CAP the products wrap.
+    |beta| splits into hi, its top 26 mantissa bits, and lo = |beta| - hi,
+    the other 27 (Dekker's split).  For m <= RANGE_CAP = 2**26 both m * hi
+    and m * lo are exact in binary64, and so is each one's fractional part
+    y - floor(y); their sum lies in [0, 2) and is the one rounding step, and
+    a single wrap brings it below 1.  A negative beta mirrors the result for
+    |beta|, where an entry that rounds to 1.0 wraps to 0.0.  Callers keep the
+    multipliers in range; past RANGE_CAP the products round.
     """
-    if m.size == 0 or beta == 0.0:
-        return np.zeros(m.shape)
-    b, s = _dyadic(beta)
+    b, s = _dyadic(abs(beta))
     if s <= 0:
-        return np.zeros(m.shape)
-    if s > 79:
-        # |beta| < 2**-26 and m <= 2**26, so m*beta never wraps past 1.
-        return np.mod(m.astype(np.float64) * beta, 1.0)
-    neg = b < 0
-    b = abs(b)
-    hi = m * (b >> 27)             # <= 2**52, exact
-    lo = m * (b & ((1 << 27) - 1))  # <= 2**53, exact
-    if s <= 27:
-        # hi * 2**(27-s) is an integer, only lo contributes a fraction
-        f = (lo & ((1 << s) - 1)).astype(np.float64) * 2.0**-s
-    else:
-        f1 = (hi & ((1 << (s - 27)) - 1)).astype(np.float64) * 2.0 ** (27 - s)
-        if s <= 53:
-            f2 = (lo & ((1 << s) - 1)).astype(np.float64) * 2.0**-s
-        else:
-            f2 = lo.astype(np.float64) * 2.0**-s  # lo < 2**s already
-        f = f1 + f2
-        # f1 + f2 < 2 exactly, but the binary64 sum can round up to 2.0 when
-        # s > 53; two wrap passes keep the result inside [0, 1).
-        f = np.where(f >= 1.0, f - 1.0, f)
-        f = np.where(f >= 1.0, f - 1.0, f)
-    if neg:
-        f = np.where(f > 0.0, 1.0 - f, 0.0)
+        return np.zeros(m.shape)  # |beta| >= 2**52 is an integer
+    hi = math.ldexp(b >> 27, 27 - s)
+    x = m.astype(np.float64)
+    f = x * hi
+    f -= np.floor(f)
+    x *= abs(beta) - hi
+    x -= np.floor(x)
+    f += x
+    f -= f >= 1.0
+    if beta < 0:
+        f = 1.0 - f
+        f -= f >= 1.0
     return f
 
 

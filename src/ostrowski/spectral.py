@@ -72,7 +72,7 @@ def _profile_means(gamma: np.ndarray) -> tuple[float, float]:
 
 
 def _profile_pairwise(vals: np.ndarray, R: int, N: int) -> np.ndarray:
-    """gamma[r] through the per-shift product and pairwise tree of correlation()."""
+    """gamma[r] through the per-shift product and pairwise sum of correlation()."""
     ref = np.conj(vals[:N])
     gamma = np.empty(R, dtype=np.complex128)
     for r in range(R):
@@ -133,7 +133,7 @@ def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
     For N * R <= CORR_FFT_MIN (the "pairwise" route), each gamma[r]
     reproduces correlation(g, r, N) bit for bit: the shared value block is
     sliced per shift and fed through the same product and the same
-    reduction tree.
+    pairwise sum.
 
     Otherwise all shifts come from one blocked FFT cross-correlation.  When
     every atom is a Gaussian integer (theta in {0, 1/4, 1/2, 3/4}, or an

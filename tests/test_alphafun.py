@@ -7,6 +7,7 @@ reduction.
 
 import cmath
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from ostrowski import (
     twist,
     values_range,
 )
+from ostrowski.alphafun import VALUE_BOUND_MAX
 from ostrowski.numerics import RANGE_CAP
 
 THETAS = (0.5, 1 / 3, 0.1234567, 0.0)
@@ -277,6 +279,25 @@ def test_malformed_atom_row_is_a_validation_error(row):
     doc = rows_payload(scale, lambda k, e: complex(1.0))
     doc["1"] = row
     with pytest.raises(ValidationError, match="atom row 1"):
+        load_atoms(doc, scale)
+
+
+def test_atom_products_past_the_value_bound_are_refused():
+    # golden rows [[1, 0], [1e308, 1e308]] used to load and run to NaN
+    scale = scale_for(GOLDEN, 40)
+    doc = {str(k): [[1.0, 0.0], [1e308, 1e308]] for k in range(scale.rows)}
+    with pytest.raises(ValidationError, match="could overflow"):
+        load_atoms(doc, scale)
+    # parts whose modulus leaves the float range are refused the same way
+    doc["0"][1] = [1.5e308, 1.5e308]
+    with pytest.raises(ValidationError, match="could overflow"):
+        load_atoms(doc, scale)
+    # the bound is the product over rows of each row's largest modulus
+    big = math.sqrt(VALUE_BOUND_MAX) / 2
+    doc = rows_payload(scale, lambda k, e: complex(big if (k, e) in ((0, 1), (3, 1)) else 1.0))
+    assert load_atoms(doc, scale).modulus_bound == big
+    doc = rows_payload(scale, lambda k, e: complex(big if k in (0, 2, 3) and e == 1 else 1.0))
+    with pytest.raises(ValidationError, match="could overflow"):
         load_atoms(doc, scale)
 
 

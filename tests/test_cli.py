@@ -347,6 +347,16 @@ def test_malformed_atom_table_is_exit_2_without_traceback(row1, message, tmp_pat
     assert "Traceback" not in proc.stderr
 
 
+def test_atom_table_past_the_value_bound_is_exit_2_without_traceback(tmp_path):
+    doc = {str(k): [[1.0, 0.0], [1e308, 1e308]] for k in range(40)}  # golden rows
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(doc))
+    proc = run_process("correlate", "--fn", f"atoms:{path}", "--N", "40", "--R", "4")
+    assert proc.returncode == 2
+    assert "could overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 def test_dense_cap_is_exit_3_without_traceback():
     # RANGE_CAP + 1 points: refused before the value block is allocated
     proc = run_process("spectrum", "--N", str((1 << 26) + 1))

@@ -1,4 +1,4 @@
-"""Summation tree and exact phase reduction.
+"""Pairwise summation and exact phase reduction.
 
 Oracles: math.fsum for summation accuracy and fractions.Fraction for the
 modular phase arithmetic (operating on the exact binary value of each float).
@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ostrowski.errors import CapError
 from ostrowski.numerics import (
@@ -44,6 +46,29 @@ def test_pairwise_sum_exact_on_integers():
     rng = np.random.default_rng(17)
     x = rng.integers(-1000, 1000, size=10001).astype(np.float64)
     assert pairwise_sum(x) == math.fsum(x)  # all intermediate sums are exact
+
+
+def test_pairwise_sum_returns_a_python_scalar():
+    # complex / int in CPython divides each part by N; numpy's complex
+    # division multiplies by the reciprocal, which the fft-exact route's
+    # bit-for-bit match with the pairwise route cannot absorb
+    assert type(pairwise_sum(np.array([1 + 2j, 3 - 1j]))) is complex
+    assert type(pairwise_sum(np.array([1.5, 2.0]))) is float
+    assert type(pairwise_sum(np.zeros(0))) is float
+    z = pairwise_sum(np.full(7, 1 + 1j))
+    assert z / 3 == complex(7 / 3, 7 / 3)
+
+
+def test_pairwise_sum_accurate_on_strided_and_long_inputs():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(30001)
+    view = x[::3]
+    assert abs(pairwise_sum(view) - math.fsum(view)) < 1e-9 * float(np.abs(view).sum())
+    z = np.exp(2j * np.pi * rng.random(1 << 20))
+    got = pairwise_sum(z)
+    bound = 1e-9 * float(np.abs(z).sum())
+    assert abs(got.real - math.fsum(z.real)) < bound
+    assert abs(got.imag - math.fsum(z.imag)) < bound
 
 
 # --- scalar phase reduction ---------------------------------------------------------
@@ -105,6 +130,37 @@ def test_frac_mul_array_matches_rational_oracle_up_to_the_cap(beta):
     d = np.abs(got - want)
     assert np.max(np.minimum(d, 1.0 - d)) <= 2.0**-52
     assert np.array_equal(frac_mul_array(np.arange(3000), beta), frac_mul_range(3000, beta))
+
+
+def circle_gap(got: float, beta: float, m: int) -> Fraction:
+    """Distance on the circle between got and the exact (m * beta) mod 1."""
+    d = abs(Fraction(got) - (Fraction(beta) * m) % 1)
+    return min(d, 1 - d)
+
+
+multipliers = st.lists(st.integers(0, RANGE_CAP), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(-1e300, 1e300, allow_subnormal=True), m=multipliers)
+@example(beta=-1e-20, m=[1, 2, 3])
+@example(beta=-5e-324, m=[0, RANGE_CAP])
+@example(beta=2.0**60, m=[RANGE_CAP - 1])
+def test_frac_mul_array_property_any_finite_beta(beta, m):
+    got = frac_mul_array(np.array(m, dtype=np.int64), beta)
+    assert np.all(got >= 0.0) and np.all(got < 1.0)
+    assert max(circle_gap(float(f), beta, k) for f, k in zip(got, m)) <= Fraction(2) ** -52
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(j=st.integers(-(2**53), 2**53), t=st.integers(0, 52), m=multipliers)
+def test_frac_mul_array_property_dyadic_beta_is_exact(j, t, m):
+    # beta = j / 2**t: every fractional part is a multiple of 2**-52, so
+    # both routes are exact and agree with each other bit for bit
+    beta = j / 2**t
+    got = frac_mul_array(np.array(m, dtype=np.int64), beta)
+    assert np.all(got >= 0.0) and np.all(got < 1.0)
+    assert got.tolist() == [frac_mul_int(k, beta) for k in m]
 
 
 def test_frac_mul_range_cap():
