@@ -190,7 +190,6 @@ def cmd_experiment(args) -> int:
     if args.kind == "spectrum":
         if args.R_list is not None:
             raise ValidationError("--R-list applies to pseudorandomness experiments only")
-        fields["R_list"] = ()
         if args.seed is not None:
             fields["seed"] = args.seed
         payload = spectrum_experiment(ExperimentConfig(**fields))

@@ -24,8 +24,8 @@ from .cfrac import (
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import _greedy, psi_range, w_sequence
-from .numerics import frac_mul_int, pairwise_sum
+from .numeration import SHORT, _greedy, psi_range, w_sequence
+from .numerics import pairwise_sum
 
 # Default verification family.
 DEFAULT_ALPHA_SPECS = (
@@ -79,10 +79,11 @@ class CheckReport:
 
 
 def _report(name: str, margins, details=()) -> CheckReport:
-    margins = list(margins)
-    passed = sum(1 for m in margins if m >= 0)
-    worst = min(margins) if margins else 0.0
-    return CheckReport(name, len(margins), passed, float(worst), tuple(details))
+    """Report over a float array of margins, keeping the first ten failure details."""
+    margins = np.asarray(margins, dtype=np.float64)
+    worst = float(margins.min()) if margins.size else 0.0
+    passed = int(np.count_nonzero(margins >= 0))
+    return CheckReport(name, margins.size, passed, worst, tuple(details)[:10])
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ class ExperimentConfig:
             raise ValidationError("N must be >= 1")
         if any(R < 1 for R in self.R_list):
             raise ValidationError("every R in R_list must be >= 1")
-        if self.R_list and self.N < max(self.R_list):
-            raise ValidationError("N must be >= max(R_list)")
         parse_alpha_spec(self.alpha_spec)
 
     def to_dict(self) -> dict:
@@ -120,20 +119,16 @@ def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
     """Where a difference d of carry keys moves the atom product over digits >= lam.
 
     With a theta tag the key is sigma_{>=lam}(n), and d moves the product
-    unless theta * d is an integer (exact arithmetic, once per distinct d).
-    Without one the key is the block start n - psi_lam(n), and any d != 0
-    counts: the digits at lam and above changed, which the same
-    N*r/q_{lam-1} bound covers.
+    unless theta * d is an integer: theta = p/den in lowest terms with den a
+    power of two, so exactly when den divides d (den >= 2**62 divides no
+    nonzero key difference).  Without one the key is the block start
+    n - psi_lam(n), and any d != 0 counts: the digits at lam and above
+    changed, which the same N*r/q_{lam-1} bound covers.
     """
-    if g.theta is None or not d.size:
+    if g.theta is None:
         return d != 0
-    lo, top = int(d.min()), int(d.max())
-    table = np.fromiter(
-        (frac_mul_int(abs(v), g.theta) != 0.0 for v in range(lo, top + 1)),
-        dtype=bool,
-        count=top - lo + 1,
-    )
-    return table[d - lo]
+    den = g.theta.as_integer_ratio()[1]
+    return d != 0 if den >= 1 << 62 else d % den != 0
 
 
 def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -141,7 +136,7 @@ def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) ->
     return _moved(g, np.diff(key[starts]))
 
 
-def _carry_counts(g: AlphaFunction, lam: int, r_values, N: int) -> list[tuple[int, int | None]]:
+def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, recount) per r: the n < N for which n + r moves g's atom product over digits >= lam.
 
     Every level-lam gap is at least q_{lam-1}, so for r < q_{lam-1} the shift
@@ -152,55 +147,46 @@ def _carry_counts(g: AlphaFunction, lam: int, r_values, N: int) -> list[tuple[in
     transition with w_j < N < w_{j+1}.  Shifts r >= q_{lam-1} are counted n
     by n through the same keys; so are r = 1 and r = q_{lam-1} - 1 whenever
     the block count served them, and that dense recount is returned beside
-    the count (None elsewhere).
+    the count (equal to it everywhere else).
     """
     q_prev = g.scale.q[lam - 1]
-    size = N + max(r_values)
+    size = N + int(r.max())
     hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
     key = hi if g.theta is not None else np.arange(size) - ps
     starts = np.flatnonzero(ps == 0)
     moved = _moved_transitions(g, key, starts)
     ends = starts[1:]
-    M = int(np.count_nonzero(moved[ends <= N]))
+    M = np.count_nonzero(moved[ends <= N])
     j = int(np.searchsorted(ends, N, side="right"))
     # a transition q_{lam-1} or more past N (or none scanned) adds nothing for r < q_{lam-1}
     overhang = int(ends[j]) - N if j < len(ends) and moved[j] else q_prev
-
-    def dense(r):
-        return int(np.count_nonzero(_moved(g, key[r : r + N] - key[:N])))
-
-    out = []
-    for r in r_values:
-        if r >= q_prev:
-            out.append((dense(r), None))
-        else:
-            recount = dense(r) if r in (1, q_prev - 1) else None
-            out.append((r * M + max(0, r - overhang), recount))
-    return out
+    count = r * M + np.maximum(0, r - overhang)
+    recount = count.copy()
+    for i in np.flatnonzero((r >= q_prev) | (r == 1) | (r == q_prev - 1)):
+        recount[i] = np.count_nonzero(_moved(g, key[r[i] : r[i] + N] - key[:N]))
+    dense = r >= q_prev
+    count[dense] = recount[dense]
+    return count, recount
 
 
-def _carry_instances(g: AlphaFunction, lam: int, r_values, N: int):
-    """(margin, detail) per r: the slack N*r/q_{lam-1} - count, or -1 on failure.
+def _carry_report(g: AlphaFunction, lam: int, r_values, N: int) -> CheckReport:
+    """Margin N*r/q_{lam-1} - count per r, or -1 where an instance fails.
 
-    The comparison count * q_{lam-1} <= N * r runs in exact integers; detail
-    is None for a passing instance and names the instance otherwise.  An
+    The bound count * q_{lam-1} <= N * r is decided in exact integers; an
     instance whose dense recount differs from its block count fails too.
     """
     q_prev = g.scale.q[lam - 1]
-    for r, (count, recount) in zip(r_values, _carry_counts(g, lam, r_values, N)):
-        if recount is not None and recount != count:
-            yield -1.0, {"lam": lam, "r": r, "N": N, "count": count, "recount": recount}
-        elif count * q_prev <= N * r:
-            yield N * r / q_prev - count, None
-        else:
-            yield -1.0, {"lam": lam, "r": r, "N": N, "count": count}
-
-
-def _instance_report(name: str, instances) -> CheckReport:
-    """Report over (margin, detail) pairs, keeping the first ten failure details."""
-    instances = list(instances)
-    details = [d for _, d in instances if d is not None][:10]
-    return _report(name, [m for m, _ in instances], details)
+    r = np.asarray(r_values, dtype=np.int64)
+    count, recount = _carry_counts(g, lam, r, N)
+    ok = (count <= N * r // q_prev) & (recount == count)
+    margins = np.where(ok, N * r / q_prev - count, -1.0)
+    details = []
+    for i in np.flatnonzero(~ok)[:10].tolist():
+        detail = {"lam": lam, "r": int(r[i]), "N": N, "count": int(count[i])}
+        if recount[i] != count[i]:
+            detail["recount"] = int(recount[i])
+        details.append(detail)
+    return _report("carry_bound", margins, details)
 
 
 def carry_bound_check(g: AlphaFunction, lam: int, r: int, N: int) -> CheckReport:
@@ -217,7 +203,7 @@ def carry_bound_check(g: AlphaFunction, lam: int, r: int, N: int) -> CheckReport
         raise ValidationError("N must be >= 1")
     if N + r > g.scale.limit:
         raise RangeError(f"N + r = {N + r} beyond table limit {g.scale.limit}")
-    return _instance_report("carry_bound", _carry_instances(g, lam, [r], N))
+    return _carry_report(g, lam, [r], N)
 
 
 def carry_bound_sweep(
@@ -225,12 +211,11 @@ def carry_bound_sweep(
 ) -> CheckReport:
     """Exhaustive carry check: every lam <= lam_max, every r < q_{lam-1}."""
     scale = g.scale
-    return _instance_report("carry_bound", (
-        instance
+    return _merge("carry_bound", [
+        _carry_report(g, lam, range(scale.q[lam - 1]), N)
         for N in N_values
         for lam in range(1, min(lam_max, scale.K) + 1)
-        for instance in _carry_instances(g, lam, range(scale.q[lam - 1]), N)
-    ))
+    ])
 
 
 # --- block densities ---------------------------------------------------------
@@ -257,8 +242,8 @@ def density_formula(scale: ConvergentTable, lam: int, a: int) -> float:
     return float(_density_formulas(scale, lam, np.array([a]))[0])
 
 
-def _density_instances(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
-    """Formula densities and (margin, detail) per a for psi_lam(n) = a over n < N."""
+def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
+    """Formula densities, margins and failure details for psi_lam(n) = a over n < N."""
     if N < 1:
         raise ValidationError("N must be >= 1")
     formulas = _density_formulas(scale, lam, a)
@@ -267,16 +252,15 @@ def _density_instances(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
         raise AssertionError("psi_lam produced a value >= q_lam")
     empirical = np.append(counts, 0)[np.minimum(a, len(counts))] / N  # 0 past the largest psi
     margins = DENSITY_TOL - np.abs(empirical - formulas)
-    instances = []
-    for m, ai, e, f in zip(margins.tolist(), a.tolist(), empirical.tolist(), formulas.tolist()):
-        detail = {"lam": lam, "a": ai, "N": N, "empirical": e, "formula": f}
-        instances.append((m, None if m >= 0 else detail))
-    return formulas, instances
+    details = [{"lam": lam, "a": int(a[i]), "N": N, "empirical": float(empirical[i]),
+                "formula": float(formulas[i])} for i in np.flatnonzero(~(margins >= 0))[:10]]
+    return formulas, margins, details
 
 
 def density_check(lam: int, a: int, N: int, scale: ConvergentTable) -> CheckReport:
     """Empirical density of psi_lam(n) = a over n < N against the formula."""
-    return _instance_report("density", _density_instances(scale, lam, np.array([a]), N)[1])
+    _, margins, details = _density_margins(scale, lam, np.array([a]), N)
+    return _report("density", margins, details)
 
 
 def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> CheckReport:
@@ -284,12 +268,12 @@ def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> C
 
     Also verifies that the formula masses sum to 1 (within 1e-10) per level.
     """
-    instances = []
+    reports = []
     for lam in range(1, min(lam_max, scale.K) + 1):
-        formulas, level = _density_instances(scale, lam, np.arange(scale.q[lam]), N)
-        instances.append((1e-10 - abs(float(np.sum(formulas)) - 1.0), None))
-        instances.extend(level)
-    return _instance_report("density", instances)
+        formulas, margins, details = _density_margins(scale, lam, np.arange(scale.q[lam]), N)
+        mass = 1e-10 - abs(float(np.sum(formulas)) - 1.0)
+        reports.append(_report("density", np.append(mass, margins), details))
+    return _merge("density", reports)
 
 
 # --- gap structure -----------------------------------------------------------
@@ -298,8 +282,9 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
     """Cross-check w_sequence against a brute-force digit scan.
 
     Verifies the first `count` gaps: starts match {n : psi_lam(n) = 0}, every
-    gap is q_lam or q_{lam-1}, and (away from the degenerate q_lam = q_{lam-1}
-    case) a gap is short exactly when the digit at lam is maximal.  The scan
+    gap is q_lam or q_{lam-1}, a kind tag is SHORT exactly where the digit at
+    lam of the gap's start is maximal, and (away from the degenerate
+    q_lam = q_{lam-1} case) so is a gap of length q_{lam-1}.  The scan
     reduces every n <= w_count, GAP_SCAN_CHUNK points per greedy pass, and
     keeps only the zeros of psi_lam and eps_lam at them.
     """
@@ -313,37 +298,18 @@ def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckRe
         zero_chunks.append(lo + zeros)
         eps_chunks.append(eps_lam[zeros])
         del eps_lam, psi_lam  # else two chunks are alive while the next pass allocates
-    bf_starts = np.concatenate(zero_chunks)
-    margins = []
-    details = []
-    if len(bf_starts) != len(starts) or not np.array_equal(bf_starts, starts):
-        margins.append(-1.0)
-        details.append({"lam": lam, "mismatch": "start set differs from brute force"})
-        return _report("gap_structure", margins, details)
+    if not np.array_equal(np.concatenate(zero_chunks), starts):
+        return _report("gap_structure", [-1.0],
+                       [{"lam": lam, "mismatch": "start set differs from brute force"}])
     gaps = np.diff(starts)
     q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    member_ok = np.isin(gaps, [q_long, q_short]).all()
-    margins.append(0.0 if member_ok else -1.0)
-    if not member_ok:
-        details.append({"lam": lam, "mismatch": "gap outside {q_lam, q_lam-1}"})
-    a_top = scale.digit_bound(lam)
-    eps_lam = np.concatenate(eps_chunks)[:-1]
-    if q_long != q_short:
-        rule_ok = bool(np.array_equal(gaps == q_short, eps_lam == a_top))
-        margins.append(0.0 if rule_ok else -1.0)
-        if not rule_ok:
-            details.append({"lam": lam, "mismatch": "short-gap rule violated"})
-        kinds_ok = all(
-            (kind == "short") == (gap == q_short) for kind, gap in zip(block.kinds, gaps)
-        )
-    else:
-        # degenerate level (q_lam = q_{lam-1}): lengths cannot distinguish kinds
-        kinds_ok = all(
-            (kind == "short") == (e == a_top) for kind, e in zip(block.kinds, eps_lam)
-        )
-    margins.append(0.0 if kinds_ok else -1.0)
-    if not kinds_ok:
-        details.append({"lam": lam, "mismatch": "kind tags disagree"})
+    top = np.concatenate(eps_chunks)[:-1] == scale.digit_bound(lam)
+    checks = [(np.isin(gaps, [q_long, q_short]).all(), "gap outside {q_lam, q_lam-1}")]
+    if q_long != q_short:  # at a degenerate level lengths cannot tell the kinds apart
+        checks.append((np.array_equal(gaps == q_short, top), "short-gap rule violated"))
+    checks.append((np.array_equal(np.array(block.kinds) == SHORT, top), "kind tags disagree"))
+    margins = [0.0 if ok else -1.0 for ok, _ in checks]
+    details = [{"lam": lam, "mismatch": mismatch} for ok, mismatch in checks if not ok]
     return _report("gap_structure", margins, details)
 
 
@@ -353,6 +319,8 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     """Correlation quadratic means Q(R) for each configured R at fixed N."""
     if not config.R_list:
         raise ValidationError("R_list must not be empty")
+    if config.N < max(config.R_list):
+        raise ValidationError("N must be >= max(R_list)")
     t0 = time.perf_counter()
     _, g = _scale_and_fn(config, config.N + max(config.R_list))
     profile = spectral.correlation_profile(g, max(config.R_list), config.N)
@@ -403,7 +371,7 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
         sums.append({"beta": float(beta), "moduli": mods.tolist(),
                      "contraction_margin": contraction})
     payload = {
-        "config": config.to_dict(),
+        "config": {k: v for k, v in config.to_dict().items() if k != "R_list"},  # never read here
         "ladder": ladder,
         "scale_sums": sums,
         "runtime_seconds": time.perf_counter() - t0,
@@ -514,7 +482,7 @@ def _merge(name: str, reports) -> CheckReport:
         check_name=name,
         instances_run=sum(r.instances_run for r in reports),
         instances_passed=sum(r.instances_passed for r in reports),
-        worst_margin=min(r.worst_margin for r in reports),
+        worst_margin=min((r.worst_margin for r in reports), default=0.0),
         details=tuple(d for r in reports for d in r.details)[:10],
     )
 

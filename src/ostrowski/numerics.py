@@ -3,7 +3,8 @@
 Every estimator in the package funnels its big sums through pairwise_sum
 (numpy's pairwise add.reduce, returned as a Python scalar) and its phases
 through the frac_mul_* routines, so repeated runs (and differential tests
-between independent code paths) agree bit for bit.
+between independent code paths) agree bit for bit.  Every phase reduction
+returns values in [0, 1).
 """
 
 from __future__ import annotations
@@ -46,12 +47,10 @@ def _dyadic(x: float) -> tuple[int, int]:
 
 
 def frac_mul_int(m: int, beta: float) -> float:
-    """(m * beta) mod 1 for an integer m >= 0, exact up to one final rounding.
+    """(m * beta) mod 1 in [0, 1) for an integer m >= 0, exact up to one final rounding.
 
-    The rounding is to nearest, so a value within 2**-54 below 1 comes back
-    as 1.0 (the same point of the circle as 0.0).  The carry counter
-    (harness._moved) relies on that: short of subnormal underflow, 0.0 means
-    m * beta is an integer.
+    The rounding is to nearest; a value within 2**-54 below 1 would round to
+    1.0, the same point of the circle as 0.0, and comes back as 0.0.
 
     Naive float evaluation loses the fractional part entirely once
     m * beta ~ 2**53; going through the dyadic representation of beta keeps
@@ -62,7 +61,8 @@ def frac_mul_int(m: int, beta: float) -> float:
     b, s = _dyadic(beta)
     if s <= 0:
         return 0.0  # beta is an integer scaled by a nonnegative power of two
-    return ((m * b) % (1 << s)) / (1 << s)
+    f = ((m * b) % (1 << s)) / (1 << s)
+    return 0.0 if f == 1.0 else f
 
 
 def frac_mul_range(count: int, beta: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .alphafun import AlphaFunction, trunc_values_range, twist, values_range
 from .errors import CapError, RangeError, ValidationError
 from .numeration import block_counts, encode
-from .numerics import frac_mul_array, frac_mul_range, pairwise_sum, unit
+from .numerics import check_size, frac_mul_array, frac_mul_range, pairwise_sum, unit
 
 DFT_CAP = 1 << 20      # hard cap on transform length
 
@@ -393,9 +393,10 @@ def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> Sp
         raise ValidationError("grid_size must be >= 16")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    vals = values_range(g, N)  # CapError past RANGE_CAP
     M = grid_size
     rows = -(-N // M)
+    check_size(rows * M, "spectrum grid")
+    vals = values_range(g, N)  # CapError past RANGE_CAP
     padded = np.zeros(rows * M, dtype=np.complex128)
     padded[:N] = vals
     folded = padded.reshape(rows, M).sum(axis=0)

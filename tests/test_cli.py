@@ -2,14 +2,17 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ostrowski import GOLDEN, CheckReport, from_theta, scale_for
 from ostrowski.cli import build_parser, main
 import ostrowski.harness as harness
+import ostrowski.spectral as spectral
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -161,7 +164,7 @@ def test_spectrum_experiment_needs_no_r_list(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [row["N"] for row in doc["ladder"]] == [1000]
-    assert doc["config"]["R_list"] == []
+    assert "R_list" not in doc["config"]
 
 
 def test_spectrum_experiment_refuses_r_list(capsys):
@@ -241,7 +244,7 @@ def test_each_subcommand_takes_the_flags_of_the_readme_table():
     (("fourier", "--lam", "2"), {"command", "alpha", "fn", "lam"}),
     (("spectrum", "--N", "4096", "--grid", "64"), {"command", "alpha", "fn", "N", "grid"}),
     (("experiment", "spectrum", "--N", "1000", "--seed", "2"),
-     {"alpha_spec", "fn_spec", "N", "R_list", "seed"}),
+     {"alpha_spec", "fn_spec", "N", "seed"}),
     (("experiment", "pseudorandomness", "--N", "2000", "--R-list", "4"),
      {"alpha_spec", "fn_spec", "N", "R_list"}),
 ])
@@ -301,9 +304,14 @@ def test_range_error_is_exit_3(capsys):
     assert main(["encode", "-5"]) == 3
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process that imports this checkout's package, installed or not."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.mark.parametrize("argv", [
@@ -362,6 +370,14 @@ def test_dense_cap_is_exit_3_without_traceback():
     proc = run_process("spectrum", "--N", str((1 << 26) + 1))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+
+
+def test_spectrum_grid_past_the_size_cap_is_exit_3_without_traceback(monkeypatch, capsys):
+    # one row of RANGE_CAP + 1 grid entries: refused before the value block
+    monkeypatch.setattr(spectral, "values_range", lambda *a: pytest.fail("value block built"))
+    assert main(["spectrum", "--N", "100", "--grid", str((1 << 26) + 1)]) == 3
+    err = capsys.readouterr().err
+    assert "spectrum grid" in err and "Traceback" not in err
 
 
 def test_correlate_past_the_size_cap_is_exit_3_without_traceback():

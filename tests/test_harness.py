@@ -148,6 +148,16 @@ def test_carry_recount_catches_a_wrong_transition_count(monkeypatch):
     assert first["r"] == 1 and first["count"] != first["recount"]
 
 
+@pytest.mark.parametrize("theta", [1 / 3, 0.1, 2.0**-70, 5e-324, 3.0, -0.5, 0.0])
+def test_moved_matches_exact_integrality(theta):
+    # theta * d is an integer exactly when theta's power-of-two denominator
+    # divides d; 2**-70 and 5e-324 take the denominator >= 2**62 branch
+    g = from_theta(theta, scale_for(GOLDEN, 100))
+    d = np.arange(-64, 65)
+    want = [(Fraction(theta) * int(v)) % 1 != 0 for v in d]
+    assert harness._moved(g, d).tolist() == want
+
+
 def test_carry_sweep_all_pass():
     scale = scale_for(SILVER, 3000)
     g = from_theta(0.5, scale)
@@ -224,10 +234,15 @@ def test_gap_structure_across_specs():
             assert rep.ok, (spec_text, lam, rep.details)
 
 
-@pytest.mark.parametrize("fault", ["gap", "kind"])
-def test_gap_check_catches_a_wrong_w_sequence(fault, monkeypatch):
+@pytest.mark.parametrize("fault, spec, lam", [
+    ("gap", SILVER, 2),
+    ("kind", SILVER, 2),
+    ("kind", GOLDEN, 1),
+], ids=["gap", "kind", "degenerate_kind"])
+def test_gap_check_catches_a_wrong_w_sequence(fault, spec, lam, monkeypatch):
     # the brute-force scan is an oracle independent of w_sequence: one gap
-    # one too long (every later start shifted), or one kind tag flipped
+    # one too long (every later start shifted), or one kind tag flipped; at
+    # golden lam = 1 (q_1 = q_0) only the digit at lam can tell the kinds apart
     real = harness.w_sequence
 
     def broken(lam, count, scale):
@@ -239,18 +254,20 @@ def test_gap_check_catches_a_wrong_w_sequence(fault, monkeypatch):
             kinds[5] = "short" if kinds[5] == "long" else "long"
         return BlockIndex(lam, tuple(starts), tuple(kinds))
 
-    scale = scale_for(SILVER, 10**4)
-    assert gap_structure_check(2, 50, scale).ok
+    scale = scale_for(spec, 10**4)
+    assert gap_structure_check(lam, 50, scale).ok
     monkeypatch.setattr(harness, "w_sequence", broken)
-    rep = gap_structure_check(2, 50, scale)
+    rep = gap_structure_check(lam, 50, scale)
     assert not rep.ok and rep.details
+    if fault == "kind":
+        assert rep.details == ({"lam": lam, "mismatch": "kind tags disagree"},)
 
 
 # --- experiment configs and runs ----------------------------------------------------
 
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
-        ExperimentConfig(N=100, R_list=(256,))
+        pseudorandomness_experiment(ExperimentConfig(N=100, R_list=(256,)))
     with pytest.raises(ValidationError):
         ExperimentConfig(N=0, R_list=())
     with pytest.raises(ValidationError):
@@ -280,6 +297,13 @@ def test_spectrum_experiment_output():
         assert entry["contraction_margin"] <= 1e-12
         assert all(m <= 1.0 + 1e-9 for m in entry["moduli"])
     assert payload["config"]["seed"] == 5
+    assert "R_list" not in payload["config"]
+
+
+def test_spectrum_experiment_ignores_the_unread_r_list():
+    # the default R_list (max 4096) exceeds N, but spectrum never reads it
+    payload = spectrum_experiment(ExperimentConfig(N=1000))
+    assert [row["N"] for row in payload["ladder"]] == [1000]
 
 
 # --- the battery -------------------------------------------------------------------

@@ -78,8 +78,23 @@ def test_frac_mul_int_matches_rational_oracle(beta):
     bf = Fraction(beta)
     for m in (0, 1, 7, 12345, 2**40 + 17, 2**62 + 3, 10**30):
         got = frac_mul_int(m, beta)
-        want = float((bf * m) % 1)
+        want = float((bf * m) % 1) % 1.0  # an oracle that rounds up to 1.0 is 0.0 on the circle
         assert got == want, (m, beta)
+
+
+def test_frac_mul_int_wraps_a_rounded_one_to_zero():
+    # both exact fractions lie within 2**-54 below 1
+    assert frac_mul_int(1, -1e-20) == 0.0
+    assert frac_mul_int(2**62 + 3, 1 / 3) == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+       m=st.integers(0, 2**64))
+@example(beta=-1e-20, m=1)
+@example(beta=1 / 3, m=2**62 + 3)
+def test_frac_mul_int_property_in_unit_interval(beta, m):
+    assert 0.0 <= frac_mul_int(m, beta) < 1.0
 
 
 def test_frac_mul_int_survives_magnitude():

@@ -297,6 +297,16 @@ def test_fourier_range_and_cap_errors(monkeypatch):
         fourier_coeffs(g, lam)
 
 
+def test_spectrum_grid_size_cap(monkeypatch):
+    # rows * grid_size entries past RANGE_CAP: refused before any value block
+    g = from_theta(0.5, scale_for(GOLDEN, 1000))
+    monkeypatch.setattr(spectral, "values_range", lambda *a: pytest.fail("value block built"))
+    with pytest.raises(CapError, match="spectrum grid"):
+        spectrum_scan(g, 100, grid_size=RANGE_CAP + 1)
+    with pytest.raises(CapError, match="spectrum grid"):
+        spectrum_scan(g, RANGE_CAP // 2 + 2, grid_size=RANGE_CAP // 2 + 1)  # two rows
+
+
 def test_parseval():
     scale = scale_for(SILVER, 2000)
     for theta in (0.5, 1 / 3, 0.1234567):
