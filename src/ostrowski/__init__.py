@@ -12,11 +12,9 @@ Public API re-exported from the submodules:
 from .alphafun import (
     AlphaFunction,
     evaluate,
-    evaluate_truncated,
     from_theta,
     load_atoms,
     parse_fn_spec,
-    trunc_values_range,
     twist,
     values_range,
 )
@@ -72,7 +70,6 @@ from .spectral import (
     CorrelationProfile,
     FourierTable,
     SpectrumScan,
-    block_correlation_estimate,
     correlation,
     correlation_profile,
     cyclic_identity_check,
@@ -104,14 +101,14 @@ __all__ = [
     "block_counts", "block_densities", "psi_range", "digit_at_range",
     "high_digit_sum_range", "sigma_range",
     # alphafun
-    "AlphaFunction", "from_theta", "twist", "evaluate", "evaluate_truncated",
-    "values_range", "trunc_values_range", "load_atoms", "parse_fn_spec",
+    "AlphaFunction", "from_theta", "twist", "evaluate", "values_range",
+    "load_atoms", "parse_fn_spec",
     # spectral
     "CorrelationProfile", "FourierTable", "SpectrumScan", "correlation",
     "correlation_profile", "quadratic_mean", "fourier_coeffs",
     "parseval_check", "cyclic_identity_check", "cyclic_identity_sweep",
     "exponential_sum",
-    "scale_sums", "spectrum_scan", "block_correlation_estimate",
+    "scale_sums", "spectrum_scan",
     "fejer_check", "large_sieve_check", "vdc_check",
     # harness
     "CheckReport", "ExperimentConfig", "carry_bound_check",

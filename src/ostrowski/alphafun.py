@@ -18,20 +18,19 @@ import numpy as np
 
 from .cfrac import ConvergentTable
 from .errors import RangeError, ValidationError
-from .numeration import encode, psi, psi_range
+from .numeration import encode
 from .numerics import check_size, frac_mul_int, unit1
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
 
 # Largest value bound B = prod_k max_e |v[k][e]| an atom table may have.  No
 # value g(n), and no partial product values_range forms, exceeds B.  The
-# largest intermediate of any estimator is the FFT correlation accumulator:
-# a chunk of b reference values, transformed at length L, contributes a
-# spectrum product of modulus at most (b * B) * (L * B), so the accumulated
-# spectrum stays below N * L * B**2 <= 2**26 * 2**27 * B**2 = 2**53 * B**2
-# (N + R - 1 <= RANGE_CAP = 2**26, L = 2**bitlen(2R - 1) <= 2**27).  Past
-# this bound that accumulator could overflow to inf and the result to NaN.
-VALUE_BOUND_MAX = math.sqrt(np.finfo(np.float64).max / 2.0**53)
+# largest intermediate of any estimator is an accumulated correlation sum,
+# |c(r)| <= N * B**2, kept finite for N < 2**64 (the scale limits of golden,
+# silver and [1,2,3,1,1,4] are 2**63.3 to 2**63.9; [1,2] reaches 2**64.3); a
+# transform inside it stays below (2**26 * B)**2.  Past this bound such a sum
+# could overflow to inf and the result to NaN.
+VALUE_BOUND_MAX = math.sqrt(np.finfo(np.float64).max / 2.0**64)
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,6 @@ def evaluate(g: AlphaFunction, n: int) -> complex:
     return out
 
 
-def evaluate_truncated(g: AlphaFunction, lam: int, n: int) -> complex:
-    """g_lam(n) = g(psi_lam(n)): only digits below level lam contribute."""
-    return evaluate(g, psi(n, lam, g.scale))
-
-
 def values_range(g: AlphaFunction, count: int) -> np.ndarray:
     """g(n) for n = 0..count-1 as one complex array.
 
@@ -181,13 +175,6 @@ def values_range(g: AlphaFunction, count: int) -> np.ndarray:
         prev, cur = cur, out
         i += 1
     return cur[:count]
-
-
-def trunc_values_range(g: AlphaFunction, lam: int, count: int) -> np.ndarray:
-    """g_lam(n) for n = 0..count-1: the base block gathered through psi_lam."""
-    base = values_range(g, g.scale.q[lam]) if lam > 0 else values_range(g, 1)
-    idx = psi_range(g.scale, lam, count)
-    return base[idx]
 
 
 def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:

@@ -124,7 +124,7 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _, g = _scale_fn(args, args.N + args.R)
+    _, g = _scale_fn(args, args.N + args.R - 1)  # n < N + R - 1 is evaluated
     prof = correlation_profile(g, args.R, args.N)
     rows = [[r, prof.gamma[r].real, prof.gamma[r].imag, abs(prof.gamma[r])]
             for r in range(args.R)]

@@ -322,7 +322,7 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     if config.N < max(config.R_list):
         raise ValidationError("N must be >= max(R_list)")
     t0 = time.perf_counter()
-    _, g = _scale_and_fn(config, config.N + max(config.R_list))
+    _, g = _scale_and_fn(config, config.N + max(config.R_list) - 1)  # n < N + R - 1
     profile = spectral.correlation_profile(g, max(config.R_list), config.N)
     rows = []
     for R in sorted(config.R_list):

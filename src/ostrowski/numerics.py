@@ -32,8 +32,8 @@ def pairwise_sum(values) -> complex:
 
     The result is a Python scalar, so dividing it by an int N rounds each
     part on its own as CPython does; numpy's complex division would multiply
-    by the reciprocal instead, and the fft-exact correlation route relies on
-    matching the former bit for bit.
+    by the reciprocal instead, and the levels-exact correlation route relies
+    on matching the former bit for bit.
     """
     return np.asarray(values).sum().item()
 

@@ -16,22 +16,24 @@ holds exactly for every complex-valued g, not just conjugation-symmetric ones.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from itertools import accumulate
+from math import prod
 
 import numpy as np
 
-from .alphafun import AlphaFunction, trunc_values_range, twist, values_range
+from .alphafun import AlphaFunction, twist, values_range
 from .errors import CapError, RangeError, ValidationError
-from .numeration import block_counts, encode
-from .numerics import check_size, frac_mul_array, frac_mul_range, pairwise_sum, unit
+from .numeration import encode
+from .numerics import RANGE_CAP, check_size, frac_mul_array, frac_mul_range, pairwise_sum, unit
 
 DFT_CAP = 1 << 20      # hard cap on transform length
 
-CORR_FFT_MIN = 1 << 20      # correlation profiles with N * R above this go through the FFT
-CORR_FFT_LOG_L_MIN = 14     # blocked transforms are at least 2**14 long
+CORR_FFT_MIN = 1 << 20      # correlation profiles with N * R above this take the level recursion
 EXACT_RESIDUAL_MAX = 1e-3   # largest |c - rint(c)| accepted as a Gaussian-integer sum
-EXACT_SUM_MAX = 1 << 40     # N * max|g|^2 past which FFT error could near 1/2
+EXACT_INT_MAX = 1 << 53     # integers up to here are exact floats, and so are their sums
+EXACT_FFT_NORM_MAX = 1 << 40  # largest |x| * |y| (2-norms) of one transform whose rounding is trusted
 
 GRID_DEFAULT = 4096
 REFINE_WIDTH = 1e-6
@@ -53,7 +55,7 @@ class CorrelationProfile:
     """gamma[r] = correlation(g, r, N) for r < R, plus its two summary means.
 
     route names the computation that produced gamma: "pairwise",
-    "fft" or "fft-exact" (see correlation_profile).
+    "levels" or "levels-exact" (see correlation_profile).
     """
 
     R: int
@@ -80,51 +82,153 @@ def _profile_pairwise(vals: np.ndarray, R: int, N: int) -> np.ndarray:
     return gamma
 
 
-def _correlation_sums_fft(vals: np.ndarray, R: int, N: int) -> np.ndarray:
-    """Unnormalised c[r] = sum_{n<N} vals[n+r] conj(vals[n]) for r < R.
+def _lagged_sums(x: np.ndarray, R: int, y: np.ndarray | None = None) -> np.ndarray:
+    """c[r] = sum_u x[u+r] * conj(y[u]) for r < R, both zero-padded; y defaults to x.
 
-    Blocked cross-correlation: each chunk of b <= L - R + 1 reference values
-    vals[s : s+b] is paired with vals[s : s+b+R-1], and the products of their
-    length-L transforms accumulate into one spectrum.  Index j + r stays below
-    b + R - 1 <= L, so the circular transform never wraps.  Working memory is
-    a few length-L arrays whatever N is.
+    One transform pair of length L >= max(len(x), len(y) + R - 1), so no lag
+    below R wraps around.
     """
-    L = 1 << max(CORR_FFT_LOG_L_MIN, (2 * R - 1).bit_length())
-    B = L - R + 1
-    acc = np.zeros(L, dtype=np.complex128)
-    for s in range(0, N, B):
-        b = min(B, N - s)
-        spec = np.conj(np.fft.fft(vals[s : s + b], L))
-        spec *= np.fft.fft(vals[s : s + b + R - 1], L)
-        acc += spec
-    return np.fft.ifft(acc)[:R]
+    y_len = len(x) if y is None else len(y)
+    if len(x) == 0 or y_len == 0:
+        return np.zeros(R, dtype=np.complex128)
+    L = 1 << (max(len(x), y_len + R - 1) - 1).bit_length()
+    fx = np.fft.fft(x, L)
+    fy = fx if y is None else np.fft.fft(y, L)
+    return np.fft.ifft(fx * np.conj(fy))[:R]
 
 
-def _has_gaussian_integer_atoms(g: AlphaFunction) -> bool:
-    return all(v.real.is_integer() and v.imag.is_integer() for row in g.atoms for v in row)
+class _Inexact(Exception):
+    """A transform's sums could not be trusted to round to their Gaussian integers."""
 
 
-def _profile_fft(g: AlphaFunction, vals: np.ndarray, R: int, N: int) -> tuple[np.ndarray, str] | None:
-    """(gamma, route) from the FFT sums, or None where only the pairwise route is exact.
+def _rint_sums(x: np.ndarray, R: int, y: np.ndarray | None = None) -> np.ndarray:
+    """_lagged_sums of Gaussian-integer inputs, rounded to the Gaussian integers they are.
 
-    Gaussian-integer atoms make every correlation sum a Gaussian integer; the
-    transform's result is then rounded, kept only if it sat within
-    EXACT_RESIDUAL_MAX of the integers, and divided by N part by part, which
-    is how Python's complex-by-int division in the pairwise route rounds.
+    Raises _Inexact when the input norms could carry the transform's error
+    near 1/2, or when any result sits EXACT_RESIDUAL_MAX or more off the
+    integers.
     """
-    c = _correlation_sums_fft(vals, R, N)
-    if not _has_gaussian_integer_atoms(g):
-        return c / N, "fft"
-    peak_sq = 1.0 if g.modulus_bound <= 1.0 else float(np.max(vals.real**2 + vals.imag**2))
-    if N * peak_sq > EXACT_SUM_MAX:
-        return None
+    xx = np.vdot(x, x).real
+    yy = xx if y is None else np.vdot(y, y).real
+    if xx * yy > float(EXACT_FFT_NORM_MAX) ** 2:
+        raise _Inexact
+    c = _lagged_sums(x, R, y)
     exact = np.rint(c)
     if np.max(np.abs(c - exact)) >= EXACT_RESIDUAL_MAX:
+        raise _Inexact
+    return exact
+
+
+def _level_sums(g: AlphaFunction, R: int, N: int, digits: tuple[int, ...], lag) -> np.ndarray:
+    """c[r] = sum_{n<N} g(n+r) conj(g(n)) for r < R; digits are those of M - 1 = N + R - 2.
+
+    Let k0 be the first level with q_k0 >= R.  The only value block is the
+    seed g(n), n < q_{k0+1}; lag (_lagged_sums, or _rint_sums for exact
+    sums) turns blocks into lagged sums.  Write h(u) = g(u) for u < R,
+    T_k(s) = g(q_k - s) for 1 <= s < R, v_k = g.atoms[k], a = a_{k+1} and
+
+        A_k(r) = sum_{u < q_k - r} g(u+r) conj(g(u)),
+        X_k(r) = sum_{1 <= s <= r} h(r-s) conj(T_k(s)).
+
+    [0, q_{k+1}) is a blocks b*q_k + [0, q_k), b < a, then a*q_k + [0, q_{k-1});
+    a pair at lag r < R <= q_{k-1} stays in its block or crosses into the next, so
+
+        A_{k+1} = S2 A_k + |v_k(a)|^2 A_{k-1} + S1 X_k,   T_{k+1} = v_k(a) T_{k-1}
+        (S2 = sum_{b<a} |v_k(b)|^2, S1 = sum_{b<a} v_k(b+1) conj(v_k(b))).
+
+    So T_k = tau_k T_{k0 + (k-k0) % 2} and X_k = conj(tau_k) X_{k0 + (k-k0) % 2}:
+    every A_k is a combination of the four basis sums A_k0, A_{k0+1}, X_k0,
+    X_{k0+1}, and its coefficients follow the recursion as scalars.
+
+    The digits walked from the top split [0, M) into pieces c * g([0, q_k)),
+    c = (prod_{j>k} v_j(d_j)) v_k(b) for each b < d_k, and the point M - 1.
+    The pieces at levels >= k0 end at S and hold
+    D = sum |c_i|^2 A_{k_i} + sum c_{i+1} conj(c_i) X_{k_i} over consecutive
+    pieces.  The window W = g on [S - R + 1, M), the last long piece's tail
+    followed by the short pieces, has length R - 1 + t, and
+
+        c = D + acorr(W) - acorr(W[:R-1]) - acorr(W[t:]),
+
+    the last term dropping the pairs with n >= N.  When M <= q_{k0+1}, or the
+    table has no level k0 + 1, c comes from one dense block v = g([0, M)) as
+    the lagged sums of v against v[:N].
+    """
+    q = g.scale.q
+    M = N + R - 1
+    k0 = bisect.bisect_left(q, R)
+    if k0 + 1 >= len(q) or M <= q[k0 + 1]:
+        check_size(M + R, "correlation block")
+        vals = values_range(g, M)
+        return lag(vals, R, vals[:N])
+    check_size(q[k0 + 1] + R, "correlation seed")
+    seed = values_range(g, q[k0 + 1])
+
+    long, short = [], []  # (level, coefficient) of the pieces of [0, M), in order
+    H = 1 + 0j
+    for k in reversed(range(len(digits))):
+        row = g.atoms[k]
+        (long if k >= k0 else short).extend((k, H * row[b]) for b in range(digits[k]))
+        H *= row[digits[k]]
+    (long if k0 == 0 else short).append((0, H))
+
+    span = long[0][0] - k0 + 1  # levels k0..top
+    coef = np.zeros((span, 4), dtype=np.complex128)  # A_k over (A_k0, A_k0+1, X_k0, X_k0+1)
+    tau = np.ones(span, dtype=np.complex128)
+    coef[0, 0] = coef[1, 1] = 1
+    for j in range(1, span - 1):
+        row = g.atoms[k0 + j]
+        a = len(row) - 1
+        s2 = sum(v.real**2 + v.imag**2 for v in row[:a])
+        s1 = sum(w * v.conjugate() for v, w in zip(row, row[1:]))
+        coef[j + 1] = s2 * coef[j] + (row[a].real**2 + row[a].imag**2) * coef[j - 1]
+        coef[j + 1, 2 + j % 2] += s1 * tau[j].conjugate()
+        tau[j + 1] = row[a] * tau[j - 1]
+
+    d = np.zeros(4, dtype=np.complex128)
+    for (k, c), after in zip(long, long[1:] + [None]):
+        j = k - k0
+        d += (c.real**2 + c.imag**2) * coef[j]
+        if after is not None:
+            d[2 + j % 2] += after[1] * (c * tau[j]).conjugate()
+
+    head = np.concatenate((np.zeros(R - 1, dtype=np.complex128), seed[:R]))
+    tails = [seed[qk - R + 1 : qk] for qk in (q[k0], q[k0 + 1])]
+    basis = (lag(seed[: q[k0]], R), lag(seed, R), lag(head, R, tails[0]), lag(head, R, tails[1]))
+    total = sum(dk * b for dk, b in zip(d, basis))
+
+    k, c = long[-1]
+    j = k - k0
+    window = np.concatenate([c * tau[j] * tails[j % 2]] + [cs * seed[: q[ks]] for ks, cs in short])
+    t = len(window) - (R - 1)
+    return total + lag(window, R) - lag(window[: R - 1], R) - lag(window[t:], R)
+
+
+def _gaussian_square_bound(rows) -> int | None:
+    """B**2 = prod over the rows of max_b |v(b)|**2 if every atom is a Gaussian integer, else None."""
+    if not all(v.real.is_integer() and v.imag.is_integer() for row in rows for v in row):
         return None
-    gamma = np.empty(R, dtype=np.complex128)
-    gamma.real = exact.real / N
-    gamma.imag = exact.imag / N
-    return gamma, "fft-exact"
+    return prod(max(int(v.real) ** 2 + int(v.imag) ** 2 for v in row) for row in rows)
+
+
+def _profile_levels(g: AlphaFunction, R: int, N: int) -> tuple[np.ndarray, str]:
+    """(gamma, route) from the level recursion; see correlation_profile."""
+    M = N + R - 1
+    digits = encode(M - 1, g.scale).digits
+    square_bound = _gaussian_square_bound(g.atoms[: len(digits)])
+    if square_bound is not None:
+        if M * square_bound <= EXACT_INT_MAX:
+            try:
+                c = _level_sums(g, R, N, digits, _rint_sums)
+            except _Inexact:
+                pass
+            else:
+                gamma = np.empty(R, dtype=np.complex128)
+                gamma.real = c.real / N
+                gamma.imag = c.imag / N
+                return gamma, "levels-exact"
+        if M <= RANGE_CAP:
+            return _profile_pairwise(values_range(g, M), R, N), "pairwise"
+    return _level_sums(g, R, N, digits, _lagged_sums) / N, "levels"
 
 
 def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
@@ -135,24 +239,40 @@ def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
     sliced per shift and fed through the same product and the same
     pairwise sum.
 
-    Otherwise all shifts come from one blocked FFT cross-correlation.  When
-    every atom is a Gaussian integer (theta in {0, 1/4, 1/2, 3/4}, or an
-    integer atom table) the sums are rounded to the Gaussian integers they
-    are, so gamma stays bit for bit equal to the pairwise route
-    ("fft-exact"); if the rounding residual reaches EXACT_RESIDUAL_MAX, or
-    N * max|g|^2 exceeds EXACT_SUM_MAX, the pairwise route runs instead.
-    For any other atoms ("fft") gamma agrees with the pairwise route to
-    within 1e-12 * max_{n < N+R} |g(n)|^2, which is 1e-12 for unimodular
-    atoms (measured: at most 4.4e-16 for theta in {0.1234567, 1/3} over
-    golden, silver and [1,2,3,1,1,4] at N = 2e6, R = 4096).
+    Otherwise the sums come from the level recursion of _level_sums, whose
+    only value block has q_{k0+1} entries (k0 the first level with
+    q_k0 >= R), so N may run up to the scale's limit while R + q_{k0+1}
+    stays within RANGE_CAP (CapError otherwise, before anything is
+    allocated).  Its cost is O(q_{k0+1} log q_{k0+1} + R log R + sum a_k).
+
+    When every atom on the rows the digits of N + R - 2 reach is a Gaussian
+    integer (theta in {0, 1/4, 1/2, 3/4}, or an integer atom table) and
+    (N + R - 1) * B**2 <= EXACT_INT_MAX = 2**53, B the product of those
+    rows' largest moduli, every partial sum is an exact float: the
+    transform outputs are rounded to their Gaussian integers and the
+    result divided by N part by part, so gamma is bit for bit the pairwise
+    route's ("levels-exact").  If that bound fails, a rounding residual
+    reaches EXACT_RESIDUAL_MAX, or a transform's input norms pass
+    EXACT_FFT_NORM_MAX, the pairwise route runs instead while
+    N + R - 1 <= RANGE_CAP, and the "levels" route past it.
+
+    For any other atoms ("levels") gamma agrees with the pairwise route to
+    within 1e-13 * max_{n < N+R-1} |g(n)|^2, which is 1e-13 for unimodular
+    atoms (measured: at most 8.9e-16 for theta in {0.1234567, 1/3} over
+    golden, silver, [1,2] and [1,2,3,1,1,4], R from 1 to 8192, N at
+    q_k +- 1, q_k + R - 1 and q_k + R up to 2**21; 3.6e-17 * max|g|^2 for
+    random atom tables of modulus up to 2).
     """
     if N < 1:
         raise ValidationError("N must be >= 1")
     if R < 1:
         raise ValidationError("R must be >= 1")
-    vals = values_range(g, N + R - 1)
-    fast = _profile_fft(g, vals, R, N) if N * R > CORR_FFT_MIN else None
-    gamma, route = fast if fast is not None else (_profile_pairwise(vals, R, N), "pairwise")
+    if N + R - 1 > g.scale.limit:
+        raise RangeError(f"N + R - 1 = {N + R - 1} past the scale limit {g.scale.limit}")
+    if N * R <= CORR_FFT_MIN:
+        gamma, route = _profile_pairwise(values_range(g, N + R - 1), R, N), "pairwise"
+    else:
+        gamma, route = _profile_levels(g, R, N)
     quad, absm = _profile_means(gamma)
     return CorrelationProfile(R, N, gamma, quad, absm, route)
 
@@ -420,24 +540,6 @@ def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> Sp
         candidates.append((mid, abs(_digit_exp_sum(plan, mid))))
     best_beta, best_val = max(candidates, key=lambda c: c[1])
     return SpectrumScan(best_beta % 1.0, best_val, grid)
-
-
-def block_correlation_estimate(g: AlphaFunction, lam: int, r: int, N: int) -> complex:
-    """Correlation estimate from the level-lam block decomposition.
-
-    (a/N) sum_{n<q_lam} g_lam(n+r) conj(g_lam(n))
-        + (b/N) sum_{n<q_{lam-1}} g_lam(n+r) conj(g_lam(n)),
-    where (a, b) count long/short blocks fully inside [0, N).  Differs from
-    correlation(g, r, N) by at most 4 (r/q_{lam-1} + q_lam/N) for unimodular g.
-    """
-    scale = g.scale
-    a, b = block_counts(lam, N, scale)
-    q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    tv = trunc_values_range(g, lam, q_long + r)
-    ref = np.conj(tv)
-    s_long = pairwise_sum(tv[r : r + q_long] * ref[:q_long])
-    s_short = pairwise_sum(tv[r : r + q_short] * ref[:q_short])
-    return (a / N) * s_long + (b / N) * s_short
 
 
 # --- classical inequality checks (shared by the harness) ---------------------

@@ -21,14 +21,12 @@ from ostrowski import (
     ValidationError,
     encode,
     evaluate,
-    evaluate_truncated,
     from_theta,
     load_atoms,
     parse_fn_spec,
     psi,
     scale_for,
     sigma,
-    trunc_values_range,
     twist,
     values_range,
 )
@@ -140,18 +138,6 @@ def test_values_range_prefix_stability():
     for count in (1, 2, 137, 1000):
         short = values_range(g, count)
         assert np.array_equal(short.view(np.float64), long[:count].view(np.float64))
-
-
-def test_truncated_evaluation():
-    scale = scale_for(GOLDEN, 3000)
-    g = from_theta(1 / 3, scale)
-    for lam in (0, 1, 3, 5):
-        tv = trunc_values_range(g, lam, 2000)
-        for n in (0, 1, 55, 1023, 1999):
-            assert tv[n] == evaluate_truncated(g, lam, n)
-            want = evaluate(g, psi(n, lam, scale))
-            assert abs(tv[n] - want) < 1e-14
-    assert np.all(trunc_values_range(g, 0, 100) == 1.0)
 
 
 # --- twisting --------------------------------------------------------------------

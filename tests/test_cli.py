@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ostrowski import GOLDEN, CheckReport, from_theta, scale_for
+from ostrowski import GOLDEN, CheckReport, expand_max, from_theta, scale_for
 from ostrowski.cli import build_parser, main
 import ostrowski.harness as harness
 import ostrowski.spectral as spectral
@@ -380,18 +380,72 @@ def test_spectrum_grid_past_the_size_cap_is_exit_3_without_traceback(monkeypatch
     assert "spectrum grid" in err and "Traceback" not in err
 
 
-def test_correlate_past_the_size_cap_is_exit_3_without_traceback():
-    # N + R - 1 = RANGE_CAP + 1 values: values_range refuses before allocating
-    proc = run_process("correlate", "--N", str(1 << 26), "--R", "2")
+def test_correlate_past_the_scale_limit_is_exit_3_without_traceback():
+    # n < N + R - 1 must be covered; one past the largest table's limit cannot be
+    limit = expand_max(GOLDEN).limit
+    proc = run_process("correlate", "--N", str(limit - 2), "--R", "4")
     assert proc.returncode == 3
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_correlate_reports_fft_route(capsys):
+def test_correlate_past_the_old_size_cap_takes_the_levels_route(capsys):
+    # N + R - 1 = RANGE_CAP + 1 used to need a value block past the cap
+    code, out = run(capsys, "correlate", "--N", str(1 << 26), "--R", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["route"] == "levels-exact"
+    assert [row["r"] for row in payload["rows"]] == [0, 1]
+    assert payload["rows"][0]["re"] == 1.0 and payload["rows"][0]["im"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["correlate", "experiment"])
+def test_scale_request_covers_exactly_n_below_N_plus_R_minus_1(command, capsys):
+    # only n < N + R - 1 is evaluated: N + R - 1 = limit runs, one more is exit 3
+    limit, R = expand_max(GOLDEN).limit, 4
+    for N, want in ((limit - R + 1, 0), (limit - R + 2, 3)):
+        if command == "correlate":
+            argv = ["correlate", "--N", str(N), "--R", str(R)]
+        else:
+            argv = ["experiment", "pseudorandomness", "--N", str(N), "--R-list", f"2,{R}"]
+        code, out = run(capsys, *argv)
+        assert code == want
+        if want == 0:
+            assert json.loads(out)["route"] == "levels"
+
+
+def test_correlate_past_the_size_budget_is_exit_3_before_allocating(monkeypatch, capsys):
+    # R + q_{k0+1} past RANGE_CAP: refused before the seed block is built
+    monkeypatch.setattr(spectral, "values_range", lambda *a: pytest.fail("value block built"))
+    assert main(["correlate", "--N", str(1 << 40), "--R", str((1 << 26) + 1)]) == 3
+    err = capsys.readouterr().err
+    assert "past the cap" in err and "Traceback" not in err
+
+
+def test_correlate_at_N_1e18_takes_the_levels_route(capsys):
+    code, out = run(capsys, "correlate", "--N", str(10**18), "--R", "1024")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["route"] == "levels"
+    assert len(payload["rows"]) == 1024
+    assert payload["rows"][0]["re"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["quadratic_mean"] < 0.01
+
+
+def test_atom_table_between_the_old_and_new_value_bound_is_exit_2(tmp_path, capsys):
+    # B = 2**483 passed sqrt(max/2**53) ~ 2**485.5 but could overflow N * B**2
+    # for N near 2**64; sqrt(max/2**64) = 2**480 refuses it
+    doc = {str(k): [[1.0, 0.0], [2.0**483 if k == 1 else 1.0, 0.0]] for k in range(40)}
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(doc))
+    assert main(["correlate", "--fn", f"atoms:{path}", "--N", "40", "--R", "4"]) == 2
+    assert "could overflow" in capsys.readouterr().err
+
+
+def test_correlate_reports_levels_route(capsys):
     code, out = run(capsys, "correlate", "--N", "40000", "--R", "32")
     assert code == 0
-    assert json.loads(out)["route"] == "fft-exact"
+    assert json.loads(out)["route"] == "levels-exact"
 
 
 def test_corrupt_atoms_is_exit_2(tmp_path, capsys):

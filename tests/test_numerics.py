@@ -50,7 +50,7 @@ def test_pairwise_sum_exact_on_integers():
 
 def test_pairwise_sum_returns_a_python_scalar():
     # complex / int in CPython divides each part by N; numpy's complex
-    # division multiplies by the reciprocal, which the fft-exact route's
+    # division multiplies by the reciprocal, which the levels-exact route's
     # bit-for-bit match with the pairwise route cannot absorb
     assert type(pairwise_sum(np.array([1 + 2j, 3 - 1j]))) is complex
     assert type(pairwise_sum(np.array([1.5, 2.0]))) is float

@@ -58,7 +58,6 @@ from ostrowski.spectral import (
     _exp_sum,
     _profile_pairwise,
     _top_local_maxima,
-    block_correlation_estimate,
 )
 
 
@@ -129,9 +128,9 @@ def test_correlation_profile_validation():
             correlation_profile(g, R, N)
 
 
-# --- FFT correlation route against the pairwise oracle ---------------------------
+# --- level-recursion correlation route against the pairwise oracle -------------
 
-# just above CORR_FFT_MIN; 16421 is not a multiple of the block length 16320
+# just above CORR_FFT_MIN; N + R - 1 = 16485 is no denominator of golden or silver
 N_FFT, R_FFT = 16421, 65
 FFT_ABS_TOL = 1e-13
 
@@ -146,7 +145,7 @@ def test_fft_route_is_exact_for_quarter_turns(spec, theta):
     assert N_FFT * R_FFT > CORR_FFT_MIN
     g = from_theta(theta, scale_for(spec, N_FFT + R_FFT))
     prof = correlation_profile(g, R_FFT, N_FFT)
-    assert prof.route == "fft-exact"
+    assert prof.route == "levels-exact"
     assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
     for r in (0, 1, R_FFT - 1):
         assert correlation(g, r, N_FFT) == prof.gamma[r]
@@ -165,7 +164,7 @@ def atom_document(scale, pick):
 def test_fft_route_tolerance_generic_theta(theta):
     g = from_theta(theta, scale_for(SILVER, N_FFT + R_FFT))
     prof = correlation_profile(g, R_FFT, N_FFT)
-    assert prof.route == "fft"
+    assert prof.route == "levels"
     assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
 
 
@@ -180,15 +179,15 @@ def test_fft_route_tolerance_contracting_atom_table():
     g = load_atoms(atom_document(scale, contracting), scale)
     assert max(abs(v) for row in g.atoms for v in row[1:]) < 0.9
     prof = correlation_profile(g, R_FFT, N_FFT)
-    assert prof.route == "fft"
+    assert prof.route == "levels"
     assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
 
 
-@pytest.mark.parametrize("atom, route", [((1.0, 1.0), "fft-exact"), ((4.0, 0.0), "pairwise")])
+@pytest.mark.parametrize("atom, route", [((1.0, 1.0), "levels-exact"), ((4.0, 0.0), "pairwise")])
 def test_fft_route_integer_atom_tables(atom, route):
-    # 1+i keeps N * max|g|^2 near 2**24, far below EXACT_SUM_MAX; atom 4 pushes
-    # it to about 2**54 (|g| reaches 4**10 below N), so only the pairwise route
-    # is trusted there
+    # 1+i keeps (N + R - 1) * B**2 near 2**35, within EXACT_INT_MAX; atom 4
+    # pushes it to about 2**98 (B = 4**21 over the 21 rows below N + R - 1),
+    # so only the pairwise route is trusted there
     scale = scale_for(GOLDEN, N_FFT + R_FFT)
     g = load_atoms(atom_document(scale, lambda k, e: atom), scale)
     prof = correlation_profile(g, R_FFT, N_FFT)
@@ -199,23 +198,22 @@ def test_fft_route_integer_atom_tables(atom, route):
 def test_route_selection():
     g = from_theta(0.5, scale_for(GOLDEN, CORR_FFT_MIN + 20))
     for R, N, route in ((64, CORR_FFT_MIN // 64, "pairwise"),
-                        (64, CORR_FFT_MIN // 64 + 1, "fft-exact"),
+                        (64, CORR_FFT_MIN // 64 + 1, "levels-exact"),
                         (1, CORR_FFT_MIN, "pairwise"),
-                        (1, CORR_FFT_MIN + 1, "fft-exact")):
+                        (1, CORR_FFT_MIN + 1, "levels-exact")):
         assert correlation_profile(g, R, N).route == route
 
 
 @pytest.mark.parametrize("R, N", [(1, CORR_FFT_MIN + 1), (8192, 200), (8192, 20000)])
 def test_fft_route_edge_shapes(R, N):
-    # R = 1: one shift over 65 blocks, the last of them a single value;
-    # R = 8192 = L/2 with L = 2**14: the longest lag one transform length
-    # serves, over one block (N = 200) and three (N = 20000)
-    for theta, route in ((0.5, "fft-exact"), (0.1234567, "fft")):
+    # R = 1: k0 = 0 and a one-value seed; R = 8192 on golden: N + R - 1 is
+    # below q_{k0+1} = 17711 at N = 200 (one dense block) and past it at N = 20000
+    for theta, route in ((0.5, "levels-exact"), (0.1234567, "levels")):
         g = from_theta(theta, scale_for(GOLDEN, N + R))
         prof = correlation_profile(g, R, N)
         assert prof.route == route
         want = pairwise_oracle(g, R, N)
-        if route == "fft-exact":
+        if route == "levels-exact":
             assert np.array_equal(prof.gamma, want)
         else:
             assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
@@ -223,9 +221,8 @@ def test_fft_route_edge_shapes(R, N):
 
 def test_fft_route_falls_back_when_rounding_is_not_clean(monkeypatch):
     g = from_theta(0.5, scale_for(GOLDEN, N_FFT + R_FFT))
-    clean = spectral._correlation_sums_fft
-    monkeypatch.setattr(spectral, "_correlation_sums_fft",
-                        lambda vals, R, N: clean(vals, R, N) + 0.3)
+    clean = spectral._lagged_sums
+    monkeypatch.setattr(spectral, "_lagged_sums", lambda x, R, y=None: clean(x, R, y) + 0.3)
     prof = correlation_profile(g, R_FFT, N_FFT)
     assert prof.route == "pairwise"
     assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
@@ -245,12 +242,80 @@ def test_fft_route_matches_pairwise_property(spec, theta, R, extra):
     prof = correlation_profile(g, R, N)
     want = pairwise_oracle(g, R, N)
     if theta in (0.0, 0.25, 0.5, 0.75):
-        assert prof.route == "fft-exact"
-    if prof.route == "fft-exact":
+        assert prof.route == "levels-exact"
+    if prof.route == "levels-exact":
         assert np.array_equal(prof.gamma, want)
     else:
-        assert prof.route == "fft"
+        assert prof.route == "levels"
         assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
+
+
+GOLDEN_Q = expand_max(GOLDEN).q
+
+
+def boundary_lengths(R):
+    """N at q_k - 1, q_k, q_k + 1, q_k + R - 1 and q_k + R, for the q_k that put N * R past CORR_FFT_MIN."""
+    q = next(qk for qk in GOLDEN_Q if qk * R > CORR_FFT_MIN + R)
+    return [q - 1, q, q + 1, q + R - 1, q + R]
+
+
+@pytest.mark.parametrize("R", [1, 610, 8192])
+def test_levels_route_at_convergent_boundaries(R):
+    # R = 610 = q_14 is k0's own denominator; R = 8192 puts N + R - 1 at or
+    # below q_{k0+1} = 17711 (the dense shape), and R = 1 has k0 = 0
+    rng = np.random.default_rng(R)
+    for N in boundary_lengths(R):
+        scale = scale_for(GOLDEN, N + R - 1)
+        for theta in (0.0, 0.25, 0.5):
+            g = from_theta(theta, scale)
+            prof = correlation_profile(g, R, N)
+            assert prof.route == "levels-exact"
+            assert np.array_equal(prof.gamma, pairwise_oracle(g, R, N))
+        for g in (from_theta(0.1234567, scale), random_atoms(scale, rng)):
+            prof = correlation_profile(g, R, N)
+            assert prof.route == "levels"
+            assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R, N))) <= FFT_ABS_TOL
+
+
+def test_levels_route_is_independent_of_the_seed_level():
+    # R = 64 seeds at q_10 = 89, R = 256 at q_13 = 377: same gamma_r, r < 64
+    N = 1 << 40
+    for theta, tol in ((0.5, 0.0), (0.1234567, 1e-13)):
+        g = from_theta(theta, scale_for(GOLDEN, N + 255))
+        short, long = correlation_profile(g, 64, N), correlation_profile(g, 256, N)
+        assert short.route == long.route == ("levels-exact" if tol == 0.0 else "levels")
+        assert np.max(np.abs(short.gamma - long.gamma[:64])) <= tol
+
+
+def test_levels_route_builds_no_N_sized_block(monkeypatch):
+    built = spectral.values_range
+
+    def small_only(g, count):
+        assert count <= 10**5, f"value block of {count}"
+        return built(g, count)
+
+    monkeypatch.setattr(spectral, "values_range", small_only)
+    R, N = 512, 1 << 22
+    prof = correlation_profile(from_theta(0.5, scale_for(GOLDEN, N + R - 1)), R, N)
+    assert prof.route == "levels-exact"
+    assert prof.gamma[0] == 1.0
+
+
+def test_levels_route_transforms_stay_near_the_seed(monkeypatch):
+    # at N = 1e18, R = 1024 no transform input is longer than q_{k0+1} + 2R
+    R, N = 1024, 10**18
+    lagged = spectral._lagged_sums
+    longest = []
+
+    def recorded(x, R, y=None):
+        longest.append(max(len(x), 0 if y is None else len(y)))
+        return lagged(x, R, y)
+
+    monkeypatch.setattr(spectral, "_lagged_sums", recorded)
+    prof = correlation_profile(from_theta(0.5, scale_for(GOLDEN, N + R - 1)), R, N)
+    assert prof.route == "levels"
+    assert 0 < max(longest) <= 2584 + 2 * R  # q_{k0+1} = 2584 after q_k0 = 1597 >= R
+    assert abs(prof.gamma[0] - 1.0) <= 1e-12
 
 
 # --- Fourier tables ----------------------------------------------------------------
@@ -527,21 +592,6 @@ def test_non_finite_beta_is_a_validation_error(beta):
         exponential_sum(g, beta, 10)
     with pytest.raises(ValidationError, match="not finite"):
         scale_sums(g, beta)
-
-
-# --- block-count correlation estimate ------------------------------------------------
-
-def test_block_correlation_estimate_envelope():
-    for spec in (GOLDEN, SILVER):
-        scale = scale_for(spec, 2 * 10**4)
-        g = from_theta(0.5, scale)
-        N = 10**4
-        for lam in (4, 6):
-            q_short = scale.q[lam - 1]
-            for r in range(0, min(q_short, 5)):
-                est = block_correlation_estimate(g, lam, r, N)
-                true = correlation(g, r, N)
-                assert abs(est - true) <= 4 * (r / q_short + scale.q[lam] / N) + 1e-12
 
 
 def test_dense_sums_refuse_sizes_past_the_cap_before_allocating():
