@@ -36,9 +36,7 @@ from .errors import CapError, RangeError, ValidationError
 from .harness import (
     CheckReport,
     ExperimentConfig,
-    carry_bound_check,
     carry_bound_sweep,
-    density_check,
     density_formula,
     density_sweep,
     gap_structure_check,
@@ -72,7 +70,6 @@ from .spectral import (
     SpectrumScan,
     correlation,
     correlation_profile,
-    cyclic_identity_check,
     cyclic_identity_sweep,
     exponential_sum,
     fejer_check,
@@ -106,13 +103,12 @@ __all__ = [
     # spectral
     "CorrelationProfile", "FourierTable", "SpectrumScan", "correlation",
     "correlation_profile", "quadratic_mean", "fourier_coeffs",
-    "parseval_check", "cyclic_identity_check", "cyclic_identity_sweep",
-    "exponential_sum",
+    "parseval_check", "cyclic_identity_sweep", "exponential_sum",
     "scale_sums", "spectrum_scan",
     "fejer_check", "large_sieve_check", "vdc_check",
     # harness
-    "CheckReport", "ExperimentConfig", "carry_bound_check",
-    "carry_bound_sweep", "density_formula", "density_check", "density_sweep",
+    "CheckReport", "ExperimentConfig", "carry_bound_sweep",
+    "density_formula", "density_sweep",
     "gap_structure_check", "pseudorandomness_experiment",
     "spectrum_experiment", "verify_all",
 ]

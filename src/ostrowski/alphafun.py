@@ -24,13 +24,15 @@ from .numerics import check_size, frac_mul_int, unit1
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
 
 # Largest value bound B = prod_k max_e |v[k][e]| an atom table may have.  No
-# value g(n), and no partial product values_range forms, exceeds B.  The
+# value g(n), and no partial product values_range forms, exceeds B, and a
+# transform of at most 2**26 such values stays below (2**26 * B)**2.  The
 # largest intermediate of any estimator is an accumulated correlation sum,
-# |c(r)| <= N * B**2, kept finite for N < 2**64 (the scale limits of golden,
-# silver and [1,2,3,1,1,4] are 2**63.3 to 2**63.9; [1,2] reaches 2**64.3); a
-# transform inside it stays below (2**26 * B)**2.  Past this bound such a sum
-# could overflow to inf and the result to NaN.
-VALUE_BOUND_MAX = math.sqrt(np.finfo(np.float64).max / 2.0**64)
+# |c(r)| <= N * B**2 with N below the scale limit, which passes 2**64 for
+# some specs (periodic:/1000 reaches 2**69.8), so a table is also refused
+# where B**2 times its scale's limit passes FLOAT_MAX.  Past either bound such
+# a sum could overflow to inf and the result to NaN.
+FLOAT_MAX = float(np.finfo(np.float64).max)
+VALUE_BOUND_MAX = math.sqrt(FLOAT_MAX / 2.0**64)
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,11 @@ class AlphaFunction:
             raise ValidationError(
                 f"atom table value bound {value_bound:.3g} exceeds {VALUE_BOUND_MAX:.3g}: "
                 "correlation sums could overflow"
+            )
+        if value_bound**2 * scale.limit > FLOAT_MAX:
+            raise ValidationError(
+                f"atom table value bound {value_bound:.3g} squared times the scale limit "
+                f"{scale.limit} passes the float range: correlation sums could overflow"
             )
         object.__setattr__(self, "atoms", tuple((1 + 0j,) + row[1:] for row in rows))
 
@@ -183,9 +190,9 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     The document maps digit positions to rows of [re, im] pairs:
     {"0": [[1,0], [re,im], ...], "1": ...}.  Every certified position needs a
     row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1 and that
-    every atom is finite and that the atom products stay below
-    VALUE_BOUND_MAX.  The modulus bound is taken as the largest atom modulus
-    found.
+    every atom is finite and that the atom products B stay below
+    VALUE_BOUND_MAX, with B**2 times the scale limit below FLOAT_MAX.  The
+    modulus bound is taken as the largest atom modulus found.
     """
     try:
         data = json.loads(document) if isinstance(document, str) else document

@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValidationError("N must be >= 1")
         if any(R < 1 for R in self.R_list):
             raise ValidationError("every R in R_list must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         parse_alpha_spec(self.alpha_spec)
 
     def to_dict(self) -> dict:
@@ -144,10 +146,11 @@ def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np
     just below w_{j+1}, and lands in the next block.  The count is then
     r * M, with M the moved transitions ending at or below N, plus the
     max(0, r - (w_{j+1} - N)) values of n below N that cross the one moved
-    transition with w_j < N < w_{j+1}.  Shifts r >= q_{lam-1} are counted n
-    by n through the same keys; so are r = 1 and r = q_{lam-1} - 1 whenever
-    the block count served them, and that dense recount is returned beside
-    the count (equal to it everywhere else).
+    transition with w_j < N < w_{j+1}.  Shifts r >= q_{lam-1} are never asked
+    for: N * r / q_{lam-1} >= N bounds their count trivially.  The shifts
+    r = 1 and r = q_{lam-1} - 1 are also counted n by n through the same
+    keys, and that dense recount is returned beside the count (equal to it
+    everywhere else).
     """
     q_prev = g.scale.q[lam - 1]
     size = N + int(r.max())
@@ -162,10 +165,8 @@ def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np
     overhang = int(ends[j]) - N if j < len(ends) and moved[j] else q_prev
     count = r * M + np.maximum(0, r - overhang)
     recount = count.copy()
-    for i in np.flatnonzero((r >= q_prev) | (r == 1) | (r == q_prev - 1)):
+    for i in np.flatnonzero((r == 1) | (r == q_prev - 1)):
         recount[i] = np.count_nonzero(_moved(g, key[r[i] : r[i] + N] - key[:N]))
-    dense = r >= q_prev
-    count[dense] = recount[dense]
     return count, recount
 
 
@@ -189,27 +190,17 @@ def _carry_report(g: AlphaFunction, lam: int, r_values, N: int) -> CheckReport:
     return _report("carry_bound", margins, details)
 
 
-def carry_bound_check(g: AlphaFunction, lam: int, r: int, N: int) -> CheckReport:
-    """Count truncation-sensitive n < N and compare against N*r/q_{lam-1}.
-
-    One instance of carry_bound_sweep; the reported margin is the slack in
-    count units.
-    """
-    if lam < 1:
-        raise ValidationError("lam must be >= 1")
-    if r < 0:
-        raise ValidationError("r must be >= 0")
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    if N + r > g.scale.limit:
-        raise RangeError(f"N + r = {N + r} beyond table limit {g.scale.limit}")
-    return _carry_report(g, lam, [r], N)
-
-
 def carry_bound_sweep(
     g: AlphaFunction, lam_max: int, N_values=CARRY_NS
 ) -> CheckReport:
-    """Exhaustive carry check: every lam <= lam_max, every r < q_{lam-1}."""
+    """Exhaustive carry check: every lam <= lam_max, every r < q_{lam-1}.
+
+    RangeError where some N + r passes the scale limit.
+    """
+    if lam_max < 1:
+        raise ValidationError("lam_max must be >= 1")
+    if any(N < 1 for N in N_values):
+        raise ValidationError("every N must be >= 1")
     scale = g.scale
     return _merge("carry_bound", [
         _carry_report(g, lam, range(scale.q[lam - 1]), N)
@@ -255,12 +246,6 @@ def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
     details = [{"lam": lam, "a": int(a[i]), "N": N, "empirical": float(empirical[i]),
                 "formula": float(formulas[i])} for i in np.flatnonzero(~(margins >= 0))[:10]]
     return formulas, margins, details
-
-
-def density_check(lam: int, a: int, N: int, scale: ConvergentTable) -> CheckReport:
-    """Empirical density of psi_lam(n) = a over n < N against the formula."""
-    _, margins, details = _density_margins(scale, lam, np.array([a]), N)
-    return _report("density", margins, details)
 
 
 def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> CheckReport:
@@ -414,7 +399,7 @@ def _run_sieve(rng) -> CheckReport:
         R = int(rng.integers(1, 129))
         t = float(rng.random())
         lhs, bound, _ = spectral.large_sieve_check(H, R, t)
-        margins.append(bound + 1e-9 - lhs)
+        margins.append(bound + spectral.SIEVE_SLACK - lhs)
     return _report("large_sieve", margins)
 
 
@@ -425,7 +410,7 @@ def _run_vdc(rng) -> CheckReport:
         R = int(rng.integers(1, L + 1))
         seq = np.exp(2j * np.pi * rng.random(L))
         lhs, rhs, _ = spectral.vdc_check(seq, R)
-        margins.append(rhs.real + 1e-9 * L * L - lhs)
+        margins.append(rhs.real + spectral.VDC_SLACK * L * L - lhs)
     return _report("van_der_corput", margins)
 
 
@@ -512,6 +497,8 @@ def verify_all(
     It is parsed against every one of those scales before any check runs, so
     an atom table that does not fit raises ValidationError first.
     """
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     families = {}
     if fn_spec is not None:
         identity = _with_fn(_scales(DEFAULT_ALPHA_SPECS, IDENTITY_UPTO), fn_spec)

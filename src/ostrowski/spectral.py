@@ -39,6 +39,9 @@ GRID_DEFAULT = 4096
 REFINE_WIDTH = 1e-6
 REFINE_PEAKS = 5
 
+SIEVE_SLACK = 1e-9  # additive slack of the large-sieve bound
+VDC_SLACK = 1e-9    # slack of the van der Corput bound, in units of L**2
+
 
 def correlation(g: AlphaFunction, r: int, N: int) -> complex:
     """Autocorrelation (1/N) sum_{n<N} g(n+r) * conj(g(n)), fixed-order summation."""
@@ -343,34 +346,27 @@ def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
     return _parseval(*_fourier_table(g, lam))
 
 
-def _cyclic_sides(g: AlphaFunction, lam: int, r_values):
-    """Yield (lhs, rhs) of the cyclic identity per shift, all off one Fourier table."""
-    r_values = list(r_values)
-    if any(r < 0 for r in r_values):
+def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
+    """Deltas |lhs - rhs| of the cyclic identity for many shifts off one Fourier table.
+
+    lhs = sum_h |G(h)|^2 e(h*r/q); rhs = (1/q) sum_v g((v+r) mod q) conj(g(v)).
+    Both sides come from one (shifts x q_lam) matrix each, so the shift count
+    times q_lam stays within RANGE_CAP (CapError otherwise); delta stays
+    below 1e-10 * q_lam.
+    """
+    r = np.array(list(r_values), dtype=np.int64)
+    if (r < 0).any():
         raise ValidationError("r must be >= 0")
     table, vals = _fourier_table(g, lam)
     q = table.q
+    check_size(len(r) * q, "cyclic identity matrix")
     power = table.G.real**2 + table.G.imag**2
     h = np.arange(q, dtype=np.int64)
-    for r in r_values:
-        lhs = pairwise_sum(power * unit(((h * (r % q)) % q) / q))
-        rhs = pairwise_sum(np.roll(vals, -(r % q)) * np.conj(vals)) / q
-        yield lhs, rhs
-
-
-def cyclic_identity_check(g: AlphaFunction, lam: int, r: int) -> tuple[complex, complex, float]:
-    """Both sides of the exact cyclic correlation identity and their distance.
-
-    lhs = sum_h |G(h)|^2 e(h*r/q); rhs = (1/q) sum_v g((v+r) mod q) conj(g(v)).
-    delta stays below 1e-10 * q_lam.  One shift of cyclic_identity_sweep.
-    """
-    ((lhs, rhs),) = _cyclic_sides(g, lam, [r])
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
-    """Deltas of the cyclic identity for many shifts off one Fourier table."""
-    return [abs(lhs - rhs) for lhs, rhs in _cyclic_sides(g, lam, r_values)]
+    s = (r % q)[:, None]
+    lhs = (power * unit(((h * s) % q) / q)).sum(axis=1)
+    rhs = (vals[(h + s) % q] * np.conj(vals)).sum(axis=1)
+    # parts divided on their own and libm's hypot: Python's abs(lhs - rhs / q), bit for bit
+    return np.hypot(lhs.real - rhs.real / q, lhs.imag - rhs.imag / q).tolist()
 
 
 def _exp_sum(vals: np.ndarray, beta: float) -> complex:
@@ -561,37 +557,33 @@ def large_sieve_check(H: int, R: int, t: float) -> tuple[float, float, bool]:
     """Mean-square of averaged phases over a 1/H-spaced frequency set.
 
     lhs = sum_{h<H} |(1/R) sum_{r<R} e(r(t + h/H))|^2 must stay below
-    (H + R - 1)/R; returns (lhs, bound, ok) with additive slack 1e-9.
+    (H + R - 1)/R; returns (lhs, bound, ok) with additive slack SIEVE_SLACK.
+    The inner sums are the rows of one H x R phase matrix (CapError past
+    RANGE_CAP entries).
     """
     if H < 1 or R < 1:
         raise ValidationError("H and R must be >= 1")
-    r = np.arange(R, dtype=np.float64)
-    terms = np.empty(H, dtype=np.float64)
-    for h in range(H):
-        avg = pairwise_sum(unit(r * (t + h / H))) / R
-        terms[h] = abs(avg) ** 2
-    lhs = pairwise_sum(terms).real
+    check_size(H * R, "large sieve matrix")
+    sums = unit((t + np.arange(H) / H)[:, None] * np.arange(R, dtype=np.float64)).sum(axis=1)
+    # parts divided on their own and libm's hypot and pow: Python's abs(sum / R) ** 2, bit for bit
+    lhs = pairwise_sum(np.float_power(np.hypot(sums.real / R, sums.imag / R), 2))
     bound = (H + R - 1) / R
-    return lhs, bound, lhs <= bound + 1e-9
+    return lhs, bound, lhs <= bound + SIEVE_SLACK
 
 
 def vdc_check(sequence, R: int) -> tuple[float, complex, bool]:
     """Shift-averaged bound on |sum a_n|^2.
 
     rhs = ((L - 1 + R)/R) sum_{|r|<R} (1 - |r|/R) sum_{n, n+r in I} a_{n+r} conj(a_n)
-    dominates lhs = |sum a_n|^2; returns (lhs, rhs, ok) with slack 1e-9 * L^2.
+    dominates lhs = |sum a_n|^2; returns (lhs, rhs, ok) with slack VDC_SLACK * L^2.
+    The inner sums are the lags 1 - R..R - 1 of one full autocorrelation.
     """
     a = np.asarray(sequence, dtype=np.complex128)
     L = len(a)
     if not 1 <= R <= L:
         raise RangeError(f"R={R} outside 1..{L}")
     lhs = abs(pairwise_sum(a)) ** 2
-    inner_total = 0j
-    for r in range(1 - R, R):
-        if r >= 0:
-            inner = pairwise_sum(a[r:] * np.conj(a[: L - r]))
-        else:
-            inner = pairwise_sum(a[: L + r] * np.conj(a[-r:]))
-        inner_total += (1 - abs(r) / R) * inner
-    rhs = ((L - 1 + R) / R) * inner_total
-    return lhs, rhs, lhs <= rhs.real + 1e-9 * L * L
+    inner = np.correlate(a, a, "full")[L - R : L + R - 1]
+    weights = 1 - np.abs(np.arange(1 - R, R)) / R
+    rhs = ((L - 1 + R) / R) * pairwise_sum(weights * inner)
+    return lhs, rhs, lhs <= rhs.real + VDC_SLACK * L * L

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ostrowski import GOLDEN, CheckReport, expand_max, from_theta, scale_for
+from ostrowski import GOLDEN, CheckReport, expand_max, from_theta, parse_alpha_spec, scale_for
 from ostrowski.cli import build_parser, main
 import ostrowski.harness as harness
 import ostrowski.spectral as spectral
@@ -452,6 +452,47 @@ def test_corrupt_atoms_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"0": [[1.0, 0.0]]}))
     assert main(["verify", "--only", "fejer", "--fn", f"atoms:{bad}"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--only", "fejer", "--seed", "-1"),
+    ("experiment", "spectrum", "--N", "4096", "--seed", "-1"),
+])
+def test_negative_seed_is_exit_2_without_traceback(argv, capsys):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert "Traceback" not in err
+
+
+def test_atom_table_whose_squared_bound_passes_the_float_range_at_the_scale_limit(tmp_path, capsys):
+    # B = 2**479.5 stays below VALUE_BOUND_MAX = 2**480, but periodic:/1000
+    # has 7 rows and a limit near 2**69.8, so N * B**2 could reach inf
+    scale = expand_max(parse_alpha_spec("periodic:/1000"))
+    assert scale.rows == 7
+    m = 2.0 ** (479.5 / 7)
+    doc = {str(k): [[1.0, 0.0]] + [[m, 0.0]] * 1000 for k in range(scale.rows)}
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(doc))
+    argv = ("correlate", "--alpha", "periodic:/1000", "--fn", f"atoms:{path}",
+            "--N", str(scale.limit - 1), "--R", "1")
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    proc = run_process(*argv)
+    for code, out, err in ((code, out, err), (proc.returncode, proc.stdout, proc.stderr)):
+        assert code in (2, 3)
+        assert "could overflow" in err
+        assert "NaN" not in out + err and "Infinity" not in out
+        assert "Traceback" not in err
+
+
+def test_every_public_name_resolves_and_star_import_works():
+    import ostrowski
+
+    assert [name for name in ostrowski.__all__ if not hasattr(ostrowski, name)] == []
+    namespace = {}
+    exec("from ostrowski import *", namespace)
+    assert set(ostrowski.__all__) <= set(namespace)
 
 
 def test_installed_entry_point():

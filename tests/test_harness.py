@@ -21,9 +21,7 @@ from ostrowski import (
     ExperimentConfig,
     RangeError,
     ValidationError,
-    carry_bound_check,
     carry_bound_sweep,
-    density_check,
     density_formula,
     density_sweep,
     encode,
@@ -83,7 +81,7 @@ def test_carry_count_matches_brute_force(spec, theta):
     for lam in (1, 2, 3):
         q_prev = scale.q[lam - 1]
         for r in range(q_prev):
-            rep = carry_bound_check(g, lam, r, 400)
+            rep = harness._carry_report(g, lam, [r], 400)
             brute = brute_carry_count(g, lam, r, 400)
             assert rep.instances_run == 1
             assert rep.worst_margin == 400 * r / q_prev - brute
@@ -97,7 +95,7 @@ def test_carry_digit_route_without_theta():
     g = from_theta(1 / 3, scale)
     bare = type(g)(scale, g.atoms, g.modulus_bound, None)
     lam, r, N = 2, 1, 250
-    rep = carry_bound_check(bare, lam, r, N)
+    rep = harness._carry_report(bare, lam, [r], N)
     brute = sum(1 for n in range(N) if psi(n + r, lam, scale) - psi(n, lam, scale) != r)
     assert rep.worst_margin == N * r / scale.q[lam - 1] - brute
     assert rep.ok
@@ -113,15 +111,15 @@ def test_carry_digit_route_without_theta():
     data=st.data(),
 )
 def test_carry_margin_matches_per_n_oracle(spec_text, theta, N, lam, data):
-    # r < q_{lam-1} takes the block-transition count, r >= q_{lam-1} the dense
-    # scan; theta None is an untagged table, compared digit by digit
+    # every r < q_{lam-1} takes the block-transition count; theta None is an
+    # untagged table, compared digit by digit
     scale = scale_for(parse_alpha_spec(spec_text), 2000)
     g = from_theta(1 / 3 if theta is None else theta, scale)
     if theta is None:
         g = type(g)(scale, g.atoms, g.modulus_bound, None)
     q_prev = scale.q[lam - 1]
-    r = data.draw(st.integers(0, q_prev + 8), label="r")
-    rep = carry_bound_check(g, lam, r, N)
+    r = data.draw(st.integers(0, q_prev - 1), label="r")
+    rep = harness._carry_report(g, lam, [r], N)
     assert rep.instances_run == 1 and rep.ok, rep.details
     assert rep.worst_margin == N * r / q_prev - brute_carry_count(g, lam, r, N)
 
@@ -171,11 +169,11 @@ def test_carry_validation():
     scale = scale_for(GOLDEN, 100)
     g = from_theta(0.5, scale)
     with pytest.raises(ValidationError):
-        carry_bound_check(g, 0, 1, 10)
+        carry_bound_sweep(g, 0, N_values=(10,))
     with pytest.raises(ValidationError):
-        carry_bound_check(g, 1, -1, 10)
-    with pytest.raises(RangeError):
-        carry_bound_check(g, 1, 1, scale.limit)
+        carry_bound_sweep(g, 3, N_values=(10, 0))
+    with pytest.raises(RangeError):  # N + r = limit + 1 at lam = 3, r = q_2 - 1 = 1
+        carry_bound_sweep(g, 3, N_values=(scale.limit,))
 
 
 # --- densities ---------------------------------------------------------------------
@@ -210,15 +208,11 @@ def test_density_formula_range_errors():
 
 def test_density_check_and_sweep():
     scale = scale_for(SILVER, 2 * 10**5)
-    rep = density_check(3, 7, 10**5, scale)
-    assert rep.ok and rep.instances_run == 1
     sweep = density_sweep(scale, 4, N=10**5)
     assert sweep.ok
     assert sweep.instances_run == 4 + sum(scale.q[lam] for lam in range(1, 5))
     with pytest.raises(ValidationError):
-        density_check(3, 7, 0, scale)
-    with pytest.raises(RangeError):
-        density_check(3, scale.q[3], 10**5, scale)
+        density_sweep(scale, 4, N=0)
 
 
 # --- gap structure -----------------------------------------------------------------

@@ -24,7 +24,6 @@ from ostrowski import (
     ValidationError,
     correlation,
     correlation_profile,
-    cyclic_identity_check,
     cyclic_identity_sweep,
     encode,
     evaluate,
@@ -46,8 +45,9 @@ from ostrowski import (
     twist,
     values_range,
     vdc_check,
+    verify_all,
 )
-from ostrowski.numerics import RANGE_CAP
+from ostrowski.numerics import RANGE_CAP, pairwise_sum, unit
 from ostrowski.spectral import (
     CORR_FFT_MIN,
     DFT_CAP,
@@ -395,13 +395,51 @@ def test_cyclic_identity_for_arbitrary_complex_tables():
             assert max(deltas) < 1e-10 * q
 
 
-def test_cyclic_identity_single_matches_sweep():
-    scale = scale_for(GOLDEN, 1000)
-    g = from_theta(1 / 3, scale)
-    lhs, rhs, delta = cyclic_identity_check(g, 6, 3)
-    assert abs(lhs - rhs) == delta
-    assert delta == cyclic_identity_sweep(g, 6, [3])[0]
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+def battery_calls(monkeypatch, name, families):
+    """(args, result) of every spectral.<name> call verify_all(seed=0) makes over families."""
+    real, calls = getattr(spectral, name), []
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(spectral, name, recorded)
+    verify_all(seed=0, only=families)
+    return calls
+
+
+def cyclic_deltas_per_shift(g, lam, r_values):
+    """Deltas of the cyclic identity through one pairwise sum per shift and side."""
+    table = fourier_coeffs(g, lam)
+    q = table.q
+    vals = values_range(g, q)
+    power = table.G.real**2 + table.G.imag**2
+    h = np.arange(q, dtype=np.int64)
+    deltas = []
+    for r in r_values:
+        lhs = pairwise_sum(power * unit(((h * (r % q)) % q) / q))
+        rhs = pairwise_sum(np.roll(vals, -(r % q)) * np.conj(vals)) / q
+        deltas.append(abs(lhs - rhs))
+    return deltas
+
+
+def test_cyclic_identity_sweep_matches_the_per_shift_loop_bit_for_bit(monkeypatch):
+    calls = battery_calls(monkeypatch, "cyclic_identity_sweep", "cyclic")
+    assert len(calls) == 168  # the identity family's levels with q_lam <= 1024
+    for (g, lam, r_values), deltas in calls:
+        assert deltas == cyclic_deltas_per_shift(g, lam, r_values)
+
+
+def test_cyclic_identity_sweep_edges():
+    g = from_theta(1 / 3, scale_for(GOLDEN, 1000))
+    assert cyclic_identity_sweep(g, 6, []) == []
+    assert cyclic_identity_sweep(g, 6, [3, 3 + 13]) == cyclic_identity_sweep(g, 6, [3, 3])  # q_6 = 13
+    with pytest.raises(ValidationError):
+        cyclic_identity_sweep(g, 6, [0, -1])
+    g = from_theta(1 / 3, scale_for(GOLDEN, 20000))
+    with pytest.raises(CapError):  # 6200 shifts x q_20 = 10946 entries pass RANGE_CAP
+        cyclic_identity_sweep(g, 20, range(6200))
 
 
 # --- exponential sums ----------------------------------------------------------------
@@ -619,11 +657,31 @@ def test_fejer_random_sweep():
         assert delta <= 1e-10 * R * R
 
 
+def sieve_lhs_per_h(H, R, t):
+    """lhs of the large sieve through one pairwise sum per frequency h."""
+    r = np.arange(R, dtype=np.float64)
+    terms = np.empty(H, dtype=np.float64)
+    for h in range(H):
+        terms[h] = abs(pairwise_sum(unit(r * (t + h / H))) / R) ** 2
+    return pairwise_sum(terms)
+
+
+def test_large_sieve_matches_the_per_h_loop_bit_for_bit(monkeypatch):
+    calls = battery_calls(monkeypatch, "large_sieve_check", ["fejer", "large_sieve"])
+    assert len(calls) == 500
+    for (H, R, t), (lhs, bound, ok) in calls:
+        assert lhs == sieve_lhs_per_h(H, R, t)
+        assert bound == (H + R - 1) / R
+        assert ok == (lhs <= bound + spectral.SIEVE_SLACK)
+
+
 def test_large_sieve_edges():
     lhs, bound, ok = large_sieve_check(1, 8, 0.0)
     assert ok and bound == 1.0 and lhs == pytest.approx(1.0)
     lhs, bound, ok = large_sieve_check(4, 1, 0.37)
     assert ok and bound == 4.0 and lhs == pytest.approx(4.0)
+    with pytest.raises(CapError):  # 2**27 matrix entries, refused before allocating
+        large_sieve_check(1 << 13, 1 << 14, 0.0)
 
 
 def test_vdc_constant_sequence_is_tight():
@@ -632,6 +690,31 @@ def test_vdc_constant_sequence_is_tight():
     assert ok
     assert lhs == pytest.approx(L * L)
     assert rhs.real == pytest.approx(L * L)
+
+
+def vdc_rhs_per_shift(a, R):
+    """rhs of the van der Corput bound through one pairwise sum per shift."""
+    L = len(a)
+    total = 0j
+    for r in range(1 - R, R):
+        if r >= 0:
+            inner = pairwise_sum(a[r:] * np.conj(a[: L - r]))
+        else:
+            inner = pairwise_sum(a[: L + r] * np.conj(a[-r:]))
+        total += (1 - abs(r) / R) * inner
+    return ((L - 1 + R) / R) * total
+
+
+def test_vdc_matches_the_per_shift_loop(monkeypatch):
+    # the lags come from one autocorrelation and one weighted pairwise sum,
+    # so rhs moves by rounding only (measured: at most 1.4e-16 * L**2)
+    calls = battery_calls(monkeypatch, "vdc_check", ["fejer", "large_sieve", "vdc"])
+    assert len(calls) == 200
+    for (seq, R), (lhs, rhs, ok) in calls:
+        L = len(seq)
+        assert lhs == abs(pairwise_sum(seq)) ** 2
+        assert abs(rhs - vdc_rhs_per_shift(seq, R)) <= 1e-15 * L * L
+        assert ok == (lhs <= rhs.real + spectral.VDC_SLACK * L * L)
 
 
 def test_vdc_random_sequences():
