@@ -50,13 +50,11 @@ from .numeration import (
     BlockIndex,
     DigitString,
     block_counts,
-    block_densities,
     decode,
     digit_at_range,
     digit_string,
     encode,
     high_digit_sum_range,
-    iterate,
     psi,
     psi_range,
     sigma,
@@ -94,9 +92,9 @@ __all__ = [
     "scale_for", "alpha_value", "tail",
     # numeration
     "DigitString", "BlockIndex", "LONG", "SHORT", "encode", "decode",
-    "digit_string", "validate", "sigma", "psi", "iterate", "w_sequence",
-    "block_counts", "block_densities", "psi_range", "digit_at_range",
-    "high_digit_sum_range", "sigma_range",
+    "digit_string", "validate", "sigma", "psi", "w_sequence",
+    "block_counts", "psi_range", "digit_at_range", "high_digit_sum_range",
+    "sigma_range",
     # alphafun
     "AlphaFunction", "from_theta", "twist", "evaluate", "values_range",
     "load_atoms", "parse_fn_spec",

@@ -12,6 +12,7 @@ verify report goes through `_emit`: JSON, or CSV whose first line is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,8 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use, not at import; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

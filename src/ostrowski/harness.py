@@ -24,7 +24,7 @@ from .cfrac import (
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import SHORT, _greedy, psi_range, w_sequence
+from .numeration import SHORT, _greedy, _walk, w_sequence
 from .numerics import pairwise_sum
 
 # Default verification family.
@@ -155,7 +155,8 @@ def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np
     q_prev = g.scale.q[lam - 1]
     size = N + int(r.max())
     hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
-    key = hi if g.theta is not None else np.arange(size) - ps
+    # int64 keys: _moved's d % den needs them past int32 lanes (den up to 2**61)
+    key = hi.astype(np.int64) if g.theta is not None else np.arange(size) - ps
     starts = np.flatnonzero(ps == 0)
     moved = _moved_transitions(g, key, starts)
     ends = starts[1:]
@@ -233,12 +234,12 @@ def density_formula(scale: ConvergentTable, lam: int, a: int) -> float:
     return float(_density_formulas(scale, lam, np.array([a]))[0])
 
 
-def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
-    """Formula densities, margins and failure details for psi_lam(n) = a over n < N."""
-    if N < 1:
-        raise ValidationError("N must be >= 1")
+def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, counts: np.ndarray, N: int):
+    """Formula densities, margins and failure details for psi_lam(n) = a over n < N.
+
+    counts is np.bincount of psi_lam(n) over n < N.
+    """
     formulas = _density_formulas(scale, lam, a)
-    counts = np.bincount(psi_range(scale, lam, N))
     if len(counts) > scale.q[lam]:
         raise AssertionError("psi_lam produced a value >= q_lam")
     empirical = np.append(counts, 0)[np.minimum(a, len(counts))] / N  # 0 past the largest psi
@@ -248,14 +249,28 @@ def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, N: int):
     return formulas, margins, details
 
 
+def _psi_counts(scale: ConvergentTable, lam_max: int, N: int) -> list[np.ndarray]:
+    """np.bincount of psi_lam(n) over n < N for lam = 1..lam_max, from one greedy walk.
+
+    The walk yields no level above the top index of N - 1; there psi_lam(n) = n.
+    """
+    if lam_max < 1:
+        return []
+    counts = {k: np.bincount(psi) for k, _, psi in _walk(scale, N, 1) if k <= lam_max}
+    return [counts[lam] if lam in counts else np.ones(N, dtype=np.int64)
+            for lam in range(1, lam_max + 1)]
+
+
 def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> CheckReport:
-    """Densities for every a < q_lam, lam <= lam_max, in one pass per level.
+    """Densities for every a < q_lam, lam <= lam_max, from one greedy pass over n < N.
 
     Also verifies that the formula masses sum to 1 (within 1e-10) per level.
     """
+    if N < 1:
+        raise ValidationError("N must be >= 1")
     reports = []
-    for lam in range(1, min(lam_max, scale.K) + 1):
-        formulas, margins, details = _density_margins(scale, lam, np.arange(scale.q[lam]), N)
+    for lam, counts in enumerate(_psi_counts(scale, min(lam_max, scale.K), N), start=1):
+        formulas, margins, details = _density_margins(scale, lam, np.arange(scale.q[lam]), counts, N)
         mass = 1e-10 - abs(float(np.sum(formulas)) - 1.0)
         reports.append(_report("density", np.append(mass, margins), details))
     return _merge("density", reports)

@@ -3,8 +3,8 @@
 Every n >= 0 below the scale's limit has a unique expansion
 n = sum_k eps_k * q_k with 0 <= eps_0 < a_1, 0 <= eps_k <= a_{k+1}, and
 eps_k = a_{k+1} forcing eps_{k-1} = 0.  This module provides the greedy
-encoder/decoder, digit statistics (sigma, psi), iteration, and the block
-structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
+encoder/decoder, digit statistics (sigma, psi), the greedy range kernels,
+and the block structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ def psi(n: int, lam: int, scale: ConvergentTable) -> int:
     return sum(e * qk for e, qk in zip(d.digits[:lam], d.scale.q[:lam]))
 
 
-def iterate(scale: ConvergentTable, N: int) -> Iterator[tuple[int, DigitString]]:
-    """Yield (n, digits) for n = 0..N-1 by per-n greedy re-encoding."""
-    if N > scale.limit:
-        raise RangeError(f"N={N} beyond table limit {scale.limit}")
-    for n in range(N):
-        yield n, encode(n, scale)
-
-
 @dataclass(frozen=True)
 class BlockIndex:
     """Starts w_0 < w_1 < ... of the blocks at level lam, with per-gap kinds.
@@ -232,14 +224,6 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     return a, int(np.count_nonzero(inside)) - a
 
 
-def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, float]:
-    """(a/N, b/N) for the long/short gap counts of block_counts."""
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    a, b = block_counts(lam, N, scale)
-    return a / N, b / N
-
-
 # --- vectorized per-n greedy kernels ---------------------------------------
 #
 # These run the same greedy reduction as encode, but over a whole range of n
@@ -248,35 +232,61 @@ def block_densities(lam: int, N: int, scale: ConvergentTable) -> tuple[float, fl
 # arithmetic is identical integer arithmetic).
 
 
-def _greedy(
-    scale: ConvergentTable, stop: int, lo: int, digit_sum: bool = False, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-down greedy reduction of n in [start, stop) from the top index of stop - 1 to level lo.
+def _walk(
+    scale: ConvergentTable, stop: int, lo: int, start: int = 0
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The greedy level walk over n in [start, stop): yields (k, eps_k * q_k, psi_k) per level.
 
-    Returns the int64 arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k,
-    psi_lo) with digit_sum; with no level between the top index of stop - 1
-    and lo they hold (0, n).  The remainder is reduced in place and the digit
-    buffer holds eps_k * q_k in between (floor_divide by a scalar has a fast
-    path that np.divmod lacks), so the working memory is those arrays.
+    Levels run from the top index of stop - 1 down to lo; above the top
+    index no digit is peeled and psi_k = n, and no level is yielded there.
+    The remainder is reduced in place and the digit buffer holds eps_k * q_k
+    (floor_divide by a scalar has a fast path that np.divmod lacks), so both
+    yielded arrays are the walk's working buffers: a consumer may change the
+    digit buffer, which the next level overwrites, but not the remainder.
+    They are int32 lanes when stop <= 2**31 - 1, where every q_k walked and
+    every remainder fits, and int64 otherwise.
     """
     if stop < start:
         raise RangeError(f"count={stop - start} is negative")
     if stop > scale.limit:
         raise RangeError(f"count={stop} beyond table limit {scale.limit}")
     check_size(stop - start, "greedy digit pass")
-    rem = np.arange(start, stop, dtype=np.int64)
-    d = np.zeros_like(rem)
-    total = np.zeros_like(rem) if digit_sum else d
+    rem = np.arange(start, stop, dtype=np.int32 if stop <= np.iinfo(np.int32).max else np.int64)
+    d = np.empty_like(rem)
     q = scale.q
-    levels = range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1)
-    for k in levels:
+    for k in range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1):
         np.floor_divide(rem, q[k], out=d)
-        if digit_sum:
-            total += d
         d *= q[k]
         rem -= d
-    if levels and not digit_sum:
+        yield k, d, rem
+
+
+def _greedy(
+    scale: ConvergentTable, stop: int, lo: int, digit_sum: bool = False, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-down greedy reduction of n in [start, stop) from the top index of stop - 1 to level lo.
+
+    Returns the arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k, psi_lo)
+    with digit_sum, in the walk's lanes (int32 when stop <= 2**31 - 1); with
+    no level between the top index of stop - 1 and lo they are the int64
+    arrays (0, n).  The working memory is the walk's two arrays, plus the
+    running sum with digit_sum.
+    """
+    q = scale.q
+    total = rem = None
+    for k, d, rem in _walk(scale, stop, lo, start):
+        if digit_sum:
+            d //= q[k]
+            if total is None:
+                total = d.copy()
+            else:
+                total += d
+    if rem is None:
+        rem = np.arange(start, stop, dtype=np.int64)
+        return np.zeros_like(rem), rem
+    if not digit_sum:
         d //= q[lo]
+        total = d
     return total, rem
 
 
@@ -284,17 +294,17 @@ def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
     """psi_lam(n) for n = 0..count-1 (int64): the remainder once digits >= lam are peeled."""
     if lam < 0:
         raise ValidationError("lam must be >= 0")
-    return _greedy(scale, count, lam)[1]
+    return _greedy(scale, count, lam)[1].astype(np.int64, copy=False)
 
 
 def digit_at_range(scale: ConvergentTable, k: int, count: int) -> np.ndarray:
     """eps_k(n) for n = 0..count-1 (int64)."""
-    return _greedy(scale, count, k)[0]
+    return _greedy(scale, count, k)[0].astype(np.int64, copy=False)
 
 
 def high_digit_sum_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
     """sum_{k >= lam} eps_k(n) for n = 0..count-1 (int64)."""
-    return _greedy(scale, count, lam, digit_sum=True)[0]
+    return _greedy(scale, count, lam, digit_sum=True)[0].astype(np.int64, copy=False)
 
 
 def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:

@@ -41,6 +41,18 @@ def test_encode_csv_has_config_comment(capsys):
     assert lines[2] == "4,2,0;1;0;1"
 
 
+def test_successive_calls_share_no_parsed_state(capsys):
+    # main keeps one parser per process: an append option of one call must
+    # not leak into the next, and build_parser still returns a fresh parser
+    _, out = run(capsys, "encode", "4", "--lam", "2", "--lam", "3")
+    assert json.loads(out)["psi"] == {"2": 1, "3": 1}
+    _, out = run(capsys, "encode", "4", "--lam", "1")
+    assert json.loads(out)["psi"] == {"1": 0}
+    _, out = run(capsys, "encode", "4")
+    assert json.loads(out)["psi"] == {}
+    assert build_parser() is not build_parser()
+
+
 def test_decode_round_trip(capsys):
     code, out = run(capsys, "decode", "0,1,0,1")
     assert code == 0

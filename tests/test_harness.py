@@ -31,6 +31,7 @@ from ostrowski import (
     parse_fn_spec,
     pseudorandomness_experiment,
     psi,
+    psi_range,
     scale_for,
     sigma,
     spectrum_experiment,
@@ -165,6 +166,13 @@ def test_carry_sweep_all_pass():
     assert rep.worst_margin == 0.0  # the r = 0 instances are exactly tight
 
 
+def test_carry_family_at_a_denominator_past_int32():
+    # theta = 0.3 is p / 2**54: carry keys from int32 lanes must reach
+    # _moved's d % 2**54 as int64
+    (rep,) = verify_all(fn_spec="theta:0.3", only="carry")
+    assert rep.instances_run == 72108 and rep.ok
+
+
 def test_carry_validation():
     scale = scale_for(GOLDEN, 100)
     g = from_theta(0.5, scale)
@@ -213,6 +221,33 @@ def test_density_check_and_sweep():
     assert sweep.instances_run == 4 + sum(scale.q[lam] for lam in range(1, 5))
     with pytest.raises(ValidationError):
         density_sweep(scale, 4, N=0)
+
+
+def per_level_density_report(scale, lam_max, N):
+    """density_sweep's report from one psi_range pass per level: the one-pass oracle."""
+    reports = []
+    for lam in range(1, min(lam_max, scale.K) + 1):
+        counts = np.bincount(psi_range(scale, lam, N))
+        formulas, margins, details = harness._density_margins(
+            scale, lam, np.arange(scale.q[lam]), counts, N)
+        mass = 1e-10 - abs(float(np.sum(formulas)) - 1.0)
+        reports.append(harness._report("density", np.append(mass, margins), details))
+    return harness._merge("density", reports)
+
+
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER], ids=["golden", "silver"])
+@pytest.mark.parametrize("N", [10**5, 10, 1])
+def test_one_pass_densities_match_the_per_level_scans(spec, N):
+    # at N = 10 and N = 1 some levels <= 6 lie above the top index of N - 1,
+    # where the walk peels nothing and psi_lam(n) = n
+    scale = scale_for(spec, 10**5 + 1)
+    if N < 10**5:
+        assert scale.q[6] >= N  # level 6 lies above the top index of N - 1
+    counts = harness._psi_counts(scale, 6, N)
+    assert len(counts) == 6
+    for lam, got in enumerate(counts, start=1):
+        assert got.tolist() == np.bincount(psi_range(scale, lam, N)).tolist()
+    assert density_sweep(scale, 6, N) == per_level_density_report(scale, 6, N)
 
 
 # --- gap structure -----------------------------------------------------------------

@@ -27,7 +27,6 @@ from ostrowski import (
     RangeError,
     ValidationError,
     block_counts,
-    block_densities,
     decode,
     digit_at_range,
     digit_string,
@@ -36,7 +35,6 @@ from ostrowski import (
     expand_max,
     gap_structure_check,
     high_digit_sum_range,
-    iterate,
     parse_alpha_spec,
     psi,
     psi_range,
@@ -162,11 +160,9 @@ def test_encode_output_is_legal(spec):
     assert encode(scale.limit - 1, scale) == digit_string(encode(scale.limit - 1, scale).digits, scale)
 
 
-def test_iterate_matches_encode():
+def test_encode_decodes_back_below_20():
     scale = scale_for(GOLDEN, 50)
-    pairs = list(iterate(scale, 20))
-    assert [n for n, _ in pairs] == list(range(20))
-    assert all(decode(d) == n for n, d in pairs)
+    assert all(decode(encode(n, scale)) == n for n in range(20))
 
 
 # --- block structure ------------------------------------------------------------
@@ -384,21 +380,21 @@ def test_block_counts_match_psi_scan(spec):
             assert block_counts(lam, N, scale) == (n_long, len(gaps) - n_long)
 
 
-def test_block_densities_degenerate_level():
+def test_block_counts_degenerate_level():
     # golden level 1 has q_1 = q_0 = 1: every block has length one and the
-    # length-based split attributes full density to the long kind
+    # length-based split counts every block as long
     scale = scale_for(GOLDEN, 10**4)
-    dl, ds = block_densities(1, 10**3, scale)
-    assert dl == 1.0 and ds == 0.0
+    assert block_counts(1, 10**3, scale) == (10**3, 0)
 
 
-def test_block_densities_cover_up_to_edge():
-    # length-weighted block densities tile [0, N) except the trailing stub
+def test_block_counts_cover_up_to_edge():
+    # length-weighted block counts tile [0, N) except the trailing stub
     scale = scale_for(SILVER, 10**5)
+    N = 10**4
     for lam in (1, 2, 3):
-        dl, ds = block_densities(lam, 10**4, scale)
-        covered = dl * scale.q[lam] + ds * scale.q[lam - 1]
-        assert 1.0 - scale.q[lam] / 10**4 <= covered <= 1.0
+        n_long, n_short = block_counts(lam, N, scale)
+        covered = n_long * scale.q[lam] + n_short * scale.q[lam - 1]
+        assert N - scale.q[lam] <= covered <= N
 
 
 # --- vectorized kernels ---------------------------------------------------------
@@ -470,6 +466,25 @@ def test_greedy_offset_matches_full_pass(spec):
                 assert part[1].tolist() == full[1][start:].tolist()
 
 
+@pytest.mark.parametrize("start, stop, dtype", [
+    (2**31 - 4096, 2**31 - 1, np.int32),
+    (2**31 - 2048, 2**31 + 2048, np.int64),
+], ids=["int32_lanes", "int64_lanes"])
+def test_greedy_lanes_at_the_int32_boundary(start, stop, dtype):
+    # stop <= 2**31 - 1 runs in int32 lanes, a larger stop in int64; both
+    # agree with the scalar greedy digits on either side of the boundary
+    scale = scale_for(GOLDEN, 2**31 + 4096)
+    digits = [encode(n, scale) for n in range(start, stop)]
+    for lo in (0, 1, 5, 20):
+        eps, ps = _greedy(scale, stop, lo, start=start)
+        hi, ps_sum = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        assert eps.dtype == ps.dtype == hi.dtype == dtype
+        assert eps.tolist() == [d.digit(lo) for d in digits]
+        assert hi.tolist() == [sum(d.digits[lo:]) for d in digits]
+        want = [psi(n, lo, scale) for n in range(start, stop)]
+        assert ps.tolist() == ps_sum.tolist() == want
+
+
 def test_psi_range_validation():
     scale = scale_for(GOLDEN, 100)
     with pytest.raises(ValidationError):
@@ -490,11 +505,11 @@ def test_kernels_refuse_a_negative_count(kernel):
         kernel(scale_for(GOLDEN, 100))
 
 
-def test_block_densities_refuse_empty_range():
+def test_block_counts_of_an_empty_range():
+    # no block lies inside [0, N) for N <= 0
     scale = expand(GOLDEN, 6)
     for N in (0, -3):
-        with pytest.raises(ValidationError, match="N must be >= 1"):
-            block_densities(2, N, scale)
+        assert block_counts(2, N, scale) == (0, 0)
 
 
 @st.composite
