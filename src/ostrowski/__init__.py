@@ -51,10 +51,7 @@ from .numeration import (
     DigitString,
     block_counts,
     decode,
-    digit_at_range,
-    digit_string,
     encode,
-    high_digit_sum_range,
     psi,
     psi_range,
     sigma,
@@ -92,9 +89,8 @@ __all__ = [
     "scale_for", "alpha_value", "tail",
     # numeration
     "DigitString", "BlockIndex", "LONG", "SHORT", "encode", "decode",
-    "digit_string", "validate", "sigma", "psi", "w_sequence",
-    "block_counts", "psi_range", "digit_at_range", "high_digit_sum_range",
-    "sigma_range",
+    "validate", "sigma", "psi", "w_sequence", "block_counts",
+    "psi_range", "sigma_range",
     # alphafun
     "AlphaFunction", "from_theta", "twist", "evaluate", "values_range",
     "load_atoms", "parse_fn_spec",

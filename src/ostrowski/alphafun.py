@@ -223,8 +223,7 @@ def parse_fn_spec(text: str, scale: ConvergentTable) -> AlphaFunction:
     """Parse a function spec string against a scale.
 
     Grammar: ``theta:<real>`` | ``theta:<real>+beta:<real>`` | ``atoms:<path>``
-    | ``atoms:<path>+beta:<real>``.  New named families can be registered in
-    FN_BUILDERS.
+    | ``atoms:<path>+beta:<real>``.
     """
     t = text.strip()
     beta = None
@@ -237,31 +236,19 @@ def parse_fn_spec(text: str, scale: ConvergentTable) -> AlphaFunction:
     if ":" not in t:
         raise ValidationError(f"unrecognized function spec {text!r}")
     name, arg = t.split(":", 1)
-    builder = FN_BUILDERS.get(name)
-    if builder is None:
+    if name == "theta":
+        try:
+            theta = float(arg)
+        except ValueError as exc:
+            raise ValidationError(f"bad theta value {arg!r}") from exc
+        g = from_theta(theta, scale)
+    elif name == "atoms":
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                document = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read atom table {arg!r}: {exc}") from exc
+        g = load_atoms(document, scale)
+    else:
         raise ValidationError(f"unknown function family {name!r} in {text!r}")
-    g = builder(arg, scale)
     return twist(g, beta) if beta is not None else g
-
-
-def _build_theta(arg: str, scale: ConvergentTable) -> AlphaFunction:
-    try:
-        theta = float(arg)
-    except ValueError as exc:
-        raise ValidationError(f"bad theta value {arg!r}") from exc
-    return from_theta(theta, scale)
-
-
-def _build_atoms(arg: str, scale: ConvergentTable) -> AlphaFunction:
-    try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read atom table {arg!r}: {exc}") from exc
-    return load_atoms(text, scale)
-
-
-FN_BUILDERS = {
-    "theta": _build_theta,
-    "atoms": _build_atoms,
-}

@@ -15,13 +15,14 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .alphafun import parse_fn_spec
 from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
 from .numeration import DigitString, decode, encode, psi, sigma
-from .spectral import GRID_DEFAULT, _fourier_table, _parseval, correlation_profile, spectrum_scan
+from .spectral import GRID_DEFAULT, correlation_profile, fourier_coeffs, spectrum_scan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -30,7 +31,7 @@ EXIT_RANGE = 3
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "out", "format"}
+    skip = {"out", "format"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -143,8 +144,8 @@ def cmd_correlate(args) -> int:
 def cmd_fourier(args) -> int:
     scale = expand_max(parse_alpha_spec(args.alpha))
     g = parse_fn_spec(args.fn, scale)
-    table, vals = _fourier_table(g, args.lam)
-    _, _, delta = _parseval(table, vals)
+    table = fourier_coeffs(g, args.lam)
+    _, _, delta = table.parseval()
     rows = [[h, table.G[h].real, table.G[h].imag, abs(table.G[h])] for h in range(table.q)]
     payload = {
         "config": _config_dict(args),
@@ -181,7 +182,7 @@ def cmd_verify(args) -> int:
               f"instances, worst margin {rep.worst_margin:.3e}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([json.loads(rep.to_json()) for rep in reports], fh, indent=2)
+            json.dump([asdict(rep) for rep in reports], fh, indent=2)
             fh.write("\n")
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
@@ -228,40 +229,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", parents=[shared], help="digits of n")
     p.add_argument("n", type=int)
     p.add_argument("--lam", type=int, action="append", help="also report psi at this level")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", parents=[shared], help="value of a digit string")
     p.add_argument("digits", help="comma-separated digits, least significant first")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("sigma", parents=[shared], help="digit sums")
     p.add_argument("n", type=int, nargs="+")
-    p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("convergents", parents=[shared], help="convergent table")
     p.add_argument("--depth", type=int, default=None)
-    p.set_defaults(func=cmd_convergents)
 
     p = sub.add_parser("correlate", parents=[shared, fn], help="autocorrelation profile")
     p.add_argument("--N", type=int, default=10**5)
     p.add_argument("--R", type=int, default=256)
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("fourier", parents=[shared, fn], help="level-lam Fourier table")
     p.add_argument("--lam", type=int, required=True)
-    p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("spectrum", parents=[shared, fn], help="Fourier-Bohr peak scan")
     p.add_argument("--N", type=int, default=10**5)
     p.add_argument("--grid", type=int, default=GRID_DEFAULT)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the check battery")
     p.add_argument("--fn", default=None, help=fn_help + " (default: the theta family)")
     p.add_argument("--out", default=None, help="also write the reports as a JSON list here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, help="comma list of check families to run")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", parents=[shared, fn], help="run a sweep experiment")
     p.add_argument("kind", choices=("pseudorandomness", "spectrum"))
@@ -271,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default 32,64,...,4096)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed of the scale-sum betas (spectrum only; default 0)")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -285,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,7 @@ passing instances have margin >= 0.
 
 from __future__ import annotations
 
-import json
+import bisect
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -60,22 +60,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.instances_passed == self.instances_run
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["details"] = list(self.details)
-        return json.dumps(d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CheckReport":
-        d = json.loads(text)
-        return cls(
-            check_name=d["check_name"],
-            instances_run=int(d["instances_run"]),
-            instances_passed=int(d["instances_passed"]),
-            worst_margin=float(d["worst_margin"]),
-            details=tuple(d["details"]),
-        )
 
 
 def _report(name: str, margins, details=()) -> CheckReport:
@@ -343,8 +327,9 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     """Peak |exponential sum| along a doubling ladder of N, plus scale sums.
 
     The scale-sum section draws 16 uniform betas from the configured seed and
-    reports |S_i| along the convergent scales up to q_i <= N together with the
-    worst contraction margin max(|S_{i+1}| - max(|S_i|, |S_{i-1}|)).
+    reports |S_i| along the convergent scales q_i <= N (i >= 0) together with
+    the worst contraction margin max(|S_{i+1}| - max(|S_i|, |S_{i-1}|)), 0.0
+    with fewer than three scales.
     """
     t0 = time.perf_counter()
     scale, g = _scale_and_fn(config, config.N)
@@ -360,7 +345,7 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
         scan = spectral.spectrum_scan(g, n)
         ladder.append({"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value})
     rng = np.random.default_rng(config.seed)
-    K = max(i for i in range(1, scale.K + 1) if scale.q[i] <= config.N)
+    K = bisect.bisect_right(scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
     sums = []
     for beta in rng.random(16):
         S = spectral.scale_sums(g, float(beta), K)

@@ -112,11 +112,6 @@ def decode(d: DigitString) -> int:
     return sum(e * qk for e, qk in zip(d.digits, d.scale.q))
 
 
-def digit_string(digits: Sequence[int], scale: ConvergentTable) -> DigitString:
-    """Wrap a raw digit array, validating it (ValidationError on breach)."""
-    return DigitString(tuple(int(e) for e in digits), scale)
-
-
 def sigma(n: int, scale: ConvergentTable) -> int:
     """Digit sum of the Ostrowski expansion of n."""
     return encode(n, scale).sigma
@@ -297,16 +292,6 @@ def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
     return _greedy(scale, count, lam)[1].astype(np.int64, copy=False)
 
 
-def digit_at_range(scale: ConvergentTable, k: int, count: int) -> np.ndarray:
-    """eps_k(n) for n = 0..count-1 (int64)."""
-    return _greedy(scale, count, k)[0].astype(np.int64, copy=False)
-
-
-def high_digit_sum_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
-    """sum_{k >= lam} eps_k(n) for n = 0..count-1 (int64)."""
-    return _greedy(scale, count, lam, digit_sum=True)[0].astype(np.int64, copy=False)
-
-
 def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:
     """sigma(n) for n = 0..count-1 (int64)."""
-    return high_digit_sum_range(scale, 0, count)
+    return _greedy(scale, count, 0, digit_sum=True)[0].astype(np.int64, copy=False)

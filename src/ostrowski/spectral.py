@@ -291,11 +291,18 @@ def quadratic_mean(profile: CorrelationProfile, R: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class FourierTable:
-    """G[h] for h < q_lam at truncation level lam."""
+    """G[h] for h < q_lam at truncation level lam, and the value block g(u), u < q_lam, of G."""
 
     lam: int
     q: int
     G: np.ndarray
+    values: np.ndarray
+
+    def parseval(self) -> tuple[float, float, float]:
+        """(sum_h |G|^2, (1/q) sum_u |g(u)|^2, |difference|): Parseval's identity on this table."""
+        lhs = pairwise_sum(self.G.real**2 + self.G.imag**2).real
+        rhs = pairwise_sum(self.values.real**2 + self.values.imag**2).real / self.q
+        return lhs, rhs, abs(lhs - rhs)
 
 
 def _dft_direct(vals: np.ndarray) -> np.ndarray:
@@ -318,32 +325,20 @@ def _dft_fast(vals: np.ndarray) -> np.ndarray:
     return np.fft.fft(vals) / len(vals)
 
 
-def _fourier_table(g: AlphaFunction, lam: int) -> tuple[FourierTable, np.ndarray]:
-    """The level-lam Fourier table and the value block g(u), u < q_lam, it was built from."""
+def fourier_coeffs(g: AlphaFunction, lam: int) -> FourierTable:
+    """Fourier table of g at level lam, from one value block (CapError past DFT_CAP)."""
     if not 0 <= lam <= g.scale.K:
         raise RangeError(f"lam={lam} outside 0..{g.scale.K}")
     q = g.scale.q[lam]
     if q > DFT_CAP:
         raise CapError(f"q_lam = {q} exceeds the transform cap {DFT_CAP}")
     vals = values_range(g, q)
-    return FourierTable(lam, q, _dft_fast(vals)), vals
-
-
-def fourier_coeffs(g: AlphaFunction, lam: int) -> FourierTable:
-    """Fourier table of g at level lam (CapError past DFT_CAP)."""
-    return _fourier_table(g, lam)[0]
-
-
-def _parseval(table: FourierTable, vals: np.ndarray) -> tuple[float, float, float]:
-    """Both sides of Parseval's identity for one table and its value block, and their distance."""
-    lhs = pairwise_sum(table.G.real**2 + table.G.imag**2).real
-    rhs = pairwise_sum(vals.real**2 + vals.imag**2).real / table.q
-    return lhs, rhs, abs(lhs - rhs)
+    return FourierTable(lam, q, _dft_fast(vals), vals)
 
 
 def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
-    """(sum_h |G|^2, (1/q) sum_u |g(u)|^2, |difference|)."""
-    return _parseval(*_fourier_table(g, lam))
+    """(sum_h |G|^2, (1/q) sum_u |g(u)|^2, |difference|) at level lam."""
+    return fourier_coeffs(g, lam).parseval()
 
 
 def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
@@ -357,8 +352,8 @@ def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
     r = np.array(list(r_values), dtype=np.int64)
     if (r < 0).any():
         raise ValidationError("r must be >= 0")
-    table, vals = _fourier_table(g, lam)
-    q = table.q
+    table = fourier_coeffs(g, lam)
+    q, vals = table.q, table.values
     check_size(len(r) * q, "cyclic identity matrix")
     power = table.G.real**2 + table.G.imag**2
     h = np.arange(q, dtype=np.int64)
@@ -412,8 +407,8 @@ def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarra
     scale = g.scale
     if K is None:
         K = scale.K
-    if not 1 <= K <= scale.K:
-        raise RangeError(f"K={K} outside 1..{scale.K}")
+    if not 0 <= K <= scale.K:
+        raise RangeError(f"K={K} outside 0..{scale.K}")
     P = _scale_partials(twist(g, beta).atoms[:K])
     return np.array([p / q for p, q in zip(P, scale.q)], dtype=np.complex128)
 

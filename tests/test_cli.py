@@ -53,6 +53,18 @@ def test_successive_calls_share_no_parsed_state(capsys):
     assert build_parser() is not build_parser()
 
 
+def test_handlers_are_looked_up_by_name_on_each_call(capsys, monkeypatch):
+    # the cached parser binds no handler: a cmd_* replaced after the first
+    # call is the one the next call runs
+    import ostrowski.cli as cli
+
+    assert run(capsys, "encode", "4")[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_encode", lambda args: calls.append(args.n) or 0)
+    assert run(capsys, "encode", "7") == (0, "")
+    assert calls == [7]
+
+
 def test_decode_round_trip(capsys):
     code, out = run(capsys, "decode", "0,1,0,1")
     assert code == 0
@@ -138,12 +150,17 @@ def test_verify_single_family(capsys):
     assert out.startswith("PASS fejer: 100/100")
 
 
-def test_verify_reports_file(tmp_path, capsys):
+def test_verify_reports_file(tmp_path, capsys, monkeypatch):
+    detail = {"lam": 3, "a": 2, "empirical": 0.5, "formula": 0.25}
+    monkeypatch.setitem(harness.CHECK_FAMILIES, "forced",
+                        lambda rng: CheckReport("forced", 2, 1, -0.25, (detail,)))
     path = tmp_path / "reports.json"
-    code, _ = run(capsys, "verify", "--only", "vdc", "--out", str(path))
-    assert code == 0
+    code, _ = run(capsys, "verify", "--only", "forced,vdc", "--out", str(path))
+    assert code == 1
     docs = json.loads(path.read_text())
-    assert docs[0]["check_name"] == "van_der_corput"
+    assert docs[0] == {"check_name": "forced", "instances_run": 2, "instances_passed": 1,
+                       "worst_margin": -0.25, "details": [detail]}
+    assert docs[1]["check_name"] == "van_der_corput"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -168,6 +185,20 @@ def test_experiment_csv(tmp_path, capsys):
     assert lines[1] == "R,quadratic_mean,absolute_mean"
     assert len(lines) == 4
     assert out == ""
+
+
+@pytest.mark.parametrize("alpha, N", [("silver", 1), ("periodic:3/1", 2)])
+def test_spectrum_experiment_below_q1_sums_over_q0(alpha, N, capsys):
+    # N < q_1 = a_1: the scale-sum section covers q_0 = 1 alone
+    code = main(["experiment", "spectrum", "--alpha", alpha, "--N", str(N)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [row["N"] for row in doc["ladder"]] == [N]
+    assert len(doc["scale_sums"]) == 16
+    for entry in doc["scale_sums"]:
+        assert entry["moduli"] == [1.0]
+        assert entry["contraction_margin"] == 0.0
 
 
 def test_spectrum_experiment_needs_no_r_list(capsys):

@@ -3,8 +3,9 @@
 Derandomized hypothesis over the alpha and fn grammars (theta and beta
 including nan, +-inf and 1e300; atom tables that are valid, hold a NaN atom,
 hold a non-list row or miss a row) and small numeric flags, negative ones
-included.  Sizes stay small (N <= 2e4, R <= 64, Fourier levels <= 12) so no
-request allocates much.
+included, over every subcommand but verify and both experiment kinds.  Sizes
+stay small (N <= 2e4, R <= 64, Fourier levels <= 12) so no request allocates
+much.
 """
 
 import contextlib
@@ -74,6 +75,8 @@ def requests(atom_paths):
     fn = st.builds(lambda f: ["--fn", f], fn_specs(atom_paths))
     N = st.builds(lambda n: ["--N", str(n)], ints(1, 300) | ints(-3, 20000))
     digits = st.lists(ints(-1, 4), max_size=8).map(lambda ds: ",".join(map(str, ds)))
+    # always given: the default N = 10**6 is too large here; N < a_1 is an edge
+    experiment_N = ints(1, 3) | ints(1, 300) | ints(1, 20000)
     return st.one_of(
         st.builds(lambda n, lam, a: ["encode", str(n), *lam, *a],
                   ints(-3, 10**6) | st.just(10**30),
@@ -91,10 +94,18 @@ def requests(atom_paths):
                   ints(-2, 12), shared, fn),
         st.builds(lambda n, m, a, f: ["spectrum", *n, "--grid", str(m), *a, *f],
                   N, ints(16, 512) | ints(-1, 512), shared, fn),
+        st.builds(lambda n, s, a, f: ["experiment", "spectrum", "--N", str(n), *s, *a, *f],
+                  experiment_N, st.just([]) | ints(-1, 5).map(lambda s: ["--seed", str(s)]),
+                  shared, fn),
+        st.builds(lambda n, rs, a, f: ["experiment", "pseudorandomness", "--N", str(n), *rs, *a, *f],
+                  experiment_N,
+                  st.lists(ints(-1, 64), max_size=3).map(
+                      lambda rs: ["--R-list", ",".join(map(str, rs))]) | st.just([]),
+                  shared, fn),
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_cli_requests_end_in_a_documented_exit_code(atom_files, data):
     argv = data.draw(requests(atom_files), label="argv")

@@ -28,13 +28,10 @@ from ostrowski import (
     ValidationError,
     block_counts,
     decode,
-    digit_at_range,
-    digit_string,
     encode,
     expand,
     expand_max,
     gap_structure_check,
-    high_digit_sum_range,
     parse_alpha_spec,
     psi,
     psi_range,
@@ -157,7 +154,7 @@ def test_encode_output_is_legal(spec):
         assert _violation(d.digits, scale) is None, n
         assert not d.digits or d.digits[-1] != 0
         assert decode(d) == n
-    assert encode(scale.limit - 1, scale) == digit_string(encode(scale.limit - 1, scale).digits, scale)
+    assert encode(scale.limit - 1, scale) == DigitString(encode(scale.limit - 1, scale).digits, scale)
 
 
 def test_encode_decodes_back_below_20():
@@ -409,34 +406,31 @@ def test_kernels_match_encode(spec):
     for lam in (0, 1, 2, 3, 5):
         ps = psi_range(scale, lam, count)
         assert ps.tolist() == [psi(n, lam, scale) for n in range(count)]
-        hi = high_digit_sum_range(scale, lam, count)
-        assert hi.tolist() == [
-            sum(e for k, e in enumerate(d.digits) if k >= lam) for d in digits
-        ]
+        hi, _ = _greedy(scale, count, lam, digit_sum=True)
+        assert hi.tolist() == [sum(d.digits[lam:]) for d in digits]
     for k in (0, 1, 4):
-        da = digit_at_range(scale, k, count)
-        assert da.tolist() == [d.digit(k) for d in digits]
+        eps, _ = _greedy(scale, count, k)
+        assert eps.tolist() == [d.digit(k) for d in digits]
     # counts at the scale edges: the top level is chosen from count - 1
     edges = {0, 1} | {q + e for q in scale.q if q + 1 <= count for e in (-1, 0, 1)}
     for c in sorted(edges):
         top = max(bisect.bisect_right(scale.q, c - 1) - 1, 0)
         for lam in (0, 1, 2, 3, top, top + 1):
             assert psi_range(scale, lam, c).tolist() == [psi(n, lam, scale) for n in range(c)]
-            assert digit_at_range(scale, lam, c).tolist() == [d.digit(lam) for d in digits[:c]]
-            assert high_digit_sum_range(scale, lam, c).tolist() == [
+            assert _greedy(scale, c, lam)[0].tolist() == [d.digit(lam) for d in digits[:c]]
+            assert _greedy(scale, c, lam, digit_sum=True)[0].tolist() == [
                 sum(d.digits[lam:]) for d in digits[:c]
             ]
         # above the top index no digit is peeled: psi = n and eps = 0
         assert psi_range(scale, top + 1, c).tolist() == list(range(c))
-        assert digit_at_range(scale, top + 1, c).tolist() == [0] * c
+        assert _greedy(scale, c, top + 1)[0].tolist() == [0] * c
         assert sigma_range(scale, c).tolist() == [d.sigma for d in digits[:c]]
 
 
 @pytest.mark.parametrize("kernel, arrays", [
     (lambda scale, count: psi_range(scale, 3, count), 2),
-    (lambda scale, count: digit_at_range(scale, 3, count), 2),
-    (lambda scale, count: high_digit_sum_range(scale, 3, count), 3),
-], ids=["psi_range", "digit_at_range", "high_digit_sum_range"])
+    (sigma_range, 3),
+], ids=["psi_range", "sigma_range"])
 def test_kernel_peak_memory(kernel, arrays):
     # the greedy pass splits the remainder in place: working memory is the
     # remainder and digit arrays (plus the running sum), no temporaries
@@ -495,10 +489,8 @@ def test_psi_range_validation():
 
 @pytest.mark.parametrize("kernel", [
     lambda scale: psi_range(scale, 2, -1),
-    lambda scale: digit_at_range(scale, 2, -1),
-    lambda scale: high_digit_sum_range(scale, 2, -1),
     lambda scale: sigma_range(scale, -1),
-], ids=["psi", "digit_at", "high_digit_sum", "sigma"])
+], ids=["psi", "sigma"])
 def test_kernels_refuse_a_negative_count(kernel):
     # as values_range does, rather than returning an empty array
     with pytest.raises(RangeError):
@@ -534,4 +526,4 @@ def test_encode_decode_round_trip_property(spec, data):
         return
     d = encode(n, scale)
     assert validate(d.digits, scale)
-    assert decode(digit_string(d.digits, scale)) == n
+    assert decode(DigitString(d.digits, scale)) == n
