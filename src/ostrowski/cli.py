@@ -161,7 +161,7 @@ def cmd_fourier(args) -> int:
 def cmd_spectrum(args) -> int:
     _, g = _scale_fn(args, args.N)
     scan = spectrum_scan(g, args.N, grid_size=args.grid)
-    order = scan.grid.argsort()[::-1][:5]
+    order = (-scan.grid).argsort(kind="stable")[:5]  # value descending, then j ascending
     rows = [[int(j), j / args.grid, float(scan.grid[j])] for j in order]
     payload = {
         "config": _config_dict(args),

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import spectral
-from .alphafun import AlphaFunction, from_theta, parse_fn_spec
+from .alphafun import AlphaFunction, from_theta, parse_fn_spec, values_range
 from .cfrac import (
     ConvergentTable,
     parse_alpha_spec,
@@ -338,22 +338,22 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     while n >= 4096:
         ladder_ns.append(n)
         n //= 2
-    if not ladder_ns:
-        ladder_ns = [config.N]
-    ladder = []
-    for n in sorted(ladder_ns):
-        scan = spectral.spectrum_scan(g, n)
-        ladder.append({"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value})
+    ladder_ns = sorted(ladder_ns) or [config.N]
+    # every rung scans a prefix of one value block (values_range prefixes are
+    # stable); its grid fits RANGE_CAP, a multiple of GRID_DEFAULT, as N does
+    vals = values_range(g, config.N)
+    ladder = [{"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value}
+              for n, scan in zip(ladder_ns, spectral._scans(g, vals, ladder_ns, spectral.GRID_DEFAULT))]
     rng = np.random.default_rng(config.seed)
     K = bisect.bisect_right(scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
+    betas = rng.random(16)
     sums = []
-    for beta in rng.random(16):
-        S = spectral.scale_sums(g, float(beta), K)
+    for beta, S in zip(betas.tolist(), spectral._scale_sums(g, betas, K)):
         mods = np.abs(S)
         contraction = float(
             max(mods[i + 1] - max(mods[i], mods[i - 1]) for i in range(1, K))
         ) if K >= 2 else 0.0
-        sums.append({"beta": float(beta), "moduli": mods.tolist(),
+        sums.append({"beta": beta, "moduli": mods.tolist(),
                      "contraction_margin": contraction})
     payload = {
         "config": {k: v for k, v in config.to_dict().items() if k != "R_list"},  # never read here

@@ -16,8 +16,9 @@ import numpy as np
 from .errors import CapError, ValidationError
 
 # Largest array any range routine allocates (frac_mul_range, the greedy digit
-# kernels, the block-start table, values_range); beyond this the binary64
-# split products of frac_mul_array would stop being exact.
+# kernels, the block-start table, values_range).  It is also the limb size of
+# frac_mul_array: a multiplier below it is one limb, whose reduction keeps its
+# one rounding; larger multipliers, up to 2**63, take more limbs.
 RANGE_CAP = 1 << 26
 
 
@@ -71,31 +72,75 @@ def frac_mul_range(count: int, beta: float) -> np.ndarray:
     return frac_mul_array(np.arange(max(count, 0), dtype=np.int64), beta)
 
 
-def frac_mul_array(m: np.ndarray, beta: float) -> np.ndarray:
-    """(m * beta) mod 1 for an int64 array of multipliers 0 <= m <= RANGE_CAP.
+_LIMB = 26
+_LIMB_MASK = (1 << _LIMB) - 1
 
-    |beta| splits into hi, its top 26 mantissa bits, and lo = |beta| - hi,
-    the other 27 (Dekker's split).  For m <= RANGE_CAP = 2**26 both m * hi
-    and m * lo are exact in binary64, and so is each one's fractional part
-    y - floor(y); their sum lies in [0, 2) and is the one rounding step, and
-    a single wrap brings it below 1.  A negative beta mirrors the result for
-    |beta|, where an entry that rounds to 1.0 wraps to 0.0.  Callers keep the
-    multipliers in range; past RANGE_CAP the products round.
+
+def _limb_terms(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact fractional parts of x * hi and x * lo for a limb x < 2**26.
+
+    hi is c >= 0 with its low 27 stored mantissa bits cleared (the top 26
+    significant bits of a normal c) and lo = c - hi holds at most 27 bits, so
+    both products are exact in binary64, and so is y - floor(y) of each.
     """
-    b, s = _dyadic(abs(beta))
-    if s <= 0:
-        return np.zeros(m.shape)  # |beta| >= 2**52 is an integer
-    hi = math.ldexp(b >> 27, 27 - s)
-    x = m.astype(np.float64)
+    hi = (c.view(np.int64) & -(1 << 27)).view(np.float64)
     f = x * hi
     f -= np.floor(f)
-    x *= abs(beta) - hi
+    x = x * (c - hi)
     x -= np.floor(x)
-    f += x
-    f -= f >= 1.0
-    if beta < 0:
-        f = 1.0 - f
-        f -= f >= 1.0
+    return f, x
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and e the exact rounding error a + b - s (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def frac_mul_array(m, beta) -> np.ndarray:
+    """(m * beta) mod 1 for an int64 array of multipliers 0 <= m < 2**63.
+
+    beta is a float, or a 1-d array of B floats for a (B,) + m.shape result
+    whose rows equal the one-beta calls bit for bit.
+
+    m splits into 26-bit limbs m_i, so m * beta = sum_i m_i * c_i mod 1 with
+    c_0 = |beta| (0 when |beta| >= 2**52, an integer) and c_{i+1} the
+    fractional part of 2**26 * (c_i mod 1), both exact.  Each c_i splits into
+    hi, its top 26 significant bits, and lo = c_i - hi, the other 27
+    (Dekker's split), so every m_i * hi and m_i * lo is exact in binary64, and
+    so is each one's fractional part y - floor(y).  For m < 2**26 = RANGE_CAP
+    the two fractional parts of limb 0 are added with one rounding.  Higher
+    limbs add their parts through an error-free two-sum, and the rounding
+    errors (limb 0's included) join in one last rounding, so the result lies
+    within about 2**-53 of the exact value on the circle.  A negative beta
+    mirrors the sum for |beta| to 1 - sum, and y - floor(y) brings either
+    below 1; an entry that rounds to 1.0 wraps to 0.0.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    betas = np.asarray(beta, dtype=np.float64)
+    if not np.isfinite(betas).all():
+        raise ValidationError(f"phase argument {betas[~np.isfinite(betas)].flat[0]} is not finite")
+    shape = betas.shape + (1,) * m.ndim
+    b = np.abs(betas).reshape(shape)
+    c = np.where(b < 2.0**52, b, 0.0)
+    wide = m.size > 0 and int(m.max()) > _LIMB_MASK
+    f, t = _limb_terms((m & _LIMB_MASK if wide else m).astype(np.float64), c)
+    if wide:
+        f, err = _two_sum(f, t)
+        err = np.where(m > _LIMB_MASK, err, 0.0)  # an entry below 2**26 keeps its one rounding
+        for shift in (_LIMB, 2 * _LIMB):
+            c = np.ldexp(c - np.floor(c), _LIMB)
+            c -= np.floor(c)
+            for t in _limb_terms(((m >> shift) & _LIMB_MASK).astype(np.float64), c):
+                f, e = _two_sum(f, t)
+                err += e
+        f -= np.floor(f)
+        t = err
+    f += t  # limb 0's one rounding, or the last one of the wide sum
+    f *= np.copysign(1.0, betas).reshape(shape)
+    f -= np.floor(f)
+    f -= np.floor(f)  # 1 - sum may round up to 1.0
     return f
 
 

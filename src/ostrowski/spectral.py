@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate
 from math import prod
 
 import numpy as np
 
-from .alphafun import AlphaFunction, twist, values_range
+from .alphafun import AlphaFunction, values_range
 from .errors import CapError, RangeError, ValidationError
 from .numeration import encode
 from .numerics import RANGE_CAP, check_size, frac_mul_array, frac_mul_range, pairwise_sum, unit
@@ -376,76 +375,127 @@ def exponential_sum(g: AlphaFunction, beta: float, N: int) -> complex:
     return _exp_sum(values_range(g, N), beta)
 
 
-def _scale_partials(rows):
-    """Yield P_i = sum_{n<q_i} h(n) for i = 0..len(rows), from the atom rows of h.
+def _scale_partials(sums, lasts):
+    """Yield P_i = sum_{n<q_i} h(n) for i = 0..len(sums), from the atom rows of h.
 
     [0, q_{i+1}) splits into the a = a_{i+1} blocks b*q_i + [0, q_i), b < a,
     and the block a*q_i + [0, q_{i-1}), so with P_{-1} = 0 and P_0 = 1
 
-        P_{i+1} = (sum_{b<a} v_i(b)) P_i + v_i(a) P_{i-1}.
+        P_{i+1} = (sum_{b<a} v_i(b)) P_i + v_i(a) P_{i-1},
+
+    where sums[i] = sum_{b<a} v_i(b) and lasts[i] = v_i(a): complex numbers,
+    or (B,) arrays for B functions at once.
     """
     P, prev = 1 + 0j, 0j
     yield P
-    for row in rows:
-        a = len(row) - 1
-        P, prev = sum(row[:a]) * P + row[a] * prev, P
+    for s, v in zip(sums, lasts):
+        P, prev = s * P + v * prev, P
         yield P
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Atom rows 0..K-1 of g laid out for batched twists.
+
+    atoms[k, 1 + b] = v_k(b) and mult[k, 1 + b] = b * q_k for each digit
+    b <= last[k] of row k; column 0 and the columns past a row's end hold a
+    zero atom, so prefix sums along a row start from 0.
+    """
+
+    atoms: np.ndarray
+    mult: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def of(cls, g: AlphaFunction, rows) -> "_Rows":
+        q = g.scale.q
+        atoms = np.zeros((len(rows), 1 + max(map(len, rows), default=0)), dtype=np.complex128)
+        mult = np.zeros(atoms.shape, dtype=np.int64)
+        for k, row in enumerate(rows):
+            atoms[k, 1 : len(row) + 1] = row
+            mult[k, 1 : len(row) + 1] = [b * q[k] for b in range(len(row))]
+        return cls(atoms, mult, np.array([len(row) - 1 for row in rows], dtype=np.intp))
+
+    def twist(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h, sums) for g twisted by each of B betas, both (B, K, W + 1) arrays.
+
+        h[j, k, 1 + b] = v_k(b) e(-b * q_k * betas[j]) and sums[j, k, e] is
+        the sum of that row over b < e, added from b = 0 up.  All phases come
+        from one batched exact reduction (frac_mul_array serves any
+        multiplier below 2**63).
+        """
+        h = self.atoms * unit(frac_mul_array(self.mult, -betas))
+        return h, np.cumsum(h, axis=2)
+
+    def partials(self, h: np.ndarray, sums: np.ndarray):
+        """_scale_partials of the twisted rows: P_0, P_1, ... as (B,) arrays."""
+        k = np.arange(len(self.last))
+        return _scale_partials(sums[:, k, self.last].T, h[:, k, self.last + 1].T)
 
 
 def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarray:
     """Averages S_i = (1/q_i) sum_{n<q_i} g(n) e(-n*beta) for i = 0..K.
 
     S_i = P_i / q_i, with P_i from the recurrence of _scale_partials run on
-    the atom rows of twist(g, beta).  The twist reduces each phase
-    b*q_k*beta in exact integer arithmetic, so scales up to q_K ~ 2**63 are
+    g's atom rows twisted by beta.  The twist reduces each phase b*q_k*beta
+    exactly (frac_mul_array's 26-bit limbs), so scales up to q_K ~ 2**63 are
     served and S_i matches the direct average to rounding (measured: at most
-    2.5e-16 for q_i <= 1e5).  The spectrum_scan probes run the same
-    recurrence on their vectorised twist (see _digit_exp_sum).  For
-    unimodular atoms each step is a convex-type combination, so |S_{i+1}|
-    never exceeds max(|S_i|, |S_{i-1}|) beyond rounding.
+    2.5e-16 for q_i <= 1e5).  This is the one-beta case of _scale_sums,
+    which twists the rows for many betas in one batched reduction; the
+    spectrum_scan probes run the same recurrence on the same twist (see
+    _digit_exp_sums).  For unimodular atoms each step is a convex-type
+    combination, so |S_{i+1}| never exceeds max(|S_i|, |S_{i-1}|) beyond
+    rounding.
     """
     scale = g.scale
     if K is None:
         K = scale.K
     if not 0 <= K <= scale.K:
         raise RangeError(f"K={K} outside 0..{scale.K}")
-    P = _scale_partials(twist(g, beta).atoms[:K])
-    return np.array([p / q for p, q in zip(P, scale.q)], dtype=np.complex128)
+    return _scale_sums(g, np.array([beta], dtype=np.float64), K)[0]
+
+
+def _scale_sums(g: AlphaFunction, betas: np.ndarray, K: int) -> np.ndarray:
+    """(B, K + 1) array whose row j is scale_sums(g, betas[j], K)."""
+    rows = _Rows.of(g, g.atoms[:K])
+    out = np.empty((len(betas), K + 1), dtype=np.complex128)
+    for i, (P, q) in enumerate(zip(rows.partials(*rows.twist(betas)), g.scale.q)):
+        out.real[:, i] = P.real / q  # parts divided on their own, as Python's complex / int does
+        out.imag[:, i] = P.imag / q
+    return out
 
 
 @dataclass(frozen=True)
 class _DigitPlan:
-    """The beta-independent part of the digit route for one (g, N).
+    """The beta-independent part of the digit route for lengths N[0], N[1], ... of one g.
 
-    digits are the Ostrowski digits of N - 1; row k of the flat layout is
-    atoms[bounds[k]:bounds[k+1]], g's atoms at digits b <= a_{k+1} below the
-    top digit position and b <= eps_top at it; mult holds b * q_k for every
-    entry, so each multiplier is at most N - 1 < RANGE_CAP.
+    digits[r, k] is the Ostrowski digit eps_k of N[r] - 1, 0 past its top;
+    rows holds g's rows 0..K-1, K the most digits of any N[r] - 1, the top
+    row up to its largest digit, so every multiplier b * q_k is at most
+    max N[r] - 1.
     """
 
-    N: int
-    digits: tuple[int, ...]
-    bounds: tuple[int, ...]
-    atoms: np.ndarray
-    mult: np.ndarray
+    N: np.ndarray
+    digits: np.ndarray
+    rows: _Rows
 
 
-def _digit_plan(g: AlphaFunction, N: int) -> _DigitPlan:
-    digits = encode(N - 1, g.scale).digits
-    q = g.scale.q
-    rows = [g.atoms[k] for k in range(len(digits) - 1)]
-    if digits:
-        rows.append(g.atoms[len(digits) - 1][: digits[-1] + 1])
-    bounds = tuple(accumulate((len(row) for row in rows), initial=0))
-    atoms = np.array([v for row in rows for v in row], dtype=np.complex128)
-    mult = np.array([b * q[k] for k, row in enumerate(rows) for b in range(len(row))],
-                    dtype=np.int64)
-    return _DigitPlan(N, digits, bounds, atoms, mult)
+def _digit_plan(g: AlphaFunction, lengths) -> _DigitPlan:
+    expansions = [encode(N - 1, g.scale).digits for N in lengths]
+    K = max(map(len, expansions))
+    digits = np.zeros((len(expansions), K), dtype=np.intp)
+    for r, eps in enumerate(expansions):
+        digits[r, : len(eps)] = eps
+    rows = [g.atoms[k] for k in range(K - 1)]
+    if K:
+        rows.append(g.atoms[K - 1][: digits[:, -1].max() + 1])
+    return _DigitPlan(np.array(lengths), digits, _Rows.of(g, rows))
 
 
-def _digit_exp_sum(plan: _DigitPlan, beta: float) -> complex:
-    """(1/N) sum_{n<N} g(n) e(-n*beta) in O(sum a_k) from the digits of N - 1.
+def _digit_exp_sums(plan: _DigitPlan, betas, length=None) -> np.ndarray:
+    """(1/N) sum_{n<N} g(n) e(-n*beta) for each of B betas, in O(B * sum a_k) from the digits of N - 1.
 
+    betas[j] is summed up to N = plan.N[length[j]] (length defaults to all 0).
     With h = g twisted by beta, v_k(b) its atoms, P_k = sum_{n<q_k} h(n) and
     eps_k the digits of N - 1 = sum_k eps_k q_k, let m_k = sum_{j<k} eps_j q_j
     and T_k = sum_{n<=m_k} h(n).  Splitting [0, m_{k+1}] at the multiples of
@@ -454,17 +504,29 @@ def _digit_exp_sum(plan: _DigitPlan, beta: float) -> complex:
         T_{k+1} = (sum_{b<eps_k} v_k(b)) P_k + v_k(eps_k) T_k,
 
     the block decomposition sum_k H_{>k} (sum_{b<eps_k} v_k(b)) P_k + h(N-1)
-    evaluated from the lowest digit up (H_{>k}: product of v_j(eps_j), j > k).
-    Every phase b * q_k * beta comes from one vectorised exact reduction.
+    evaluated from the lowest digit up (H_{>k}: product of v_j(eps_j), j > k);
+    a digit eps_k = 0 leaves T_k as it is (the step 0 * P_k + 1 * T_k, skipped
+    where no beta has a digit).  The recursion runs on (B,) arrays, each entry
+    as a one-beta call runs it up to signed zeros, so an entry does not
+    depend on the other betas.
     """
-    flat = (plan.atoms * unit(frac_mul_array(plan.mult, -beta))).tolist()
-    bounds = plan.bounds
-    rows = [flat[i:j] for i, j in zip(bounds, bounds[1:])]
-    total = 1 + 0j
-    for e, row, P in zip(plan.digits, rows, _scale_partials(rows[:-1])):
-        if e:
-            total = sum(row[:e]) * P + row[e] * total
-    return total / plan.N
+    betas = np.asarray(betas, dtype=np.float64)
+    length = np.zeros(len(betas), dtype=np.intp) if length is None else np.asarray(length)
+    h, sums = plan.rows.twist(betas)
+    eps = plan.digits[length]
+    j, k = np.arange(len(betas))[:, None], np.arange(eps.shape[1])
+    below = sums[j, k, eps].T
+    at = np.where(eps > 0, h[j, k, eps + 1], 1).T  # 1: a zero digit keeps T_k
+    total = np.ones(len(betas), dtype=np.complex128)
+    steps = (eps > 0).any(axis=0).tolist()
+    for step, s, v, P in zip(steps, below, at, plan.rows.partials(h, sums)):
+        if step:
+            total = s * P + v * total
+    N = plan.N[length]
+    out = np.empty(len(betas), dtype=np.complex128)
+    out.real = total.real / N  # parts divided on their own, as Python's complex / int does
+    out.imag = total.imag / N
+    return out
 
 
 @dataclass(frozen=True)
@@ -482,6 +544,66 @@ def _top_local_maxima(profile: np.ndarray, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, -profile[idx]))[:k]]
 
 
+def _refine(plan: _DigitPlan, grids) -> list[list[tuple[float, float]]]:
+    """Each scan's candidates (beta, |sum|) in order; grids[r] is the grid at length plan.N[r].
+
+    See spectrum_scan.  The ternary rounds of all peaks of all scans run in
+    lockstep: each round's probes, two per peak still wider than
+    REFINE_WIDTH, are one _digit_exp_sums call, and so are the final
+    midpoints.
+    """
+    length, bounds, trails = [], [], []
+    for r, grid in enumerate(grids):
+        M = len(grid)
+        for j in _top_local_maxima(grid, REFINE_PEAKS).tolist():
+            length.append(r)
+            bounds.append([(j - 1) / M, (j + 1) / M])
+            trails.append([(j / M, float(grid[j]))])
+    active = [i for i, (lo, hi) in enumerate(bounds) if hi - lo > REFINE_WIDTH]
+    while active:
+        probes = []
+        for i in active:
+            lo, hi = bounds[i]
+            probes += [lo + (hi - lo) / 3, hi - (hi - lo) / 3]
+        sums = _digit_exp_sums(plan, probes, np.repeat([length[i] for i in active], 2))
+        values = np.abs(sums).tolist()
+        for n, i in enumerate(active):
+            m1, m2, f1, f2 = probes[2 * n], probes[2 * n + 1], values[2 * n], values[2 * n + 1]
+            trails[i] += [(m1, f1), (m2, f2)]
+            if f1 < f2:
+                bounds[i][0] = m1
+            else:
+                bounds[i][1] = m2
+        active = [i for i in active if bounds[i][1] - bounds[i][0] > REFINE_WIDTH]
+    mids = [(lo + hi) / 2 for lo, hi in bounds]
+    for trail, mid, value in zip(trails, mids, np.abs(_digit_exp_sums(plan, mids, length)).tolist()):
+        trail.append((mid, value))
+    out = [[(0.0, float(grid[0]))] for grid in grids]
+    for r, trail in zip(length, trails):
+        out[r] += trail
+    return out
+
+
+def _scans(g: AlphaFunction, vals: np.ndarray, lengths, grid_size: int) -> list[SpectrumScan]:
+    """spectrum_scan at each N in lengths (1 <= N <= len(vals)) from one value block vals = g([0, ...)).
+
+    Each grid folds the prefix vals[:N]; ceil(N / grid_size) * grid_size
+    entries must fit RANGE_CAP.  The refinements of all scans share one plan
+    and run in lockstep.
+    """
+    M = grid_size
+    grids = []
+    for N in lengths:
+        padded = np.zeros(-(-N // M) * M, dtype=np.complex128)
+        padded[:N] = vals[:N]
+        grids.append(np.abs(np.fft.fft(padded.reshape(-1, M).sum(axis=0))) / N)
+    scans = []
+    for grid, candidates in zip(grids, _refine(_digit_plan(g, lengths), grids)):
+        best_beta, best_val = max(candidates, key=lambda c: c[1])
+        scans.append(SpectrumScan(best_beta % 1.0, best_val, grid))
+    return scans
+
+
 def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> SpectrumScan:
     """Scan beta -> |(1/N) sum g(n) e(-n*beta)| on a uniform grid, then refine.
 
@@ -492,45 +614,22 @@ def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> Sp
     order, are grid[0], then per refined peak its grid value, each probe pair
     and the final midpoint; the reported peak is the first largest of them.
 
-    Refinement probes take the digit route (_digit_exp_sum): the digits of
-    N - 1 and the atom layout are built once per scan, after which each probe
-    costs O(sum a_k) instead of O(N).  A probe agrees with the dense sum
-    exponential_sum(g, beta, N) to 1e-13 * max|g| (measured: at most 4.6e-16
-    for unimodular atoms, N from 1 to 1e6).  At beta = 0 with Gaussian-integer
-    atoms every partial sum is an exact integer, and the grid entry at beta = 0
-    is exact too, so the theta = 0 control peak stays exactly (0.0, 1.0).
+    Refinement probes take the digit route (_digit_exp_sums): the digits of
+    N - 1 and the twisted atom layout make a probe cost O(sum a_k) instead of
+    O(N).  The peaks' ternary rounds run in lockstep, one batched evaluation
+    per round plus one for the final midpoints (17 at the default grid).  A
+    probe agrees with the dense sum exponential_sum(g, beta, N) to
+    1e-13 * max|g| (measured: at most 4.6e-16 for unimodular atoms, N from 1
+    to 1e6).  At beta = 0 with Gaussian-integer atoms every partial sum is an
+    exact integer, and the grid entry at beta = 0 is exact too, so the
+    theta = 0 control peak stays exactly (0.0, 1.0).
     """
     if grid_size < 16:
         raise ValidationError("grid_size must be >= 16")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    M = grid_size
-    rows = -(-N // M)
-    check_size(rows * M, "spectrum grid")
-    vals = values_range(g, N)  # CapError past RANGE_CAP
-    padded = np.zeros(rows * M, dtype=np.complex128)
-    padded[:N] = vals
-    folded = padded.reshape(rows, M).sum(axis=0)
-    grid = np.abs(np.fft.fft(folded)) / N
-
-    plan = _digit_plan(g, N)
-    candidates = [(0.0, float(grid[0]))]
-    for j in _top_local_maxima(grid, REFINE_PEAKS).tolist():
-        candidates.append((j / M, float(grid[j])))
-        lo, hi = (j - 1) / M, (j + 1) / M
-        while hi - lo > REFINE_WIDTH:
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            f1, f2 = abs(_digit_exp_sum(plan, m1)), abs(_digit_exp_sum(plan, m2))
-            candidates += [(m1, f1), (m2, f2)]
-            if f1 < f2:
-                lo = m1
-            else:
-                hi = m2
-        mid = (lo + hi) / 2
-        candidates.append((mid, abs(_digit_exp_sum(plan, mid))))
-    best_beta, best_val = max(candidates, key=lambda c: c[1])
-    return SpectrumScan(best_beta % 1.0, best_val, grid)
+    check_size(-(-N // grid_size) * grid_size, "spectrum grid")
+    return _scans(g, values_range(g, N), [N], grid_size)[0]  # CapError past RANGE_CAP
 
 
 # --- classical inequality checks (shared by the harness) ---------------------

@@ -135,6 +135,20 @@ def test_spectrum_payload(capsys):
     assert doc["peak_value"] > 0.999
 
 
+@pytest.mark.parametrize("argv, first", [
+    (("--N", "1"), [0, 1, 2, 3, 4]),   # a flat grid: every point ties
+    (("--N", "3", "--grid", "16"), [4, 12]),   # real g: j and 16 - j tie
+])
+def test_spectrum_top_grid_points_break_ties_by_index(argv, first, capsys):
+    # the refinement's order: value descending, then j ascending
+    code, out = run(capsys, "spectrum", *argv)
+    assert code == 0
+    points = json.loads(out)["top_grid_points"]
+    keys = [(-p["value"], p["j"]) for p in points]
+    assert keys == sorted(keys)
+    assert [p["j"] for p in points][: len(first)] == first
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "enc.json"
     code, out = run(capsys, "encode", "12", "--out", str(path))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ostrowski.errors import CapError
+from ostrowski.errors import CapError, ValidationError
 from ostrowski.numerics import (
     RANGE_CAP,
     frac_mul_array,
@@ -153,7 +153,55 @@ def circle_gap(got: float, beta: float, m: int) -> Fraction:
     return min(d, 1 - d)
 
 
-multipliers = st.lists(st.integers(0, RANGE_CAP), min_size=1, max_size=40)
+WIDE = [RANGE_CAP, RANGE_CAP + 1, 2**52 - 1, 2**52, 3 * 2**52 + 12345, 2**62, 2**63 - 1]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.015625, -0.25, 1 / 3, 0.1234567, -0.9999999, 2.0**-30,
+                                  -1e-20, 5e-324, 1e300, 0.7234])
+def test_frac_mul_array_matches_rational_oracle_past_the_cap(beta):
+    # 26-bit limbs: multipliers up to 2**63 - 1 land within 2**-53 (plus the
+    # mirror's 2**-54 for a negative beta) of the exact value on the circle;
+    # 2**-100 covers the rounding of the collected two-sum errors
+    rng = np.random.default_rng(43)
+    m = np.array(WIDE + rng.integers(0, 2**63 - 1, 200, dtype=np.int64).tolist(), dtype=np.int64)
+    got = frac_mul_array(m, beta)
+    assert np.all(got >= 0.0) and np.all(got < 1.0)
+    bound = (Fraction(3, 2) if beta < 0 else 1) * Fraction(2) ** -53 + Fraction(2) ** -100
+    assert max(circle_gap(float(f), beta, int(k)) for f, k in zip(got, m)) <= bound
+
+
+BATCH_BETAS = [0.5, 0.75, 0.015625, 2.75, 1.0, 0.0, -0.0, -0.25, 1 / 3, 0.1234567, 0.7234, -0.3,
+               -0.9999999, 2.0**-30, -1e-20, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 2.0**60]
+
+
+@pytest.mark.parametrize("top", [RANGE_CAP - 1, 2**63 - 1])
+def test_frac_mul_array_rows_equal_the_one_beta_calls(top):
+    # one row per beta, each bit for bit the scalar call, whether the
+    # multipliers stay in limb 0 or spread over all three limbs
+    rng = np.random.default_rng(47)
+    m = np.concatenate([[0, 1, top], rng.integers(0, top, 300, dtype=np.int64)]).reshape(3, -1)
+    rows = frac_mul_array(m, np.array(BATCH_BETAS))
+    assert rows.shape == (len(BATCH_BETAS),) + m.shape
+    for beta, row in zip(BATCH_BETAS, rows):
+        assert np.array_equal(row, frac_mul_array(m, beta)), beta
+
+
+def test_frac_mul_array_is_bit_equal_below_the_cap_however_wide_the_call():
+    # an entry below 2**26 keeps the one rounding of limb 0 when a wider
+    # multiplier shares its call
+    m = np.random.default_rng(53).integers(0, RANGE_CAP, 500)
+    for beta in BATCH_BETAS:
+        wide = frac_mul_array(np.append(m, 2**63 - 1), beta)[:-1]
+        assert np.array_equal(wide, frac_mul_array(m, beta)), beta
+
+
+def test_frac_mul_array_refuses_non_finite_betas():
+    with pytest.raises(ValidationError, match="not finite"):
+        frac_mul_array(np.arange(4), np.array([0.5, float("nan")]))
+
+
+multipliers = st.lists(st.one_of(st.integers(0, RANGE_CAP), st.integers(0, 2**63 - 1)),
+                       min_size=1, max_size=40)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -161,6 +209,7 @@ multipliers = st.lists(st.integers(0, RANGE_CAP), min_size=1, max_size=40)
 @example(beta=-1e-20, m=[1, 2, 3])
 @example(beta=-5e-324, m=[0, RANGE_CAP])
 @example(beta=2.0**60, m=[RANGE_CAP - 1])
+@example(beta=-0.1234567, m=[2**63 - 1, RANGE_CAP, 1])
 def test_frac_mul_array_property_any_finite_beta(beta, m):
     got = frac_mul_array(np.array(m, dtype=np.int64), beta)
     assert np.all(got >= 0.0) and np.all(got < 1.0)

@@ -53,10 +53,14 @@ from ostrowski.spectral import (
     DFT_CAP,
     _dft_direct,
     _dft_fast,
-    _digit_exp_sum,
+    REFINE_PEAKS,
+    REFINE_WIDTH,
+    _digit_exp_sums,
     _digit_plan,
     _exp_sum,
     _profile_pairwise,
+    _refine,
+    _scale_partials,
     _top_local_maxima,
 )
 
@@ -479,6 +483,22 @@ def test_scale_sums_match_direct_averages():
                 assert abs(S[i] - direct) < 1e-9
 
 
+def test_scale_sums_past_the_cap_match_the_exact_twist():
+    # q_K ~ 1e18: the batched twist's 26-bit limbs against twist's exact
+    # integer phases, both through the P_i recurrence
+    rng = np.random.default_rng(31)
+    scale = scale_for(GOLDEN, 10**18)
+    assert scale.q[scale.K] > 10**17 > RANGE_CAP
+    for theta, beta in [(0.5, 0.0), (1 / 3, 0.25), *rng.random((4, 2)).tolist()]:
+        g = from_theta(theta, scale)
+        S = scale_sums(g, beta)
+        rows = twist(g, beta).atoms[: scale.K]
+        P = _scale_partials([sum(row[:-1]) for row in rows], [row[-1] for row in rows])
+        want = [p / q for p, q in zip(P, scale.q)]
+        assert len(S) == len(want) == scale.K + 1
+        assert max(abs(a - b) for a, b in zip(S.tolist(), want)) <= 1e-12, (theta, beta)
+
+
 def test_scale_sums_contraction():
     rng = np.random.default_rng(29)
     scale = scale_for(GOLDEN, 10**6)
@@ -496,10 +516,10 @@ ALPHA_SPECS = ["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4"]
 
 
 def digit_gap(g, N, betas):
-    """Largest |digit route - dense _exp_sum| over betas, on one value block."""
-    plan = _digit_plan(g, N)
+    """Largest |digit route - dense _exp_sum| over betas: one batched digit call, one value block."""
+    got = _digit_exp_sums(_digit_plan(g, [N]), betas).tolist()
     vals = values_range(g, N)
-    return max(abs(_digit_exp_sum(plan, beta) - _exp_sum(vals, beta)) for beta in betas)
+    return max(abs(s - _exp_sum(vals, beta)) for s, beta in zip(got, betas))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -542,7 +562,7 @@ def test_digit_route_edge_lengths(name):
             assert digit_gap(g, N, betas) <= DIGIT_ABS_TOL, (theta, N)
     control = from_theta(0.0, scale)
     for N in sorted(lengths):
-        assert _digit_exp_sum(_digit_plan(control, N), 0.0) == 1.0
+        assert _digit_exp_sums(_digit_plan(control, [N]), [0.0]).tolist() == [1.0]
 
 
 def test_digit_route_twisted_spec_and_atom_tables():
@@ -564,6 +584,73 @@ def test_digit_route_twisted_spec_and_atom_tables():
         assert digit_gap(g, N, betas) <= DIGIT_ABS_TOL * max(1.0, peak)
 
 
+def test_digit_route_rows_equal_the_one_beta_calls():
+    # a batched call over several lengths gives each entry exactly as a
+    # one-beta call on a one-length plan does
+    rng = np.random.default_rng(59)
+    scale = scale_for(parse_alpha_spec("periodic:/1,2,3,1,1,4"), 40000)
+    g = parse_fn_spec("theta:0.1234567", scale)
+    lengths = [1, 2, 4096, 12345, 32768]
+    plan = _digit_plan(g, lengths)
+    betas = np.concatenate([[0.0, -0.5, 1.0, 2.0**-40], rng.random(26) * 4 - 2])
+    length = rng.integers(0, len(lengths), len(betas))
+    got = _digit_exp_sums(plan, betas, length)
+    for beta, r, s in zip(betas, length, got):
+        assert s == _digit_exp_sums(_digit_plan(g, [lengths[r]]), [beta])[0], (beta, r)
+
+
+def scalar_probe(g, N, beta):
+    """(1/N) sum_{n<N} g(n) e(-n*beta) by the digit recursion on twist(g, beta), one beta, Python scalars."""
+    rows = twist(g, beta).atoms
+    total, P, prev = 1 + 0j, 1 + 0j, 0j
+    for row, e in zip(rows, encode(N - 1, g.scale).digits):
+        if e:
+            total = sum(row[:e]) * P + row[e] * total
+        a = len(row) - 1
+        P, prev = sum(row[:a]) * P + row[a] * prev, P
+    return total / N
+
+
+def sequential_candidates(g, N, grid):
+    """The scan's candidate list from one scalar probe at a time, peak after peak."""
+    M = len(grid)
+    out = [(0.0, float(grid[0]))]
+    for j in _top_local_maxima(grid, REFINE_PEAKS).tolist():
+        out.append((j / M, float(grid[j])))
+        lo, hi = (j - 1) / M, (j + 1) / M
+        while hi - lo > REFINE_WIDTH:
+            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            f1, f2 = abs(scalar_probe(g, N, m1)), abs(scalar_probe(g, N, m2))
+            out += [(m1, f1), (m2, f2)]
+            if f1 < f2:
+                lo = m1
+            else:
+                hi = m2
+        mid = (lo + hi) / 2
+        out.append((mid, abs(scalar_probe(g, N, mid))))
+    return out
+
+
+@pytest.mark.parametrize("spec, fn", [("golden", "theta:0.1234567"),
+                                      ("silver", "theta:0.3+beta:0.2"),
+                                      ("periodic:/1,2,3,1,1,4", "theta:0.7")])
+def test_lockstep_refinement_matches_the_sequential_scan(spec, fn):
+    # all peaks of all lengths refined in lockstep: the same probes in the
+    # same order per scan as one scalar probe at a time, values to 1e-15 * max|g|
+    lengths = [4096, 5000, 8192]
+    g = parse_fn_spec(fn, scale_for(parse_alpha_spec(spec), max(lengths)))
+    vals = values_range(g, max(lengths))
+    grids = [spectral._scans(g, vals, [N], 256)[0].grid for N in lengths]
+    got = _refine(_digit_plan(g, lengths), grids)
+    for N, grid, candidates in zip(lengths, grids, got):
+        want = sequential_candidates(g, N, grid)
+        assert [beta for beta, _ in candidates] == [beta for beta, _ in want], N
+        assert max(abs(a - b) for (_, a), (_, b) in zip(candidates, want)) <= 1e-15
+        scan = spectrum_scan(g, N, grid_size=256)
+        best = max(want, key=lambda c: c[1])
+        assert scan.beta_peak == best[0] % 1.0 and abs(scan.peak_value - best[1]) <= 1e-15
+
+
 def test_spectrum_peak_matches_dense_recheck(monkeypatch):
     cases = [(GOLDEN, "theta:0.0+beta:0.3", 10**4), (SILVER, "theta:0.3333", 8192),
              (parse_alpha_spec("periodic:/1,2,3,1,1,4"), "theta:0.1234567+beta:0.61", 12345)]
@@ -571,11 +658,25 @@ def test_spectrum_peak_matches_dense_recheck(monkeypatch):
     def no_dense_probes(vals, beta):
         raise AssertionError("refinement probe took the dense route")
 
+    width, rounds = 2 / 512, 0
+    while width > REFINE_WIDTH:
+        width, rounds = width * 2 / 3, rounds + 1
     for spec, fn, N in cases:
         g = parse_fn_spec(fn, scale_for(spec, N))
+        calls = []
+
+        def counted(plan, betas, length=None):
+            calls.append(len(betas))
+            return _digit_exp_sums(plan, betas, length)
+
         with monkeypatch.context() as m:
             m.setattr(spectral, "_exp_sum", no_dense_probes)
+            m.setattr(spectral, "_digit_exp_sums", counted)
             scan = spectrum_scan(g, N, grid_size=512)
+        # refinement stays batched: one call per ternary round plus one for
+        # the midpoints, instead of 2 * rounds + 1 calls per peak
+        assert len(calls) <= 1 + rounds
+        assert sum(calls) == (2 * rounds + 1) * REFINE_PEAKS
         assert 0.0 < scan.beta_peak < 1.0
         dense = abs(exponential_sum(g, scan.beta_peak, N))
         assert abs(scan.peak_value - dense) <= 1e-12, (fn, scan.beta_peak)
