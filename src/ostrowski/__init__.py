@@ -39,7 +39,7 @@ from .harness import (
     carry_bound_sweep,
     density_formula,
     density_sweep,
-    gap_structure_check,
+    gap_structure_sweep,
     pseudorandomness_experiment,
     spectrum_experiment,
     verify_all,
@@ -103,6 +103,6 @@ __all__ = [
     # harness
     "CheckReport", "ExperimentConfig", "carry_bound_sweep",
     "density_formula", "density_sweep",
-    "gap_structure_check", "pseudorandomness_experiment",
+    "gap_structure_sweep", "pseudorandomness_experiment",
     "spectrum_experiment", "verify_all",
 ]

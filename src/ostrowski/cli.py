@@ -175,7 +175,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     only = args.only.split(",") if args.only else None
-    reports = verify_all(seed=args.seed, only=only, fn_spec=args.fn)
+    reports = verify_all(seed=args.seed, only=only, fn_spec=args.fn, alpha_spec=args.alpha)
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
         print(f"{status} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
@@ -252,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the check battery")
     p.add_argument("--fn", default=None, help=fn_help + " (default: the theta family)")
+    p.add_argument("--alpha", default=None,
+                   help="quotient spec the parseval, cyclic and carry families run on "
+                        "(default: their default scales)")
     p.add_argument("--out", default=None, help="also write the reports as a JSON list here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, help="comma list of check families to run")

@@ -3,7 +3,10 @@
 Every check returns a CheckReport; verify_all bundles the full battery with
 the default test family (four quotient specs crossed with four theta values)
 and is what the CLI `verify` subcommand runs.  Margins are oriented so that
-passing instances have margin >= 0.
+passing instances have margin >= 0.  The brute-force oracles (the psi_lam
+counts of the densities, the carry keys and the gap scan) read the tiles of
+the greedy walk directly; the gap scan walks each n once, down to the lowest
+level that still needs it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ CARRY_SPECS = ("golden", "silver")
 CARRY_UPTO = max(CARRY_NS) + 10**5
 IDENTITY_UPTO = 2 * 1024 + 256
 GAP_COUNT = 10**4
-GAP_SCAN_CHUNK = 1 << 20  # points per greedy pass of the gap check's brute-force scan
+GAP_LAM_MAX = 8  # the gap family checks levels 1..GAP_LAM_MAX of each default scale
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,8 @@ def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
 
     With a theta tag the key is sigma_{>=lam}(n), and d moves the product
     unless theta * d is an integer: theta = p/den in lowest terms with den a
-    power of two, so exactly when den divides d (den >= 2**62 divides no
+    power of two, so exactly when den divides d: when the low bits
+    d & (den - 1) are zero, negative d included (den >= 2**62 divides no
     nonzero key difference).  Without one the key is the block start
     n - psi_lam(n), and any d != 0 counts: the digits at lam and above
     changed, which the same N*r/q_{lam-1} bound covers.
@@ -114,7 +118,7 @@ def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
     if g.theta is None:
         return d != 0
     den = g.theta.as_integer_ratio()[1]
-    return d != 0 if den >= 1 << 62 else d % den != 0
+    return d != 0 if den >= 1 << 62 else d & (den - 1) != 0
 
 
 def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -139,7 +143,7 @@ def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np
     q_prev = g.scale.q[lam - 1]
     size = N + int(r.max())
     hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
-    # int64 keys: _moved's d % den needs them past int32 lanes (den up to 2**61)
+    # int64 keys: _moved's d & (den - 1) needs them past int32 lanes (den up to 2**61)
     key = hi.astype(np.int64) if g.theta is not None else np.arange(size) - ps
     starts = np.flatnonzero(ps == 0)
     moved = _moved_transitions(g, key, starts)
@@ -236,12 +240,19 @@ def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, counts: np
 def _psi_counts(scale: ConvergentTable, lam_max: int, N: int) -> list[np.ndarray]:
     """np.bincount of psi_lam(n) over n < N for lam = 1..lam_max, from one greedy walk.
 
-    The walk yields no level above the top index of N - 1; there psi_lam(n) = n.
+    Each tile's counts are summed into a q_lam-long row, trimmed after the
+    largest psi_lam seen.  The walk yields no level above the top index of
+    N - 1; there psi_lam(n) = n.
     """
     if lam_max < 1:
         return []
-    counts = {k: np.bincount(psi) for k, _, psi in _walk(scale, N, 1) if k <= lam_max}
-    return [counts[lam] if lam in counts else np.ones(N, dtype=np.int64)
+    q = scale.q
+    counts = {}
+    for _, k, _, psi in _walk(scale, N, 1):
+        if k <= lam_max:
+            tile = np.bincount(psi, minlength=q[k])
+            counts[k] = counts[k] + tile if k in counts else tile
+    return [np.trim_zeros(counts[lam], "b") if lam in counts else np.ones(N, dtype=np.int64)
             for lam in range(1, lam_max + 1)]
 
 
@@ -262,39 +273,76 @@ def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> C
 
 # --- gap structure -----------------------------------------------------------
 
-def gap_structure_check(lam: int, count: int, scale: ConvergentTable) -> CheckReport:
-    """Cross-check w_sequence against a brute-force digit scan.
+def _gap_scan(scale: ConvergentTable, ends) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Brute-force zeros of psi_lam below ends[lam - 1], and eps_lam at each, for lam = 1, 2, ...
 
-    Verifies the first `count` gaps: starts match {n : psi_lam(n) = 0}, every
-    gap is q_lam or q_{lam-1}, a kind tag is SHORT exactly where the digit at
-    lam of the gap's start is maximal, and (away from the degenerate
-    q_lam = q_{lam-1} case) so is a gap of length q_{lam-1}.  The scan
-    reduces every n <= w_count, GAP_SCAN_CHUNK points per greedy pass, and
-    keeps only the zeros of psi_lam and eps_lam at them.
+    Each n >= 1 is walked once: in the band [ends[lam - 2], ends[lam - 1])
+    (from 1 for lam = 1), down to level lam only, as the scans of the levels
+    below lam end before the band.  A level above the top index of a band's
+    last point is not walked; there psi = n, never zero.  Nor is n = 0: it
+    is a zero of every level, with every digit 0.  Ends that fall (only a
+    wrong w_sequence gives them) make empty bands, and each level keeps only
+    its zeros below its own end.
     """
-    block = w_sequence(lam, count + 1, scale)
+    lam_max = len(ends)
+    zeros = [[np.zeros(1, dtype=np.int64)] for _ in ends]
+    eps = [[np.zeros(1, dtype=np.int64)] for _ in ends]
+    lo = 1
+    for lam, end in enumerate(ends, start=1):
+        stop = max(lo, end)
+        for base, k, digits, rem in _walk(scale, stop, lam, start=lo):
+            if k <= lam_max:
+                at = np.flatnonzero(rem == 0)
+                zeros[k - 1].append(base + at)
+                eps[k - 1].append(digits[at])
+        lo = stop
+    out = []
+    for z, e, end in zip(zeros, eps, ends):
+        z, e = np.concatenate(z), np.concatenate(e)
+        inside = z < end
+        out.append((z[inside], e[inside]))
+    return out
+
+
+def _gap_report(lam: int, block, zeros: np.ndarray, eps: np.ndarray, scale: ConvergentTable) -> CheckReport:
+    """Checks of one level's block index against the brute-force zeros of psi_lam and eps_lam at them."""
     starts = np.asarray(block.starts, dtype=np.int64)
-    zero_chunks, eps_chunks = [], []
-    stop = int(starts[-1]) + 1
-    for lo in range(0, stop, GAP_SCAN_CHUNK):
-        eps_lam, psi_lam = _greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
-        zeros = np.flatnonzero(psi_lam == 0)
-        zero_chunks.append(lo + zeros)
-        eps_chunks.append(eps_lam[zeros])
-        del eps_lam, psi_lam  # else two chunks are alive while the next pass allocates
-    if not np.array_equal(np.concatenate(zero_chunks), starts):
+    if not np.array_equal(zeros, starts):
         return _report("gap_structure", [-1.0],
                        [{"lam": lam, "mismatch": "start set differs from brute force"}])
     gaps = np.diff(starts)
     q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    top = np.concatenate(eps_chunks)[:-1] == scale.digit_bound(lam)
+    top = eps[:-1] == scale.digit_bound(lam)
     checks = [(np.isin(gaps, [q_long, q_short]).all(), "gap outside {q_lam, q_lam-1}")]
     if q_long != q_short:  # at a degenerate level lengths cannot tell the kinds apart
         checks.append((np.array_equal(gaps == q_short, top), "short-gap rule violated"))
-    checks.append((np.array_equal(np.array(block.kinds) == SHORT, top), "kind tags disagree"))
+    tagged = np.fromiter(map(SHORT.__eq__, block.kinds), dtype=bool, count=len(block.kinds))
+    checks.append((np.array_equal(tagged, top), "kind tags disagree"))
     margins = [0.0 if ok else -1.0 for ok, _ in checks]
     details = [{"lam": lam, "mismatch": mismatch} for ok, mismatch in checks if not ok]
     return _report("gap_structure", margins, details)
+
+
+def gap_structure_sweep(scale: ConvergentTable, lam_max: int, count: int = GAP_COUNT) -> CheckReport:
+    """Cross-check w_sequence against a brute-force digit scan at every lam <= lam_max.
+
+    Verifies the first `count` gaps of each level: starts match
+    {n : psi_lam(n) = 0}, every gap is q_lam or q_{lam-1}, a kind tag is
+    SHORT exactly where the digit at lam of the gap's start is maximal, and
+    (away from the degenerate q_lam = q_{lam-1} case) so is a gap of length
+    q_{lam-1}.  The scan covers every n <= w_count of each level in one
+    banded greedy walk (_gap_scan): each n passes only through the levels
+    that still need it, in tiles of WALK_TILE points, and only the zeros of
+    psi_lam and eps_lam at them are kept.
+    """
+    if lam_max < 1:
+        raise ValidationError("lam_max must be >= 1")
+    blocks = [w_sequence(lam, count + 1, scale) for lam in range(1, lam_max + 1)]
+    scans = _gap_scan(scale, [block.starts[-1] + 1 for block in blocks])
+    return _merge("gap_structure", [
+        _gap_report(lam, block, zeros, eps, scale)
+        for lam, (block, (zeros, eps)) in enumerate(zip(blocks, scans), start=1)
+    ])
 
 
 # --- experiments -------------------------------------------------------------
@@ -371,15 +419,26 @@ def _scales(spec_texts, upto: int) -> list[ConvergentTable]:
     return [scale_for(parse_alpha_spec(spec_text), upto) for spec_text in spec_texts]
 
 
-def _with_fn(scales, fn_spec: str) -> list[tuple[ConvergentTable, AlphaFunction]]:
-    """fn_spec parsed against every scale (ValidationError where it does not fit)."""
-    return [(scale, parse_fn_spec(fn_spec, scale)) for scale in scales]
+def _with_fn(spec_texts, upto: int, fn_spec: str) -> list[tuple[ConvergentTable, AlphaFunction]]:
+    """fn_spec parsed against the table of each alpha spec (ValidationError naming one it does not fit)."""
+    family = []
+    for spec_text, scale in zip(spec_texts, _scales(spec_texts, upto)):
+        try:
+            family.append((scale, parse_fn_spec(fn_spec, scale)))
+        except ValidationError as exc:
+            raise ValidationError(f"{fn_spec} on the {spec_text} scale: {exc}") from exc
+    return family
 
 
-def _identity_family():
+def _identity_family(spec_texts=DEFAULT_ALPHA_SPECS):
     """Scales and functions the identity checks run over (q_lam <= 1024)."""
     return [(scale, from_theta(theta, scale))
-            for scale in _scales(DEFAULT_ALPHA_SPECS, IDENTITY_UPTO) for theta in DEFAULT_THETAS]
+            for scale in _scales(spec_texts, IDENTITY_UPTO) for theta in DEFAULT_THETAS]
+
+
+def _carry_family(spec_texts=CARRY_SPECS):
+    """Scales and functions the carry sweeps run over."""
+    return [(scale, from_theta(0.5, scale)) for scale in _scales(spec_texts, CARRY_UPTO)]
 
 
 def _run_fejer(rng) -> CheckReport:
@@ -438,7 +497,7 @@ def _run_cyclic(rng, family=None) -> CheckReport:
 
 
 def _run_carry(rng, family=None) -> CheckReport:
-    family = family or [(scale, from_theta(0.5, scale)) for scale in _scales(CARRY_SPECS, CARRY_UPTO)]
+    family = family or _carry_family()
     return _merge("carry_bound", [carry_bound_sweep(g, 12) for _, g in family])
 
 
@@ -454,11 +513,9 @@ def _run_gaps(rng) -> CheckReport:
     reports = []
     for spec_text in DEFAULT_ALPHA_SPECS:
         spec = parse_alpha_spec(spec_text)
-        probe = scale_for(spec, 4096)
-        for lam in range(1, 9):
-            # trim the table so the digit scans do not walk unused high levels
-            scale = scale_for(spec, (GAP_COUNT + 2) * probe.q[lam])
-            reports.append(gap_structure_check(lam, GAP_COUNT, scale))
+        # trim the table so that w_sequence builds no unused high levels
+        top = scale_for(spec, 4096).q[GAP_LAM_MAX]
+        reports.append(gap_structure_sweep(scale_for(spec, (GAP_COUNT + 2) * top), GAP_LAM_MAX))
     return _merge("gap_structure", reports)
 
 
@@ -484,26 +541,27 @@ CHECK_FAMILIES = {
 }
 
 
+FN_FAMILIES = ("parseval", "cyclic", "carry")
+
+
 def verify_all(
     seed: int = 0,
     only: str | Sequence[str] | None = None,
     fn_spec: str | None = None,
+    alpha_spec: str | None = None,
 ) -> list[CheckReport]:
     """Run the check battery (or a subset: `only` is a family name or a list).
 
-    With fn_spec, the families that check a function (parseval and cyclic
-    over the four default scales, carry over golden and silver) run on
-    fn_spec parsed against each scale instead of the default theta family.
-    It is parsed against every one of those scales before any check runs, so
-    an atom table that does not fit raises ValidationError first.
+    The families that check a function (FN_FAMILIES) run by default on the
+    theta family: parseval and cyclic over the four default scales, carry
+    over golden and silver.  With alpha_spec they run on that one scale
+    instead (ValidationError if `only` selects none of them), and with
+    fn_spec on fn_spec parsed against each of their scales.  It is parsed
+    against every one of those scales before any check runs, so an atom
+    table that does not fit raises ValidationError, naming the scale, first.
     """
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    families = {}
-    if fn_spec is not None:
-        identity = _with_fn(_scales(DEFAULT_ALPHA_SPECS, IDENTITY_UPTO), fn_spec)
-        carry = _with_fn(_scales(CARRY_SPECS, CARRY_UPTO), fn_spec)
-        families = {"parseval": identity, "cyclic": identity, "carry": carry}
     if only is None:
         names = list(CHECK_FAMILIES)
     elif isinstance(only, str):
@@ -513,6 +571,18 @@ def verify_all(
     unknown = [n for n in names if n not in CHECK_FAMILIES]
     if unknown:
         raise ValidationError(f"unknown check families: {unknown}; know {sorted(CHECK_FAMILIES)}")
+    if alpha_spec is not None and not set(FN_FAMILIES) & set(names):
+        raise ValidationError(f"an alpha spec applies to the families {', '.join(FN_FAMILIES)} only")
+    families = {}
+    if fn_spec is not None or alpha_spec is not None:
+        identity_specs = DEFAULT_ALPHA_SPECS if alpha_spec is None else (alpha_spec,)
+        carry_specs = CARRY_SPECS if alpha_spec is None else (alpha_spec,)
+        if fn_spec is None:
+            identity, carry = _identity_family(identity_specs), _carry_family(carry_specs)
+        else:
+            identity = _with_fn(identity_specs, IDENTITY_UPTO, fn_spec)
+            carry = _with_fn(carry_specs, CARRY_UPTO, fn_spec)
+        families = {"parseval": identity, "cyclic": identity, "carry": carry}
     rng = np.random.default_rng(seed)
     return [CHECK_FAMILIES[name](rng, families[name]) if name in families
             else CHECK_FAMILIES[name](rng) for name in names]

@@ -5,6 +5,8 @@ n = sum_k eps_k * q_k with 0 <= eps_0 < a_1, 0 <= eps_k <= a_{k+1}, and
 eps_k = a_{k+1} forcing eps_{k-1} = 0.  This module provides the greedy
 encoder/decoder, digit statistics (sigma, psi), the greedy range kernels,
 and the block structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
+The range kernels read one greedy walk (_walk), which takes a range through
+its levels in tiles of WALK_TILE points, so that its buffers stay in cache.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
     starts, eps = _block_table(lam, scale, count=count)
     short = (eps[: count - 1] == scale.digit_bound(lam)).tolist()
     return BlockIndex(lam, tuple(starts[:count].tolist()),
-                      tuple(SHORT if s else LONG for s in short))
+                      tuple(map((LONG, SHORT).__getitem__, short)))
 
 
 def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
@@ -226,34 +228,45 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
 # path for differential tests (bit-for-bit the per-n semantics, since the
 # arithmetic is identical integer arithmetic).
 
+WALK_TILE = 1 << 16  # points per tile of the greedy walk: its buffers stay in L2
+
 
 def _walk(
     scale: ConvergentTable, stop: int, lo: int, start: int = 0
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The greedy level walk over n in [start, stop): yields (k, eps_k * q_k, psi_k) per level.
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The greedy level walk over n in [start, stop), one tile at a time.
 
-    Levels run from the top index of stop - 1 down to lo; above the top
-    index no digit is peeled and psi_k = n, and no level is yielded there.
-    The remainder is reduced in place and the digit buffer holds eps_k * q_k
-    (floor_divide by a scalar has a fast path that np.divmod lacks), so both
-    yielded arrays are the walk's working buffers: a consumer may change the
-    digit buffer, which the next level overwrites, but not the remainder.
-    They are int32 lanes when stop <= 2**31 - 1, where every q_k walked and
-    every remainder fits, and int64 otherwise.
+    The range splits into tiles [base, base + WALK_TILE) (the last one
+    shorter).  Each tile is walked through all its levels before the next
+    starts, and yields (base, k, eps_k, psi_k) per level, for n in the tile.
+    Levels run from the top index of stop - 1 down to lo in every tile;
+    above the top index no digit is peeled and psi_k = n, and no level is
+    yielded there.  Both yielded arrays are the walk's working buffers, which
+    the next level overwrites: a consumer copies what it keeps and changes
+    neither.  They are int32 lanes when stop <= 2**31 - 1, where every q_k
+    walked and every remainder fits, and int64 otherwise.  Four tile-sized
+    buffers are the walk's whole working memory, however long the range.
     """
     if stop < start:
         raise RangeError(f"count={stop - start} is negative")
     if stop > scale.limit:
         raise RangeError(f"count={stop} beyond table limit {scale.limit}")
     check_size(stop - start, "greedy digit pass")
-    rem = np.arange(start, stop, dtype=np.int32 if stop <= np.iinfo(np.int32).max else np.int64)
-    d = np.empty_like(rem)
     q = scale.q
-    for k in range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1):
-        np.floor_divide(rem, q[k], out=d)
-        d *= q[k]
-        rem -= d
-        yield k, d, rem
+    levels = range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1)
+    index = np.arange(min(WALK_TILE, stop - start),
+                      dtype=np.int32 if stop <= np.iinfo(np.int32).max else np.int64)
+    rem_tile, eps_tile, peeled_tile = np.empty_like(index), np.empty_like(index), np.empty_like(index)
+    for base in range(start, stop, WALK_TILE):
+        size = min(WALK_TILE, stop - base)
+        rem, eps, peeled = rem_tile[:size], eps_tile[:size], peeled_tile[:size]
+        np.add(index[:size], base, out=rem)
+        for k in levels:
+            # floor_divide by a scalar has a fast path that np.divmod lacks
+            np.floor_divide(rem, q[k], out=eps)
+            np.multiply(eps, q[k], out=peeled)
+            rem -= peeled
+            yield base, k, eps, rem
 
 
 def _greedy(
@@ -264,25 +277,25 @@ def _greedy(
     Returns the arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k, psi_lo)
     with digit_sum, in the walk's lanes (int32 when stop <= 2**31 - 1); with
     no level between the top index of stop - 1 and lo they are the int64
-    arrays (0, n).  The working memory is the walk's two arrays, plus the
-    running sum with digit_sum.
+    arrays (0, n).  Both are filled tile by tile from the walk, so the
+    working memory is the two results and the walk's tiles.
     """
-    q = scale.q
-    total = rem = None
-    for k, d, rem in _walk(scale, stop, lo, start):
+    total = psi = None
+    for base, k, eps, rem in _walk(scale, stop, lo, start):
+        if psi is None:
+            psi = np.empty(stop - start, dtype=rem.dtype)
+            total = np.zeros_like(psi) if digit_sum else np.empty_like(psi)
+        tile = slice(base - start, base - start + len(rem))
         if digit_sum:
-            d //= q[k]
-            if total is None:
-                total = d.copy()
-            else:
-                total += d
-    if rem is None:
-        rem = np.arange(start, stop, dtype=np.int64)
-        return np.zeros_like(rem), rem
-    if not digit_sum:
-        d //= q[lo]
-        total = d
-    return total, rem
+            total[tile] += eps
+        if k == lo:
+            psi[tile] = rem
+            if not digit_sum:
+                total[tile] = eps
+    if psi is None:
+        n = np.arange(start, stop, dtype=np.int64)
+        return np.zeros_like(n), n
+    return total, psi
 
 
 def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:

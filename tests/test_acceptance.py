@@ -24,7 +24,7 @@ from ostrowski import (
     evaluate,
     fejer_check,
     from_theta,
-    gap_structure_check,
+    gap_structure_sweep,
     large_sieve_check,
     parse_alpha_spec,
     parseval_check,
@@ -260,10 +260,8 @@ def test_criterion_8_gap_structure():
     for spec_text in ALPHA_SPECS:
         spec = parse_alpha_spec(spec_text)
         probe = scale_for(spec, 4096)
-        for lam in range(1, 9):
-            scale = scale_for(spec, (10**4 + 2) * probe.q[lam])
-            rep = gap_structure_check(lam, 10**4, scale)
-            blocks += rep.instances_run
-            if not rep.ok:
-                problems.append(f"{spec_text} lam={lam}: {rep.details[:1]}")
+        rep = gap_structure_sweep(scale_for(spec, (10**4 + 2) * probe.q[8]), 8, 10**4)
+        blocks += rep.instances_run
+        if not rep.ok:
+            problems.append(f"{spec_text}: {rep.details[:1]}")
     _verdict(8, "block gap classification", f"{blocks} checks over 4 scales", problems)

@@ -239,13 +239,31 @@ def test_verify_fn_runs_the_given_function(capsys):
 
 
 def test_verify_fn_atoms_must_fit_every_scale(tmp_path, capsys):
-    scale = scale_for(GOLDEN, 2 * 1024 + 256)
-    g = from_theta(0.3, scale)
+    # a golden theta = 1/4 table covering the carry scale: without --alpha it
+    # is parsed against every default scale and the silver rows do not fit;
+    # with --alpha golden the function families run on golden alone and pass
+    scale = scale_for(GOLDEN, harness.CARRY_UPTO)
+    g = from_theta(0.25, scale)
     doc = {str(k): [[v.real, v.imag] for v in row] for k, row in enumerate(g.atoms)}
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--only", "parseval", "--fn", f"atoms:{path}"]) == 2
+    assert "silver scale" in capsys.readouterr().err
+    code, out = run(capsys, "verify", "--alpha", "golden", "--fn", f"atoms:{path}")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(harness.CHECK_FAMILIES) and all(line.startswith("PASS") for line in lines)
+    # one function on one scale: one parseval instance per golden level with q <= 1024
+    levels = sum(1 for q in scale_for(GOLDEN, harness.IDENTITY_UPTO).q[1:] if q <= 1024)
+    assert any(line.startswith(f"PASS parseval: {levels}/{levels} instances") for line in lines)
+
+
+def test_verify_alpha_needs_a_function_family(capsys):
+    # --alpha is read by parseval, cyclic and carry only
+    assert main(["verify", "--only", "fejer,density", "--alpha", "silver"]) == 2
     assert "error:" in capsys.readouterr().err
+    code, out = run(capsys, "verify", "--only", "fejer,cyclic", "--alpha", "silver")
+    assert code == 0 and out.startswith("PASS fejer")
 
 
 # --- one flag surface, one writer -------------------------------------------------
@@ -278,7 +296,7 @@ FLAGS = {
     "correlate": {"--alpha", "--out", "--format", "--fn", "--N", "--R"},
     "fourier": {"--alpha", "--out", "--format", "--fn", "--lam"},
     "spectrum": {"--alpha", "--out", "--format", "--fn", "--N", "--grid"},
-    "verify": {"--fn", "--out", "--seed", "--only"},
+    "verify": {"--alpha", "--fn", "--out", "--seed", "--only"},
     "experiment": {"--alpha", "--out", "--format", "--fn", "--seed", "--N", "--R-list"},
 }
 

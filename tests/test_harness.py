@@ -1,8 +1,9 @@
 """Check reports, bound checks against brute-force oracles, experiments.
 
 Oracles: per-n recomputation of carry counts through exact rational phases
-or digit comparison, empirical densities at moderate N, a brute-force psi
-scan for the gap structure, and the payloads the experiments return.
+or digit comparison, empirical densities at moderate N, a per-level
+brute-force psi scan for the gap structure, and the payloads the
+experiments return.
 """
 
 import json
@@ -27,7 +28,7 @@ from ostrowski import (
     density_sweep,
     encode,
     from_theta,
-    gap_structure_check,
+    gap_structure_sweep,
     parse_alpha_spec,
     parse_fn_spec,
     pseudorandomness_experiment,
@@ -159,6 +160,19 @@ def test_moved_matches_exact_integrality(theta):
     assert harness._moved(g, d).tolist() == want
 
 
+@pytest.mark.parametrize("den_bits", [1, 2, 5, 31, 32, 54, 61])
+def test_moved_mask_matches_the_remainder(den_bits):
+    # den is a power of two, so den divides d exactly when the low bits
+    # d & (den - 1) are zero: the same booleans as d % den != 0, negative d too
+    den = 1 << den_bits
+    g = from_theta(1 / den, scale_for(GOLDEN, 100))
+    rng = np.random.default_rng(den_bits)
+    d = np.concatenate([rng.integers(-(1 << 62), 1 << 62, 10**4),
+                        rng.integers(-64, 65, 10**3) * den,
+                        np.array([0, den, -den, den - 1, 1 - den, (1 << 62) - den])])
+    assert harness._moved(g, d).tolist() == (d % den != 0).tolist()
+
+
 def test_carry_sweep_all_pass():
     scale = scale_for(SILVER, 3000)
     g = from_theta(0.5, scale)
@@ -255,14 +269,59 @@ def test_one_pass_densities_match_the_per_level_scans(spec, N):
 # --- gap structure -----------------------------------------------------------------
 
 def test_gap_structure_across_specs():
-    from ostrowski import parse_alpha_spec
+    for spec_text in DEFAULT_ALPHA_SPECS:
+        scale = scale_for(parse_alpha_spec(spec_text), 10**4)
+        rep = gap_structure_sweep(scale, 3, 200)
+        assert rep.ok, (spec_text, rep.details)
+        degenerate = scale.q[1] == scale.q[0]
+        assert rep.instances_run == 9 - degenerate
 
+
+GAP_SCAN_CHUNK = 1 << 20  # points per greedy pass of the per-level oracle scan
+
+
+def per_level_gap_scan(scale, lam, stop):
+    """Zeros of psi_lam below stop and eps_lam at them: one chunked greedy pass per level."""
+    zero_chunks, eps_chunks = [], []
+    for lo in range(0, stop, GAP_SCAN_CHUNK):
+        eps_lam, psi_lam = harness._greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
+        zeros = np.flatnonzero(psi_lam == 0)
+        zero_chunks.append(lo + zeros)
+        eps_chunks.append(eps_lam[zeros])
+    return np.concatenate(zero_chunks), np.concatenate(eps_chunks)
+
+
+def test_banded_gap_scan_matches_the_per_level_scans():
+    # the battery's 32 (spec, lam) pairs: one banded walk per spec gives the
+    # zero sets of psi_lam and the digits eps_lam at them that one chunked
+    # scan of [0, w_count] per level gives
+    pairs = 0
     for spec_text in DEFAULT_ALPHA_SPECS:
         spec = parse_alpha_spec(spec_text)
-        scale = scale_for(spec, 10**4)
-        for lam in (1, 2, 3):
-            rep = gap_structure_check(lam, 200, scale)
-            assert rep.ok, (spec_text, lam, rep.details)
+        scale = scale_for(spec, (harness.GAP_COUNT + 2) * scale_for(spec, 4096).q[8])
+        ends = [harness.w_sequence(lam, harness.GAP_COUNT + 1, scale).starts[-1] + 1
+                for lam in range(1, 9)]
+        for lam, (zeros, eps) in enumerate(harness._gap_scan(scale, ends), start=1):
+            want_zeros, want_eps = per_level_gap_scan(scale, lam, ends[lam - 1])
+            assert zeros.tolist() == want_zeros.tolist(), (spec_text, lam)
+            assert eps.tolist() == want_eps.tolist(), (spec_text, lam)
+            assert len(zeros) == harness.GAP_COUNT + 1
+            pairs += 1
+    assert pairs == 32
+
+
+def test_gap_scan_edges():
+    # bands that are empty, or lie below the top index of a level, still
+    # give every level its zeros: n = 0 at least
+    scale = scale_for(GOLDEN, 100)
+    for ends in ([1, 1, 1], [2, 3, 5], [1, 4, 4]):
+        for lam, (zeros, eps) in enumerate(harness._gap_scan(scale, ends), start=1):
+            want = [n for n in range(ends[lam - 1]) if psi(n, lam, scale) == 0]
+            assert zeros.tolist() == want
+            assert eps.tolist() == [encode(n, scale).digit(lam) for n in want]
+    assert gap_structure_sweep(scale, 3, 0).ok
+    with pytest.raises(ValidationError):
+        gap_structure_sweep(scale, 0, 10)
 
 
 @pytest.mark.parametrize("fault, spec, lam", [
@@ -272,24 +331,28 @@ def test_gap_structure_across_specs():
 ], ids=["gap", "kind", "degenerate_kind"])
 def test_gap_check_catches_a_wrong_w_sequence(fault, spec, lam, monkeypatch):
     # the brute-force scan is an oracle independent of w_sequence: one gap
-    # one too long (every later start shifted), or one kind tag flipped; at
-    # golden lam = 1 (q_1 = q_0) only the digit at lam can tell the kinds apart
+    # one too long (every later start shifted), or one kind tag flipped, at
+    # level lam only; at golden lam = 1 (q_1 = q_0) only the digit at lam can
+    # tell the kinds apart
     real = harness.w_sequence
 
-    def broken(lam, count, scale):
-        block = real(lam, count, scale)
+    def broken(level, count, scale):
+        block = real(level, count, scale)
+        if level != lam:
+            return block
         starts, kinds = list(block.starts), list(block.kinds)
         if fault == "gap":
             starts[5:] = [w + 1 for w in starts[5:]]
         else:
             kinds[5] = "short" if kinds[5] == "long" else "long"
-        return BlockIndex(lam, tuple(starts), tuple(kinds))
+        return BlockIndex(level, tuple(starts), tuple(kinds))
 
     scale = scale_for(spec, 10**4)
-    assert gap_structure_check(lam, 50, scale).ok
+    assert gap_structure_sweep(scale, 3, 50).ok
     monkeypatch.setattr(harness, "w_sequence", broken)
-    rep = gap_structure_check(lam, 50, scale)
+    rep = gap_structure_sweep(scale, 3, 50)
     assert not rep.ok and rep.details
+    assert {detail["lam"] for detail in rep.details} == {lam}
     if fault == "kind":
         assert rep.details == ({"lam": lam, "mismatch": "kind tags disagree"},)
 
@@ -342,6 +405,45 @@ def test_spectrum_experiment_ignores_the_unread_r_list():
 def test_verify_all_single_family():
     (rep,) = verify_all(seed=0, only="fejer")
     assert rep.check_name == "fejer" and rep.ok and rep.instances_run == 100
+
+
+BATTERY_SIZE = {
+    "fejer": 100,
+    "large_sieve": 500,
+    "van_der_corput": 200,
+    "parseval": 168,
+    "cyclic_identity": 6004,
+    "carry_bound": 72108,
+    "density": 331,
+    "gap_structure": 93,
+}
+
+
+def test_verify_all_runs_the_whole_battery():
+    # a faster route must not drop instances: every family at its full size
+    reports = verify_all(seed=0)
+    assert {rep.check_name: rep.instances_run for rep in reports} == BATTERY_SIZE
+    assert sum(rep.instances_run for rep in reports) == 79504
+    assert all(rep.ok for rep in reports)
+
+
+def test_verify_all_alpha_runs_the_function_families_on_one_scale():
+    default = {rep.check_name: rep for rep in verify_all(only=["parseval", "carry"])}
+    golden = {rep.check_name: rep for rep in verify_all(only=["parseval", "carry"], alpha_spec="golden")}
+    assert all(rep.ok for rep in golden.values())
+    scale = scale_for(GOLDEN, harness.IDENTITY_UPTO)
+    levels = sum(1 for lam in range(1, scale.K + 1) if scale.q[lam] <= 1024)
+    assert golden["parseval"].instances_run == levels * len(harness.DEFAULT_THETAS)
+    carry = scale_for(GOLDEN, harness.CARRY_UPTO)
+    assert golden["carry_bound"].instances_run == len(harness.CARRY_NS) * sum(
+        carry.q[lam - 1] for lam in range(1, 13))
+    assert golden["carry_bound"].instances_run < default["carry_bound"].instances_run
+    (rep,) = verify_all(only="parseval", alpha_spec="periodic:/1,2", fn_spec="theta:0.25")
+    assert rep.ok
+    with pytest.raises(ValidationError):  # fejer reads no alpha spec
+        verify_all(only="fejer", alpha_spec="silver")
+    with pytest.raises(ValidationError):
+        verify_all(only="parseval", alpha_spec="nope")
 
 
 def test_verify_all_unknown_family():

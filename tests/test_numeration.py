@@ -31,7 +31,7 @@ from ostrowski import (
     encode,
     expand,
     expand_max,
-    gap_structure_check,
+    gap_structure_sweep,
     parse_alpha_spec,
     psi,
     psi_range,
@@ -314,19 +314,20 @@ def test_size_checks_refuse_before_allocating():
 
 
 def test_gap_check_scan_peak_memory():
-    # the brute-force scan runs in fixed chunks: silver lam = 8 reduces
-    # about 10^7 points, which one pass would hold as two 80 MB arrays
+    # the brute-force scan walks tiles of WALK_TILE points: silver lam <= 8
+    # reduces about 10^7 points, which one pass would hold as two 80 MB
+    # arrays; the tiles and the eight block indexes stay within a few MB
     spec = SILVER
     probe = scale_for(spec, 4096)
     scale = scale_for(spec, (10**4 + 2) * probe.q[8])
     tracemalloc.start()
     try:
-        rep = gap_structure_check(8, 10**4, scale)
+        rep = gap_structure_sweep(scale, 8, 10**4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak < 48 * 2**20
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["golden", "silver", "p12", "p123114"])
@@ -477,6 +478,61 @@ def test_greedy_lanes_at_the_int32_boundary(start, stop, dtype):
         assert hi.tolist() == [sum(d.digits[lo:]) for d in digits]
         want = [psi(n, lo, scale) for n in range(start, stop)]
         assert ps.tolist() == ps_sum.tolist() == want
+
+
+def greedy_oracle(scale, ns, lo):
+    """(eps_lo, psi_lo, sum_{k >= lo} eps_k) per n, from the scalar encode."""
+    digits = [encode(int(n), scale) for n in ns]
+    return ([d.digit(lo) for d in digits], [psi(int(n), lo, scale) for n in ns],
+            [sum(d.digits[lo:]) for d in digits])
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0, 5 * 777 + 13),
+    (1000, 4 * 777 - 5),
+    (2**40 - 3 * 777 - 100, 2**40 + 2 * 777 + 7),
+], ids=["from_zero", "off_tiles", "int64_lanes"])
+def test_tiled_greedy_matches_encode_across_tiles(start, stop, monkeypatch):
+    # tiles of 777 points: every range starts and stops off a tile boundary
+    # and crosses several tiles; the last one is in int64 lanes near 2**40
+    monkeypatch.setattr(numeration, "WALK_TILE", 777)
+    scale = scale_for(GOLDEN, 2**41)
+    ns = range(start, stop)
+    for lo in (0, 1, 3, 20):
+        eps, ps = _greedy(scale, stop, lo, start=start)
+        hi, ps_sum = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        if lo <= bisect.bisect_right(scale.q, stop - 1) - 1:  # else no level is walked: int64 (0, n)
+            assert eps.dtype == (np.int64 if stop > 2**31 - 1 else np.int32)
+        want_eps, want_psi, want_hi = greedy_oracle(scale, ns, lo)
+        assert eps.tolist() == want_eps
+        assert ps.tolist() == ps_sum.tolist() == want_psi
+        assert hi.tolist() == want_hi
+    if start == 0:
+        assert psi_range(scale, 2, stop).tolist() == [psi(n, 2, scale) for n in ns]
+        assert sigma_range(scale, stop).tolist() == [sigma(n, scale) for n in ns]
+
+
+@pytest.mark.parametrize("start", [0, 5, 2**40 - 2**16 - 9], ids=["zero", "off", "int64_lanes"])
+def test_greedy_at_the_walk_tile_boundaries(start):
+    # at the real WALK_TILE, over three tiles: every n within 3 of a tile
+    # boundary or of the range's ends, and a random sample between them
+    tile = numeration.WALK_TILE
+    stop = start + 2 * tile + 1001
+    scale = scale_for(SILVER, 2**41)
+    rng = np.random.default_rng(start)
+    edges = {start + b + e for b in (0, tile, 2 * tile, stop - start) for e in range(-3, 4)}
+    ns = sorted({n for n in edges if start <= n < stop} | set(rng.integers(start, stop, 500).tolist()))
+    at = np.array(ns) - start
+    for lo in (0, 2, 7):
+        eps, ps = _greedy(scale, stop, lo, start=start)
+        hi, _ = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        want_eps, want_psi, want_hi = greedy_oracle(scale, ns, lo)
+        assert eps[at].tolist() == want_eps
+        assert ps[at].tolist() == want_psi
+        assert hi[at].tolist() == want_hi
+    if start == 0:
+        assert psi_range(scale, 3, stop)[at].tolist() == [psi(n, 3, scale) for n in ns]
+        assert sigma_range(scale, stop)[at].tolist() == [sigma(n, scale) for n in ns]
 
 
 def test_psi_range_validation():

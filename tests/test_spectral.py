@@ -428,11 +428,26 @@ def cyclic_deltas_per_shift(g, lam, r_values):
     return deltas
 
 
+def cyclic_deltas_unit_matrix(g, lam, r_values):
+    """Deltas of the cyclic identity from one e() per (shift, h) matrix entry."""
+    table = fourier_coeffs(g, lam)
+    q, vals = table.q, table.values
+    power = table.G.real**2 + table.G.imag**2
+    h = np.arange(q, dtype=np.int64)
+    s = (np.array(list(r_values), dtype=np.int64) % q)[:, None]
+    lhs = (power * unit(((h * s) % q) / q)).sum(axis=1)
+    rhs = (vals[(h + s) % q] * np.conj(vals)).sum(axis=1)
+    return np.hypot(lhs.real - rhs.real / q, lhs.imag - rhs.imag / q).tolist()
+
+
 def test_cyclic_identity_sweep_matches_the_per_shift_loop_bit_for_bit(monkeypatch):
+    # the root table read at (h*r) mod q gives the phases of one e() per
+    # matrix entry bit for bit, so the deltas are those of both oracles
     calls = battery_calls(monkeypatch, "cyclic_identity_sweep", "cyclic")
     assert len(calls) == 168  # the identity family's levels with q_lam <= 1024
     for (g, lam, r_values), deltas in calls:
         assert deltas == cyclic_deltas_per_shift(g, lam, r_values)
+        assert deltas == cyclic_deltas_unit_matrix(g, lam, r_values)
 
 
 def test_cyclic_identity_sweep_edges():
@@ -692,6 +707,29 @@ def test_spectrum_control_is_exactly_one():
     assert scan.peak_value == 1.0
 
 
+@pytest.mark.parametrize("N", [8192, 10**4, 16384, 32768])
+def test_spectrum_peak_of_a_real_g_is_the_smaller_mirror(N):
+    # golden theta = 1/2 is real, so |S(beta)| = |S(1 - beta)|: the mirror
+    # peaks tie up to rounding (at N = 10^4 and 16384 the larger beta rounds
+    # higher) and the scan reports the smaller beta, with its own value
+    g = from_theta(0.5, scale_for(GOLDEN, N))
+    scan = spectrum_scan(g, N)
+    assert 0.0 < scan.beta_peak < 0.5
+    dense = abs(exponential_sum(g, scan.beta_peak, N))
+    assert abs(scan.peak_value - dense) <= 1e-12
+    assert abs(abs(exponential_sum(g, 1 - scan.beta_peak, N)) - dense) <= 1e-12
+
+
+def test_peak_rule_takes_the_smallest_beta_of_a_tie():
+    top = 0.25
+    below = top - 10 * np.spacing(top)
+    far = top - 2 * spectral.PEAK_TIE_ULPS * np.spacing(top)
+    assert spectral._peak([(0.7, top), (0.3, below)]) == (0.3, below)
+    assert spectral._peak([(0.7, top), (0.3, far)]) == (0.7, top)
+    assert spectral._peak([(0.0, 1.0), (1e-7, 1.0 + 2**-52)]) == (0.0, 1.0)
+    assert spectral._peak([(-1e-7, top), (0.5, top)]) == (0.5, top)  # beta is taken mod 1
+
+
 def test_spectrum_finds_twisted_frequency():
     scale = scale_for(GOLDEN, 20000)
     g = twist(from_theta(0.0, scale), 0.3)
@@ -767,11 +805,22 @@ def sieve_lhs_per_h(H, R, t):
     return pairwise_sum(terms)
 
 
-def test_large_sieve_matches_the_per_h_loop_bit_for_bit(monkeypatch):
+def sieve_lhs_direct_matrix(H, R, t):
+    """lhs of the large sieve from one e() per entry of the H x R phase matrix."""
+    sums = unit((t + np.arange(H) / H)[:, None] * np.arange(R, dtype=np.float64)).sum(axis=1)
+    return pairwise_sum(np.float_power(np.hypot(sums.real / R, sums.imag / R), 2))
+
+
+def test_large_sieve_matches_the_direct_matrix_to_1e13(monkeypatch):
+    # the matrix from H + R roots moves lhs by at most 1e-13 of the bound
+    # against one e() of the rounded r*(t + h/H) per entry, and against the
+    # per-h loop; relative to a small lhs (sums that nearly cancel) the move
+    # is larger, up to 1.5e-12 at lhs = 2.8e-5 over seeds 0-3
     calls = battery_calls(monkeypatch, "large_sieve_check", ["fejer", "large_sieve"])
     assert len(calls) == 500
     for (H, R, t), (lhs, bound, ok) in calls:
-        assert lhs == sieve_lhs_per_h(H, R, t)
+        assert abs(lhs - sieve_lhs_direct_matrix(H, R, t)) <= 1e-13 * bound
+        assert abs(lhs - sieve_lhs_per_h(H, R, t)) <= 1e-13 * bound
         assert bound == (H + R - 1) / R
         assert ok == (lhs <= bound + spectral.SIEVE_SLACK)
 
