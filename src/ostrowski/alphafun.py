@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import ConvergentTable
-from .errors import RangeError, ValidationError
+from .errors import CapError, RangeError, ValidationError
 from .numeration import encode
-from .numerics import check_size, frac_mul_int, unit1
+from .numerics import check_size, frac_mul_array, unit
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
 
@@ -33,6 +33,11 @@ ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound check
 # a sum could overflow to inf and the result to NaN.
 FLOAT_MAX = float(np.finfo(np.float64).max)
 VALUE_BOUND_MAX = math.sqrt(FLOAT_MAX / 2.0**64)
+
+# Most atoms a table may hold over all its rows (about 80 MB while it is
+# built); a scale whose digit ceilings sum past it is refused before any row
+# is built.
+ATOM_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class AlphaFunction:
                 f"atom table has {len(rows)} rows, scale certifies {scale.rows} digit positions"
             )
         value_bound = 1.0  # B = prod_k max_e |v[k][e]|, see VALUE_BOUND_MAX
-        for (k, top), row in zip(_rows_for(scale), rows):
+        for k, (top, row) in enumerate(zip(_row_tops(scale), rows)):
             if len(row) != top + 1:
                 raise ValidationError(f"atom row {k} has {len(row)} entries, expected {top + 1}")
             if abs(row[0] - 1.0) > ATOM_UNIT_TOL:
@@ -93,37 +98,72 @@ class AlphaFunction:
         return all(abs(abs(v) - 1.0) <= ATOM_UNIT_TOL for row in self.atoms for v in row)
 
 
-def _rows_for(scale: ConvergentTable):
-    """(k, digit ceiling a_{k+1}) for every certified digit position."""
-    for k in range(scale.rows):
-        yield k, (scale.quotients[k] if k < scale.K else scale.a_next)
+def _row_tops(scale: ConvergentTable) -> list[int]:
+    """The digit ceiling a_{k+1} of every certified position k; CapError past ATOM_CAP atoms."""
+    tops = [scale.quotients[k] if k < scale.K else scale.a_next for k in range(scale.rows)]
+    count = sum(tops) + len(tops)
+    if count > ATOM_CAP:
+        raise CapError(f"atom table needs {count} atoms, past the cap {ATOM_CAP}")
+    return tops
 
 
 def from_theta(theta: float, scale: ConvergentTable) -> AlphaFunction:
-    """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e)."""
-    atoms = tuple(
-        tuple(unit1(frac_mul_int(e, theta)) for e in range(top + 1))
-        for _, top in _rows_for(scale)
-    )
-    return AlphaFunction(scale, atoms, 1.0, float(theta))
+    """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e), one row sliced per row."""
+    tops = _row_tops(scale)
+    e = unit(frac_mul_array(np.arange(max(tops) + 1), theta)).tolist()
+    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), 1.0, float(theta))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Atom rows of g laid out for batched twists.
+
+    atoms[k, 1 + b] = v_k(b) and mult[k, 1 + b] = b * q_k for each digit
+    b <= last[k] of row k; column 0 and the columns past a row's end hold a
+    zero atom, so prefix sums along a row start from 0.  mult is int64, or
+    an object array of Python ints where a top-row multiplier passes
+    2**63 - 1 (frac_mul_array reduces either exactly).
+    """
+
+    atoms: np.ndarray
+    mult: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def of(cls, g: AlphaFunction, rows) -> "_Rows":
+        q = g.scale.q
+        atoms = np.zeros((len(rows), 1 + max(map(len, rows), default=0)), dtype=np.complex128)
+        mult = [[0] * atoms.shape[1] for _ in rows]
+        for k, row in enumerate(rows):
+            atoms[k, 1 : len(row) + 1] = row
+            mult[k][1 : len(row) + 1] = range(0, len(row) * q[k], q[k])
+        top = max(((len(row) - 1) * q[k] for k, row in enumerate(rows)), default=0)
+        mult = np.array(mult, dtype=np.int64 if top < 1 << 63 else object).reshape(atoms.shape)
+        return cls(atoms, mult, np.array([len(row) - 1 for row in rows], dtype=np.intp))
+
+    def twist(self, betas: np.ndarray) -> np.ndarray:
+        """The rows of g twisted by each of B betas, a (B, K, W + 1) array.
+
+        Entry [j, k, 1 + b] is v_k(b) e(-b * q_k * betas[j]); every phase
+        comes from one batched exact reduction.  Columns 0 (no atom) and
+        1 (b = 0) keep phase 0.
+        """
+        h = np.repeat(self.atoms[None], len(betas), axis=0)
+        h[:, :, 2:] *= unit(frac_mul_array(self.mult[:, 2:], -betas))
+        return h
 
 
 def twist(g: AlphaFunction, beta: float) -> AlphaFunction:
     """Pointwise product with e(-n * beta), realized on the atom table.
 
-    The phase of the atom at e * q_k picks up -e * q_k * beta; reduction mod 1
-    goes through exact integer arithmetic (q_k can be as large as 2**63).
+    The phase of the atom at e * q_k picks up -e * q_k * beta, reduced
+    exactly for every multiplier (a top row may pass 2**63): the one-beta
+    case of _Rows.twist, the twist the spectrum probes and scale_sums run.
     beta = 0 leaves every atom untouched.
     """
-    scale = g.scale
-    atoms = tuple(
-        tuple(
-            v * unit1(frac_mul_int(e * scale.q[k], -beta))
-            for e, v in enumerate(row)
-        )
-        for k, row in enumerate(g.atoms)
-    )
-    return AlphaFunction(scale, atoms, g.modulus_bound, g.theta if beta == 0.0 else None)
+    h = _Rows.of(g, g.atoms).twist(np.array([beta], dtype=np.float64))[0]
+    atoms = tuple(tuple(h[k, 1 : len(row) + 1].tolist()) for k, row in enumerate(g.atoms))
+    return AlphaFunction(g.scale, atoms, g.modulus_bound, g.theta if beta == 0.0 else None)
 
 
 def evaluate(g: AlphaFunction, n: int) -> complex:
@@ -201,7 +241,7 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     if not isinstance(data, dict):
         raise ValidationError("atom table must be a JSON object of rows")
     rows = []
-    for k in range(scale.rows):
+    for k in range(len(_row_tops(scale))):  # CapError before any row is parsed
         key = str(k)
         if key not in data:
             raise ValidationError(f"atom table missing row {k}")

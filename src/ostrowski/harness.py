@@ -110,15 +110,16 @@ def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
     With a theta tag the key is sigma_{>=lam}(n), and d moves the product
     unless theta * d is an integer: theta = p/den in lowest terms with den a
     power of two, so exactly when den divides d: when the low bits
-    d & (den - 1) are zero, negative d included (den >= 2**62 divides no
-    nonzero key difference).  Without one the key is the block start
+    d & (den - 1) are zero, negative d included.  A den past the largest
+    value of d's lanes (int32 or int64) divides no nonzero d in them.
+    Without one the key is the block start
     n - psi_lam(n), and any d != 0 counts: the digits at lam and above
     changed, which the same N*r/q_{lam-1} bound covers.
     """
     if g.theta is None:
         return d != 0
     den = g.theta.as_integer_ratio()[1]
-    return d != 0 if den >= 1 << 62 else d & (den - 1) != 0
+    return d != 0 if den > np.iinfo(d.dtype).max else d & (den - 1) != 0
 
 
 def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -143,8 +144,7 @@ def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np
     q_prev = g.scale.q[lam - 1]
     size = N + int(r.max())
     hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
-    # int64 keys: _moved's d & (den - 1) needs them past int32 lanes (den up to 2**61)
-    key = hi.astype(np.int64) if g.theta is not None else np.arange(size) - ps
+    key = hi if g.theta is not None else np.arange(size) - ps
     starts = np.flatnonzero(ps == 0)
     moved = _moved_transitions(g, key, starts)
     ends = starts[1:]

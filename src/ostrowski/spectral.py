@@ -22,10 +22,10 @@ from math import prod
 
 import numpy as np
 
-from .alphafun import AlphaFunction, values_range
+from .alphafun import AlphaFunction, _Rows, values_range
 from .errors import CapError, RangeError, ValidationError
 from .numeration import encode
-from .numerics import RANGE_CAP, check_size, frac_mul_array, frac_mul_range, pairwise_sum, unit
+from .numerics import RANGE_CAP, check_size, frac_mul_array, pairwise_sum, unit
 
 DFT_CAP = 1 << 20      # hard cap on transform length
 
@@ -305,23 +305,8 @@ class FourierTable:
         return lhs, rhs, abs(lhs - rhs)
 
 
-def _dft_direct(vals: np.ndarray) -> np.ndarray:
-    """O(q^2) evaluation of G(h) = (1/q) sum_u g(u) e(-h*u/q), the test oracle of _dft_fast.
-
-    Phases are reduced through integer h*u mod q, so every kernel entry is an
-    exact root-of-unity lookup.
-    """
-    q = len(vals)
-    roots = unit(-(np.arange(q) / q))
-    u = np.arange(q, dtype=np.int64)
-    out = np.empty(q, dtype=np.complex128)
-    for h in range(q):
-        out[h] = pairwise_sum(vals * roots[(h * u) % q]) / q
-    return out
-
-
 def _dft_fast(vals: np.ndarray) -> np.ndarray:
-    """Exact-length fast transform, the route of every Fourier table."""
+    """Exact-length fast transform, the route of every Fourier table; an O(q^2) sum is its test oracle."""
     return np.fft.fft(vals) / len(vals)
 
 
@@ -368,16 +353,12 @@ def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
     return np.hypot(lhs.real - rhs.real / q, lhs.imag - rhs.imag / q).tolist()
 
 
-def _exp_sum(vals: np.ndarray, beta: float) -> complex:
-    N = len(vals)
-    return pairwise_sum(vals * unit(frac_mul_range(N, -beta))) / N
-
-
 def exponential_sum(g: AlphaFunction, beta: float, N: int) -> complex:
     """(1/N) sum_{n<N} g(n) e(-n*beta); CapError past RANGE_CAP (from values_range)."""
     if N < 1:
         raise ValidationError("N must be >= 1")
-    return _exp_sum(values_range(g, N), beta)
+    vals = values_range(g, N)
+    return pairwise_sum(vals * unit(frac_mul_array(np.arange(N), -beta))) / N
 
 
 def _scale_partials(sums, lasts):
@@ -398,59 +379,34 @@ def _scale_partials(sums, lasts):
         yield P
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Atom rows 0..K-1 of g laid out for batched twists.
+def _partials(rows: _Rows, h: np.ndarray, sums: np.ndarray):
+    """_scale_partials of the twisted rows h = rows.twist(betas): P_0, P_1, ... as (B,) arrays.
 
-    atoms[k, 1 + b] = v_k(b) and mult[k, 1 + b] = b * q_k for each digit
-    b <= last[k] of row k; column 0 and the columns past a row's end hold a
-    zero atom, so prefix sums along a row start from 0.
+    sums[j, k, e] is the sum of row k of h[j] over b < e, added from b = 0 up.
     """
-
-    atoms: np.ndarray
-    mult: np.ndarray
-    last: np.ndarray
-
-    @classmethod
-    def of(cls, g: AlphaFunction, rows) -> "_Rows":
-        q = g.scale.q
-        atoms = np.zeros((len(rows), 1 + max(map(len, rows), default=0)), dtype=np.complex128)
-        mult = np.zeros(atoms.shape, dtype=np.int64)
-        for k, row in enumerate(rows):
-            atoms[k, 1 : len(row) + 1] = row
-            mult[k, 1 : len(row) + 1] = [b * q[k] for b in range(len(row))]
-        return cls(atoms, mult, np.array([len(row) - 1 for row in rows], dtype=np.intp))
-
-    def twist(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(h, sums) for g twisted by each of B betas, both (B, K, W + 1) arrays.
-
-        h[j, k, 1 + b] = v_k(b) e(-b * q_k * betas[j]) and sums[j, k, e] is
-        the sum of that row over b < e, added from b = 0 up.  All phases come
-        from one batched exact reduction (frac_mul_array serves any
-        multiplier below 2**63).
-        """
-        h = self.atoms * unit(frac_mul_array(self.mult, -betas))
-        return h, np.cumsum(h, axis=2)
-
-    def partials(self, h: np.ndarray, sums: np.ndarray):
-        """_scale_partials of the twisted rows: P_0, P_1, ... as (B,) arrays."""
-        k = np.arange(len(self.last))
-        return _scale_partials(sums[:, k, self.last].T, h[:, k, self.last + 1].T)
+    k = np.arange(len(rows.last))
+    return _scale_partials(sums[:, k, rows.last].T, h[:, k, rows.last + 1].T)
 
 
 def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarray:
     """Averages S_i = (1/q_i) sum_{n<q_i} g(n) e(-n*beta) for i = 0..K.
 
     S_i = P_i / q_i, with P_i from the recurrence of _scale_partials run on
-    g's atom rows twisted by beta.  The twist reduces each phase b*q_k*beta
-    exactly (frac_mul_array's 26-bit limbs), so scales up to q_K ~ 2**63 are
-    served and S_i matches the direct average to rounding (measured: at most
-    2.5e-16 for q_i <= 1e5).  This is the one-beta case of _scale_sums,
-    which twists the rows for many betas in one batched reduction; the
-    spectrum_scan probes run the same recurrence on the same twist (see
-    _digit_exp_sums).  For unimodular atoms each step is a convex-type
-    combination, so |S_{i+1}| never exceeds max(|S_i|, |S_{i-1}|) beyond
-    rounding.
+    g's atom rows twisted by beta (_Rows.twist, the twist of alphafun.twist).
+    The twist reduces each phase b*q_k*beta exactly (frac_mul_array), so
+    scales up to q_K ~ 2**63 are served and S_i matches the direct average
+    to rounding (measured: at most 2.5e-16 for q_i <= 1e5).  This is the
+    one-beta case of _scale_sums, which twists the rows for many betas in one
+    batched reduction; the spectrum_scan probes run the same recurrence on
+    the same twist (see _digit_exp_sums).  For unimodular atoms each step is
+    a convex-type combination, so |S_{i+1}| never exceeds
+    max(|S_i|, |S_{i-1}|) beyond rounding.
+
+    When the twisted atoms are Gaussian integers (beta = 0 or a multiple of
+    1/4 with theta a multiple of 1/4) every P_i is an exact integer only
+    while it stays <= 2**53: at theta = beta = 0, S_i is exactly 1 up to the
+    last q_i <= 2**53 (golden q_77, silver q_41) and may round past it
+    (golden q_81 ~ 6.1e16 and silver q_43 give 0.9999999999999999).
     """
     scale = g.scale
     if K is None:
@@ -464,7 +420,8 @@ def _scale_sums(g: AlphaFunction, betas: np.ndarray, K: int) -> np.ndarray:
     """(B, K + 1) array whose row j is scale_sums(g, betas[j], K)."""
     rows = _Rows.of(g, g.atoms[:K])
     out = np.empty((len(betas), K + 1), dtype=np.complex128)
-    for i, (P, q) in enumerate(zip(rows.partials(*rows.twist(betas)), g.scale.q)):
+    h = rows.twist(betas)
+    for i, (P, q) in enumerate(zip(_partials(rows, h, np.cumsum(h, axis=2)), g.scale.q)):
         out.real[:, i] = P.real / q  # parts divided on their own, as Python's complex / int does
         out.imag[:, i] = P.imag / q
     return out
@@ -517,14 +474,15 @@ def _digit_exp_sums(plan: _DigitPlan, betas, length=None) -> np.ndarray:
     """
     betas = np.asarray(betas, dtype=np.float64)
     length = np.zeros(len(betas), dtype=np.intp) if length is None else np.asarray(length)
-    h, sums = plan.rows.twist(betas)
+    h = plan.rows.twist(betas)
+    sums = np.cumsum(h, axis=2)
     eps = plan.digits[length]
     j, k = np.arange(len(betas))[:, None], np.arange(eps.shape[1])
     below = sums[j, k, eps].T
     at = np.where(eps > 0, h[j, k, eps + 1], 1).T  # 1: a zero digit keeps T_k
     total = np.ones(len(betas), dtype=np.complex128)
     steps = (eps > 0).any(axis=0).tolist()
-    for step, s, v, P in zip(steps, below, at, plan.rows.partials(h, sums)):
+    for step, s, v, P in zip(steps, below, at, _partials(plan.rows, h, sums)):
         if step:
             total = s * P + v * total
     N = plan.N[length]
@@ -639,9 +597,11 @@ def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> Sp
     per round plus one for the final midpoints (17 at the default grid).  A
     probe agrees with the dense sum exponential_sum(g, beta, N) to
     1e-13 * max|g| (measured: at most 4.6e-16 for unimodular atoms, N from 1
-    to 1e6).  At beta = 0 with Gaussian-integer atoms every partial sum is an
-    exact integer, and the grid entry at beta = 0 is exact too, so the
-    theta = 0 control peak stays exactly (0.0, 1.0).
+    to 1e6).  Where the atoms twisted by beta are Gaussian integers (beta = 0,
+    or theta and beta multiples of 1/4) every partial sum is an exact integer
+    while it stays <= 2**53 (see scale_sums), which N <= RANGE_CAP ensures,
+    so a probe equals the dense sum bit for bit; the grid entry at beta = 0
+    is exact too, so the theta = 0 control peak stays exactly (0.0, 1.0).
     """
     if grid_size < 16:
         raise ValidationError("grid_size must be >= 16")

@@ -21,8 +21,10 @@ from ostrowski import (
     ValidationError,
     encode,
     evaluate,
+    expand_max,
     from_theta,
     load_atoms,
+    parse_alpha_spec,
     parse_fn_spec,
     psi,
     scale_for,
@@ -30,8 +32,9 @@ from ostrowski import (
     twist,
     values_range,
 )
-from ostrowski.alphafun import VALUE_BOUND_MAX
-from ostrowski.numerics import RANGE_CAP
+import ostrowski.alphafun as alphafun
+from ostrowski.alphafun import VALUE_BOUND_MAX, _Rows
+from ostrowski.numerics import RANGE_CAP, frac_mul_array, unit
 
 THETAS = (0.5, 1 / 3, 0.1234567, 0.0)
 
@@ -63,6 +66,42 @@ def test_quarter_turn_atoms_are_exact():
 def row_top(scale, k):
     """Digit ceiling a_{k+1} of atom row k (row 0 keeps the unread a_1 slot)."""
     return scale.quotients[k] if k < scale.K else scale.a_next
+
+
+@pytest.mark.parametrize("spec", ["golden", "silver", "periodic:/1,2,3,1,1,4", "periodic:/1000"])
+@pytest.mark.parametrize("theta", [0.1234567, 1 / 3, 0.5, 0.25, 0.0, -0.3])
+def test_from_theta_atoms_are_the_correctly_rounded_phases(spec, theta):
+    # one reduction of 0..max digit, sliced per row: for theta >= 0 each atom
+    # is e() of the correctly rounded (e * theta) mod 1, bit for bit; a
+    # negative theta mirrors the phase with one more rounding (2**-53)
+    scale = expand_max(parse_alpha_spec(spec))
+    g = from_theta(theta, scale)
+    top = max(map(len, g.atoms))
+    want = np.array([complex(unit(float((Fraction(theta) * e) % 1) % 1.0)) for e in range(top)])
+    for row in g.atoms:
+        got = np.array(row)
+        if theta >= 0:
+            assert np.array_equal(got.view(np.float64), want[: len(row)].view(np.float64))
+        else:
+            assert np.max(np.abs(got - want[: len(row)])) <= 1e-15
+
+
+def test_atom_tables_past_the_atom_cap_are_refused(monkeypatch):
+    # periodic:/1000 has 7007 atoms over its 7 rows: at the cap it builds,
+    # one atom under it every route refuses before building a row
+    scale = expand_max(parse_alpha_spec("periodic:/1000"))
+    rows = from_theta(0.3, scale).atoms
+    assert sum(map(len, rows)) == 7007
+    monkeypatch.setattr(alphafun, "ATOM_CAP", 7007)
+    from_theta(0.3, scale)
+    monkeypatch.setattr(alphafun, "ATOM_CAP", 7006)
+    monkeypatch.setattr(alphafun, "frac_mul_array", lambda *a: pytest.fail("row built"))
+    with pytest.raises(CapError, match="7007 atoms"):
+        from_theta(0.3, scale)
+    with pytest.raises(CapError, match="7007 atoms"):
+        load_atoms({}, scale)  # refused before the missing row 0 is looked for
+    with pytest.raises(CapError, match="7007 atoms"):
+        AlphaFunction(scale, rows)
 
 
 def test_atom_validation_errors():
@@ -151,6 +190,25 @@ def test_twist_matches_exact_phase_oracle():
     for n in range(0, 3000, 17):
         want = evaluate(g, n) * unit_fraction(-bf * n)
         assert abs(evaluate(h, n) - want) < 1e-12
+
+
+def test_twist_reduces_the_silver_top_row_past_2_63():
+    # the top row's multipliers e * q_K reach 2 * q_K > 2**63: the layout
+    # carries them as Python ints, and every phase is within 2**-52 of the
+    # exact one on the circle
+    scale = expand_max(SILVER)
+    g = from_theta(0.5, scale)
+    beta, qK = 0.3, scale.q[-1]
+    rows = _Rows.of(g, g.atoms)
+    assert rows.mult.dtype == object and rows.mult[-1, 3] == 2 * qK > 2**63
+    phases = frac_mul_array(rows.mult[-1, 1:4], -beta)
+    for e, f in enumerate(phases.tolist()):
+        exact = (-Fraction(beta) * e * qK) % 1
+        gap = abs(Fraction(f) - exact)
+        assert min(gap, 1 - gap) <= Fraction(2) ** -52
+    h = twist(g, beta)
+    for e, (v, u) in enumerate(zip(h.atoms[-1], g.atoms[-1])):
+        assert abs(v - u * unit_fraction(-Fraction(beta) * e * qK)) < 1e-15
 
 
 def test_twist_theta_tag():

@@ -1,15 +1,25 @@
 """Command line interface: payload shapes, exit codes, output formats."""
 
 import argparse
+import cmath
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ostrowski import GOLDEN, CheckReport, expand_max, from_theta, parse_alpha_spec, scale_for
+from ostrowski import (
+    GOLDEN,
+    CheckReport,
+    expand_max,
+    from_theta,
+    parse_alpha_spec,
+    scale_for,
+    values_range,
+)
 from ostrowski.cli import build_parser, main
 import ostrowski.harness as harness
 import ostrowski.spectral as spectral
@@ -445,6 +455,31 @@ def test_dense_cap_is_exit_3_without_traceback():
     proc = run_process("spectrum", "--N", str((1 << 26) + 1))
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
+
+
+def test_atom_table_past_the_atom_cap_is_exit_3_without_traceback(monkeypatch, capsys):
+    # a 103-point request on a scale whose top row holds 4 * 10**6 atoms:
+    # refused before any atom row is built
+    import ostrowski.alphafun as alphafun
+
+    monkeypatch.setattr(alphafun, "frac_mul_array", lambda *a: pytest.fail("atom row built"))
+    assert main(["correlate", "--alpha", "periodic:/1,4000000", "--N", "100", "--R", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "atoms, past the cap" in err and "Traceback" not in err
+
+
+def test_fourier_of_a_twist_past_2_63_runs(capsys):
+    # silver's largest table twists its top row at multipliers up to 2 * q_K > 2**63
+    code, out = run(capsys, "fourier", "--alpha", "silver", "--fn", "theta:0.5+beta:0.3", "--lam", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] == 12 and payload["parseval_delta"] < 1e-12
+    g = from_theta(0.5, expand_max(parse_alpha_spec("silver")))
+    vals = [complex(v) * cmath.exp(-2j * cmath.pi * float((Fraction(3, 10) * n) % 1))
+            for n, v in enumerate(values_range(g, 12))]
+    for row in payload["rows"]:
+        want = sum(v * cmath.exp(-2j * cmath.pi * row["h"] * u / 12) for u, v in enumerate(vals)) / 12
+        assert abs(complex(row["re"], row["im"]) - want) < 1e-12
 
 
 def test_spectrum_grid_past_the_size_cap_is_exit_3_without_traceback(monkeypatch, capsys):

@@ -171,6 +171,15 @@ def test_moved_mask_matches_the_remainder(den_bits):
                         rng.integers(-64, 65, 10**3) * den,
                         np.array([0, den, -den, den - 1, 1 - den, (1 << 62) - den])])
     assert harness._moved(g, d).tolist() == (d % den != 0).tolist()
+    # int32 lanes, as the carry keys come from the greedy walk: a den past
+    # 2**31 - 1 divides no nonzero difference there
+    top = (1 << 31) - 1
+    d32 = [rng.integers(-top, top + 1, 10**4), np.array([0, 1, -1, top, -top])]
+    if den <= top:
+        most = top // den
+        d32 += [rng.integers(-most, most + 1, 10**3) * den, np.array([den, -den, den - 1, 1 - den])]
+    d32 = np.concatenate(d32).astype(np.int32)
+    assert harness._moved(g, d32).tolist() == (d32.astype(np.int64) % den != 0).tolist()
 
 
 def test_carry_sweep_all_pass():
@@ -183,8 +192,8 @@ def test_carry_sweep_all_pass():
 
 
 def test_carry_family_at_a_denominator_past_int32():
-    # theta = 0.3 is p / 2**54: carry keys from int32 lanes must reach
-    # _moved's d % 2**54 as int64
+    # theta = 0.3 is p / 2**54: in the int32 lanes of the carry keys no
+    # nonzero difference is a multiple of 2**54
     (rep,) = verify_all(fn_spec="theta:0.3", only="carry")
     assert rep.instances_run == 72108 and rep.ok
 

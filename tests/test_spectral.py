@@ -47,17 +47,15 @@ from ostrowski import (
     vdc_check,
     verify_all,
 )
-from ostrowski.numerics import RANGE_CAP, pairwise_sum, unit
+from ostrowski.numerics import RANGE_CAP, frac_mul_array, pairwise_sum, unit
 from ostrowski.spectral import (
     CORR_FFT_MIN,
     DFT_CAP,
-    _dft_direct,
     _dft_fast,
     REFINE_PEAKS,
     REFINE_WIDTH,
     _digit_exp_sums,
     _digit_plan,
-    _exp_sum,
     _profile_pairwise,
     _refine,
     _scale_partials,
@@ -324,11 +322,26 @@ def test_levels_route_transforms_stay_near_the_seed(monkeypatch):
 
 # --- Fourier tables ----------------------------------------------------------------
 
+def dft_direct(vals: np.ndarray) -> np.ndarray:
+    """O(q^2) evaluation of G(h) = (1/q) sum_u g(u) e(-h*u/q), the oracle of _dft_fast.
+
+    Phases are reduced through integer h*u mod q, so every kernel entry is an
+    exact root-of-unity lookup.
+    """
+    q = len(vals)
+    roots = unit(-(np.arange(q) / q))
+    u = np.arange(q, dtype=np.int64)
+    out = np.empty(q, dtype=np.complex128)
+    for h in range(q):
+        out[h] = pairwise_sum(vals * roots[(h * u) % q]) / q
+    return out
+
+
 def test_direct_and_fast_transforms_agree():
     rng = np.random.default_rng(11)
     for q in (1, 2, 55, 377, 610):
         vals = np.exp(2j * np.pi * rng.random(q))
-        assert np.max(np.abs(_dft_direct(vals) - _dft_fast(vals))) < 1e-12
+        assert np.max(np.abs(dft_direct(vals) - _dft_fast(vals))) < 1e-12
 
 
 def test_transform_path_switches_at_cap():
@@ -338,9 +351,9 @@ def test_transform_path_switches_at_cap():
     lam_small = scale.q.index(2584)
     lam_big = scale.q.index(6765)
     vals_small = values_range(g, 2584)
-    assert np.max(np.abs(fourier_coeffs(g, lam_small).G - _dft_direct(vals_small))) < 1e-12
+    assert np.max(np.abs(fourier_coeffs(g, lam_small).G - dft_direct(vals_small))) < 1e-12
     vals_big = values_range(g, 6765)
-    direct = _dft_direct(vals_big)
+    direct = dft_direct(vals_big)
     assert np.max(np.abs(fourier_coeffs(g, lam_big).G - direct)) < 1e-12
 
 
@@ -499,8 +512,8 @@ def test_scale_sums_match_direct_averages():
 
 
 def test_scale_sums_past_the_cap_match_the_exact_twist():
-    # q_K ~ 1e18: the batched twist's 26-bit limbs against twist's exact
-    # integer phases, both through the P_i recurrence
+    # q_K ~ 1e18: the batched twist over all betas against twist's one-beta
+    # atom table, both through the P_i recurrence
     rng = np.random.default_rng(31)
     scale = scale_for(GOLDEN, 10**18)
     assert scale.q[scale.K] > 10**17 > RANGE_CAP
@@ -524,17 +537,36 @@ def test_scale_sums_contraction():
             assert S[i + 1] <= max(S[i], S[i - 1]) + 1e-12
 
 
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER])
+def test_scale_sums_at_beta_0_are_exact_while_the_partial_sums_fit_2_53(spec):
+    # theta = 0: P_i = q_i is an exact integer while it stays <= 2**53, so S_i
+    # is exactly 1 up to the last q_i <= 2**53; past it the recurrence may
+    # round (golden from q_81, silver from q_43: 0.9999999999999999)
+    scale = expand_max(spec)
+    S = scale_sums(from_theta(0.0, scale), 0.0)
+    last = max(i for i, q in enumerate(scale.q) if q <= 2**53)
+    assert last < scale.K
+    assert S[: last + 1].tolist() == [1.0] * (last + 1)
+    assert np.max(np.abs(S - 1.0)) <= 1e-15
+
+
 # --- digit route for exponential sums against the dense oracle -----------------------
 
 DIGIT_ABS_TOL = 1e-13
 ALPHA_SPECS = ["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4"]
 
 
+def dense_exp_sum(vals: np.ndarray, beta: float) -> complex:
+    """exponential_sum's arithmetic on a given value block: (1/N) sum_{n<N} vals[n] e(-n*beta)."""
+    N = len(vals)
+    return pairwise_sum(vals * unit(frac_mul_array(np.arange(N), -beta))) / N
+
+
 def digit_gap(g, N, betas):
-    """Largest |digit route - dense _exp_sum| over betas: one batched digit call, one value block."""
+    """Largest |digit route - dense sum| over betas: one batched digit call, one value block."""
     got = _digit_exp_sums(_digit_plan(g, [N]), betas).tolist()
     vals = values_range(g, N)
-    return max(abs(s - _exp_sum(vals, beta)) for s, beta in zip(got, betas))
+    return max(abs(s - dense_exp_sum(vals, beta)) for s, beta in zip(got, betas))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -578,6 +610,33 @@ def test_digit_route_edge_lengths(name):
     control = from_theta(0.0, scale)
     for N in sorted(lengths):
         assert _digit_exp_sums(_digit_plan(control, [N]), [0.0]).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 100, 12345, 10**5])
+def test_quarter_turn_twist_sums_equal_the_probe_bit_for_bit(N):
+    # theta = 1/2, beta = 1/4: every twisted atom and every phase n/4 is one
+    # of 1, i, -1, -i exactly, so the dense sums and the digit route add the
+    # same Gaussian integers without rounding
+    g = from_theta(0.5, scale_for(GOLDEN, N))
+    probe = _digit_exp_sums(_digit_plan(g, [N]), [0.25])[0]
+    assert exponential_sum(twist(g, 0.25), 0.0, N) == probe
+    assert exponential_sum(g, 0.25, N) == probe
+
+
+def test_golden_half_quarter_probe_is_the_exact_dense_value():
+    # the sum of g(n) e(-n/4) over n < 10**6 in integers is -708 + 22i
+    N = 10**6
+    g = from_theta(0.5, scale_for(GOLDEN, N))
+    vals = values_range(g, N).real.astype(np.int64)
+    assert set(np.unique(vals).tolist()) == {-1, 1}
+    n = np.arange(N)
+    total = complex(int(vals[n % 4 == 0].sum() - vals[n % 4 == 2].sum()),
+                    int(vals[n % 4 == 3].sum() - vals[n % 4 == 1].sum()))
+    assert total == complex(-708, 22)
+    want = complex(total.real / N, total.imag / N)
+    assert want == complex(-0.000708, 2.2e-05)
+    assert exponential_sum(g, 0.25, N) == want
+    assert _digit_exp_sums(_digit_plan(g, [N]), [0.25])[0] == want
 
 
 def test_digit_route_twisted_spec_and_atom_tables():
@@ -670,7 +729,7 @@ def test_spectrum_peak_matches_dense_recheck(monkeypatch):
     cases = [(GOLDEN, "theta:0.0+beta:0.3", 10**4), (SILVER, "theta:0.3333", 8192),
              (parse_alpha_spec("periodic:/1,2,3,1,1,4"), "theta:0.1234567+beta:0.61", 12345)]
 
-    def no_dense_probes(vals, beta):
+    def no_dense_probes(g, beta, N):
         raise AssertionError("refinement probe took the dense route")
 
     width, rounds = 2 / 512, 0
@@ -685,7 +744,7 @@ def test_spectrum_peak_matches_dense_recheck(monkeypatch):
             return _digit_exp_sums(plan, betas, length)
 
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_exp_sum", no_dense_probes)
+            m.setattr(spectral, "exponential_sum", no_dense_probes)
             m.setattr(spectral, "_digit_exp_sums", counted)
             scan = spectrum_scan(g, N, grid_size=512)
         # refinement stays batched: one call per ternary round plus one for
