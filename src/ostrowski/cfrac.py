@@ -8,8 +8,9 @@ partial quotients exactly, so all integer structure stays exact.
 
 from __future__ import annotations
 
-import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice, takewhile
 
 from .errors import RangeError, ValidationError
 
@@ -157,61 +158,68 @@ class ConvergentTable:
         return self.K + 1 if self.a_next is not None else self.K
 
 
-def expand(spec: QuotientSpec, K: int) -> ConvergentTable:
-    """Convergent table through index K.
+def _convergents(spec: QuotientSpec) -> Iterator[tuple[int, int, int]]:
+    """(a_i, p_i, q_i) for i = 1, 2, ... while the quotients last and q_i <= Q_MAX.
 
-    Raises IndexError if an explicit quotient list is too short and
-    OverflowError (reporting the largest safe K) if a denominator would pass
-    2**63 - 1.
+    The table builders' one run of the recurrence, from p_{-1}, q_{-1} = 1, 0.
+    """
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    for a in map(spec.quotient, takewhile(spec.has_quotient, count(1))):
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        if q > Q_MAX:
+            return
+        yield a, p, q
+
+
+def _table(spec: QuotientSpec, rows: list[tuple[int, int, int]]) -> ConvergentTable:
+    """The table through K = len(rows) from the rows (a_i, p_i, q_i), i = 1..K."""
+    if not rows:
+        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+    a, p, q = zip(*rows)
+    a_next = spec.quotient(len(a) + 1) if spec.has_quotient(len(a) + 1) else None
+    return ConvergentTable(spec, a, (0, *p), (1, *q), a_next)
+
+
+def expand(spec: QuotientSpec, K: int) -> ConvergentTable:
+    """Convergent table through index K: the first K rows of the recurrence.
+
+    Raises IndexError if an explicit quotient list is too short (before any
+    denominator is checked) and OverflowError (reporting the largest safe K)
+    if a denominator would pass 2**63 - 1.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
-    a = [spec.quotient(i) for i in range(1, K + 1)]
-    if a[0] > Q_MAX:
-        raise OverflowError("a_1 alone exceeds 2**63 - 1")
-    p = [0, 1]
-    q = [1, a[0]]
-    for i in range(1, K):
-        nxt = a[i] * q[i] + q[i - 1]
-        if nxt > Q_MAX:
-            raise OverflowError(
-                f"q_{i + 1} exceeds 2**63 - 1; largest safe K for this spec is {i}"
-            )
-        p.append(a[i] * p[i] + p[i - 1])
-        q.append(nxt)
-    try:
-        a_next = spec.quotient(K + 1)
-    except IndexError:
-        a_next = None
-    return ConvergentTable(spec, tuple(a), tuple(p), tuple(q), a_next)
+    if not spec.has_quotient(K):
+        spec.quotient(len(spec.preperiod) + 1)  # IndexError naming the first missing quotient
+    rows = list(islice(_convergents(spec), K))
+    if rows and len(rows) < K:
+        raise OverflowError(
+            f"q_{len(rows) + 1} exceeds 2**63 - 1; largest safe K for this spec is {len(rows)}"
+        )
+    return _table(spec, rows)
 
 
 def expand_max(spec: QuotientSpec) -> ConvergentTable:
-    """Largest table whose denominators stay within the 63-bit budget."""
-    K = 1
-    q_prev, q_cur = 1, spec.quotient(1)
-    if q_cur > Q_MAX:
-        raise OverflowError("a_1 alone exceeds 2**63 - 1")
-    while spec.has_quotient(K + 1):
-        nxt = spec.quotient(K + 1) * q_cur + q_prev
-        if nxt > Q_MAX:
-            break
-        q_prev, q_cur = q_cur, nxt
-        K += 1
-    return expand(spec, K)
+    """Largest table whose denominators stay within the 63-bit budget: every row of the recurrence."""
+    return _table(spec, list(_convergents(spec)))
 
 
 def scale_for(spec: QuotientSpec, upto: int) -> ConvergentTable:
     """A table able to encode every n < upto (minimal K that covers it).
 
-    Below the largest table's K, expand(spec, K) has limit q_{K+1}, so the
-    minimal K is read off that table's denominators.
+    Below the largest table's K, the table through K has limit q_{K+1}, so
+    the recurrence stops at the first q_i >= upto with i >= 2 and K = i - 1.
+    Otherwise the largest table is the answer, if its limit covers upto.
     """
-    table = expand_max(spec)
+    rows = []
+    for row in _convergents(spec):
+        if rows and row[2] >= upto:
+            return _table(spec, rows)
+        rows.append(row)
+    table = _table(spec, rows)
     if table.limit < upto:
         raise RangeError(f"spec cannot cover n < {upto} within the 63-bit budget")
-    K = min(bisect.bisect_left(table.q, upto, 2) - 1, table.K)
-    return expand(spec, K)
+    return table
 
 
 def alpha_value(spec: QuotientSpec, depth: int) -> TailValue:

@@ -1,12 +1,13 @@
 """Verification harness: exact-identity checks, bound sweeps, and experiments.
 
-Every check returns a CheckReport; verify_all bundles the full battery with
-the default test family (four quotient specs crossed with four theta values)
-and is what the CLI `verify` subcommand runs.  Margins are oriented so that
-passing instances have margin >= 0.  The brute-force oracles (the psi_lam
-counts of the densities, the carry keys and the gap scan) read the tiles of
-the greedy walk directly; the gap scan walks each n once, down to the lowest
-level that still needs it.
+Every check returns a CheckReport; verify_all bundles the full battery, and
+is what the CLI `verify` subcommand runs.  It builds each function family
+once, before any check runs: by default four quotient specs crossed with four
+theta fn specs.  Margins are oriented so that passing instances have
+margin >= 0.  The brute-force oracles (the psi_lam counts of the densities,
+the carry keys and the gap scan) read the tiles of the greedy walk directly;
+the gap scan walks each n once, down to the lowest level that still needs it,
+and is compared with the starts and digits of the block-start table.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import spectral
-from .alphafun import AlphaFunction, from_theta, parse_fn_spec, values_range
+from .alphafun import AlphaFunction, parse_fn_spec
 from .cfrac import (
     ConvergentTable,
+    expand_max,
     parse_alpha_spec,
     scale_for,
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import SHORT, _greedy, _walk, w_sequence
+from .numeration import _block_table, _greedy, _walk
 from .numerics import pairwise_sum
 
 # Default verification family.
@@ -38,6 +40,8 @@ DEFAULT_ALPHA_SPECS = (
     "periodic:/1,2,3,1,1,4",
 )
 DEFAULT_THETAS = (0.5, 1 / 3, 0.1234567, 0.0)
+THETA_FNS = tuple(f"theta:{theta!r}" for theta in DEFAULT_THETAS)  # the same atoms as from_theta
+CARRY_FN = "theta:0.5"
 
 IDENTITY_TOL = 1e-10
 DENSITY_TOL = 5e-3
@@ -281,8 +285,8 @@ def _gap_scan(scale: ConvergentTable, ends) -> list[tuple[np.ndarray, np.ndarray
     below lam end before the band.  A level above the top index of a band's
     last point is not walked; there psi = n, never zero.  Nor is n = 0: it
     is a zero of every level, with every digit 0.  Ends that fall (only a
-    wrong w_sequence gives them) make empty bands, and each level keeps only
-    its zeros below its own end.
+    wrong block-start table gives them) make empty bands, and each level
+    keeps only its zeros below its own end.
     """
     lam_max = len(ends)
     zeros = [[np.zeros(1, dtype=np.int64)] for _ in ends]
@@ -304,9 +308,9 @@ def _gap_scan(scale: ConvergentTable, ends) -> list[tuple[np.ndarray, np.ndarray
     return out
 
 
-def _gap_report(lam: int, block, zeros: np.ndarray, eps: np.ndarray, scale: ConvergentTable) -> CheckReport:
-    """Checks of one level's block index against the brute-force zeros of psi_lam and eps_lam at them."""
-    starts = np.asarray(block.starts, dtype=np.int64)
+def _gap_report(lam: int, starts: np.ndarray, table_eps: np.ndarray, zeros: np.ndarray,
+                eps: np.ndarray, scale: ConvergentTable) -> CheckReport:
+    """Checks of one level's block starts and eps_lam at them against the brute-force scan."""
     if not np.array_equal(zeros, starts):
         return _report("gap_structure", [-1.0],
                        [{"lam": lam, "mismatch": "start set differs from brute force"}])
@@ -316,32 +320,37 @@ def _gap_report(lam: int, block, zeros: np.ndarray, eps: np.ndarray, scale: Conv
     checks = [(np.isin(gaps, [q_long, q_short]).all(), "gap outside {q_lam, q_lam-1}")]
     if q_long != q_short:  # at a degenerate level lengths cannot tell the kinds apart
         checks.append((np.array_equal(gaps == q_short, top), "short-gap rule violated"))
-    tagged = np.fromiter(map(SHORT.__eq__, block.kinds), dtype=bool, count=len(block.kinds))
-    checks.append((np.array_equal(tagged, top), "kind tags disagree"))
+    # SHORT iff eps_lam = a_{lam+1}: equal digits decide every kind tag
+    checks.append((np.array_equal(table_eps, eps), "eps_lam differs from brute force"))
     margins = [0.0 if ok else -1.0 for ok, _ in checks]
     details = [{"lam": lam, "mismatch": mismatch} for ok, mismatch in checks if not ok]
     return _report("gap_structure", margins, details)
 
 
 def gap_structure_sweep(scale: ConvergentTable, lam_max: int, count: int = GAP_COUNT) -> CheckReport:
-    """Cross-check w_sequence against a brute-force digit scan at every lam <= lam_max.
+    """Cross-check the block-start table against a brute-force digit scan at every lam <= lam_max.
 
-    Verifies the first `count` gaps of each level: starts match
-    {n : psi_lam(n) = 0}, every gap is q_lam or q_{lam-1}, a kind tag is
-    SHORT exactly where the digit at lam of the gap's start is maximal, and
-    (away from the degenerate q_lam = q_{lam-1} case) so is a gap of length
-    q_{lam-1}.  The scan covers every n <= w_count of each level in one
+    Verifies the first `count` gaps of each level in the first count + 1
+    starts of its block-start table and eps_lam at each (_block_table, which
+    w_sequence and block_counts read): the starts match {n : psi_lam(n) = 0},
+    every gap is q_lam or q_{lam-1}, (away from the degenerate
+    q_lam = q_{lam-1} case) a gap is q_{lam-1} exactly where eps_lam of its
+    start is a_{lam+1}, and eps_lam equals the scanned digit at every start,
+    which decides every kind tag.  The scan covers every n <= w_count in one
     banded greedy walk (_gap_scan): each n passes only through the levels
     that still need it, in tiles of WALK_TILE points, and only the zeros of
     psi_lam and eps_lam at them are kept.
     """
     if lam_max < 1:
         raise ValidationError("lam_max must be >= 1")
-    blocks = [w_sequence(lam, count + 1, scale) for lam in range(1, lam_max + 1)]
-    scans = _gap_scan(scale, [block.starts[-1] + 1 for block in blocks])
+    if count < 0:
+        raise ValidationError("count must be >= 0")
+    tables = [[column[: count + 1] for column in _block_table(lam, scale, count=count + 1)]
+              for lam in range(1, lam_max + 1)]
+    scans = _gap_scan(scale, [int(starts[-1]) + 1 for starts, _ in tables])
     return _merge("gap_structure", [
-        _gap_report(lam, block, zeros, eps, scale)
-        for lam, (block, (zeros, eps)) in enumerate(zip(blocks, scans), start=1)
+        _gap_report(lam, starts, table_eps, zeros, eps, scale)
+        for lam, ((starts, table_eps), (zeros, eps)) in enumerate(zip(tables, scans), start=1)
     ])
 
 
@@ -387,11 +396,8 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
         ladder_ns.append(n)
         n //= 2
     ladder_ns = sorted(ladder_ns) or [config.N]
-    # every rung scans a prefix of one value block (values_range prefixes are
-    # stable); its grid fits RANGE_CAP, a multiple of GRID_DEFAULT, as N does
-    vals = values_range(g, config.N)
     ladder = [{"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value}
-              for n, scan in zip(ladder_ns, spectral._scans(g, vals, ladder_ns, spectral.GRID_DEFAULT))]
+              for n, scan in zip(ladder_ns, spectral._scans(g, ladder_ns, spectral.GRID_DEFAULT))]
     rng = np.random.default_rng(config.seed)
     K = bisect.bisect_right(scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
     betas = rng.random(16)
@@ -414,31 +420,20 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
 
 # --- the full battery --------------------------------------------------------
 
-def _scales(spec_texts, upto: int) -> list[ConvergentTable]:
-    """One table per alpha spec, each covering n < upto."""
-    return [scale_for(parse_alpha_spec(spec_text), upto) for spec_text in spec_texts]
+def _family(spec_texts, upto: int, fn_specs) -> list[tuple[ConvergentTable, AlphaFunction]]:
+    """Each fn spec parsed against the table covering n < upto of each alpha spec.
 
-
-def _with_fn(spec_texts, upto: int, fn_spec: str) -> list[tuple[ConvergentTable, AlphaFunction]]:
-    """fn_spec parsed against the table of each alpha spec (ValidationError naming one it does not fit)."""
+    ValidationError, naming the scale, where a fn spec does not fit one.
+    """
     family = []
-    for spec_text, scale in zip(spec_texts, _scales(spec_texts, upto)):
-        try:
-            family.append((scale, parse_fn_spec(fn_spec, scale)))
-        except ValidationError as exc:
-            raise ValidationError(f"{fn_spec} on the {spec_text} scale: {exc}") from exc
+    for spec_text in spec_texts:
+        scale = scale_for(parse_alpha_spec(spec_text), upto)
+        for fn_spec in fn_specs:
+            try:
+                family.append((scale, parse_fn_spec(fn_spec, scale)))
+            except ValidationError as exc:
+                raise ValidationError(f"{fn_spec} on the {spec_text} scale: {exc}") from exc
     return family
-
-
-def _identity_family(spec_texts=DEFAULT_ALPHA_SPECS):
-    """Scales and functions the identity checks run over (q_lam <= 1024)."""
-    return [(scale, from_theta(theta, scale))
-            for scale in _scales(spec_texts, IDENTITY_UPTO) for theta in DEFAULT_THETAS]
-
-
-def _carry_family(spec_texts=CARRY_SPECS):
-    """Scales and functions the carry sweeps run over."""
-    return [(scale, from_theta(0.5, scale)) for scale in _scales(spec_texts, CARRY_UPTO)]
 
 
 def _run_fejer(rng) -> CheckReport:
@@ -473,9 +468,9 @@ def _run_vdc(rng) -> CheckReport:
     return _report("van_der_corput", margins)
 
 
-def _run_parseval(rng, family=None) -> CheckReport:
+def _run_parseval(rng, family) -> CheckReport:
     margins = []
-    for scale, g in family or _identity_family():
+    for scale, g in family:
         for lam in range(1, scale.K + 1):
             if scale.q[lam] > 1024:
                 break
@@ -484,9 +479,9 @@ def _run_parseval(rng, family=None) -> CheckReport:
     return _report("parseval", margins)
 
 
-def _run_cyclic(rng, family=None) -> CheckReport:
+def _run_cyclic(rng, family) -> CheckReport:
     margins = []
-    for scale, g in family or _identity_family():
+    for scale, g in family:
         for lam in range(1, scale.K + 1):
             q = scale.q[lam]
             if q > 1024:
@@ -496,8 +491,7 @@ def _run_cyclic(rng, family=None) -> CheckReport:
     return _report("cyclic_identity", margins)
 
 
-def _run_carry(rng, family=None) -> CheckReport:
-    family = family or _carry_family()
+def _run_carry(rng, family) -> CheckReport:
     return _merge("carry_bound", [carry_bound_sweep(g, 12) for _, g in family])
 
 
@@ -510,13 +504,10 @@ def _run_density(rng) -> CheckReport:
 
 
 def _run_gaps(rng) -> CheckReport:
-    reports = []
-    for spec_text in DEFAULT_ALPHA_SPECS:
-        spec = parse_alpha_spec(spec_text)
-        # trim the table so that w_sequence builds no unused high levels
-        top = scale_for(spec, 4096).q[GAP_LAM_MAX]
-        reports.append(gap_structure_sweep(scale_for(spec, (GAP_COUNT + 2) * top), GAP_LAM_MAX))
-    return _merge("gap_structure", reports)
+    return _merge("gap_structure", [
+        gap_structure_sweep(expand_max(parse_alpha_spec(spec_text)), GAP_LAM_MAX)
+        for spec_text in DEFAULT_ALPHA_SPECS
+    ])
 
 
 def _merge(name: str, reports) -> CheckReport:
@@ -556,9 +547,10 @@ def verify_all(
     theta family: parseval and cyclic over the four default scales, carry
     over golden and silver.  With alpha_spec they run on that one scale
     instead (ValidationError if `only` selects none of them), and with
-    fn_spec on fn_spec parsed against each of their scales.  It is parsed
-    against every one of those scales before any check runs, so an atom
-    table that does not fit raises ValidationError, naming the scale, first.
+    fn_spec on fn_spec parsed against each of their scales.  Both function
+    families are built once, before any check runs, when fn_spec is given
+    or `only` selects one of FN_FAMILIES, so an atom table that does not fit
+    raises ValidationError, naming the scale, first.
     """
     if seed < 0:
         raise ValidationError("seed must be >= 0")
@@ -571,17 +563,15 @@ def verify_all(
     unknown = [n for n in names if n not in CHECK_FAMILIES]
     if unknown:
         raise ValidationError(f"unknown check families: {unknown}; know {sorted(CHECK_FAMILIES)}")
-    if alpha_spec is not None and not set(FN_FAMILIES) & set(names):
+    selected = set(FN_FAMILIES) & set(names)
+    if alpha_spec is not None and not selected:
         raise ValidationError(f"an alpha spec applies to the families {', '.join(FN_FAMILIES)} only")
     families = {}
-    if fn_spec is not None or alpha_spec is not None:
+    if fn_spec is not None or selected:
         identity_specs = DEFAULT_ALPHA_SPECS if alpha_spec is None else (alpha_spec,)
         carry_specs = CARRY_SPECS if alpha_spec is None else (alpha_spec,)
-        if fn_spec is None:
-            identity, carry = _identity_family(identity_specs), _carry_family(carry_specs)
-        else:
-            identity = _with_fn(identity_specs, IDENTITY_UPTO, fn_spec)
-            carry = _with_fn(carry_specs, CARRY_UPTO, fn_spec)
+        identity = _family(identity_specs, IDENTITY_UPTO, THETA_FNS if fn_spec is None else [fn_spec])
+        carry = _family(carry_specs, CARRY_UPTO, [CARRY_FN if fn_spec is None else fn_spec])
         families = {"parseval": identity, "cyclic": identity, "carry": carry}
     rng = np.random.default_rng(seed)
     return [CHECK_FAMILIES[name](rng, families[name]) if name in families

@@ -562,14 +562,16 @@ def _peak(candidates) -> tuple[float, float]:
                key=lambda c: (c[0], -c[1]))
 
 
-def _scans(g: AlphaFunction, vals: np.ndarray, lengths, grid_size: int) -> list[SpectrumScan]:
-    """spectrum_scan at each N in lengths (1 <= N <= len(vals)) from one value block vals = g([0, ...)).
+def _scans(g: AlphaFunction, lengths, grid_size: int) -> list[SpectrumScan]:
+    """spectrum_scan at each N in lengths (N >= 1) from one value block g(0..max(lengths) - 1).
 
-    Each grid folds the prefix vals[:N]; ceil(N / grid_size) * grid_size
-    entries must fit RANGE_CAP.  The refinements of all scans share one plan
-    and run in lockstep.
+    Each grid folds a prefix of the block (values_range prefixes are stable);
+    CapError, before the block is built, where ceil(max(lengths) / grid_size)
+    * grid_size passes RANGE_CAP.  The refinements share one plan, in lockstep.
     """
     M = grid_size
+    check_size(-(-max(lengths) // M) * M, "spectrum grid")
+    vals = values_range(g, max(lengths))
     grids = []
     for N in lengths:
         padded = np.zeros(-(-N // M) * M, dtype=np.complex128)
@@ -607,8 +609,7 @@ def spectrum_scan(g: AlphaFunction, N: int, grid_size: int = GRID_DEFAULT) -> Sp
         raise ValidationError("grid_size must be >= 16")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    check_size(-(-N // grid_size) * grid_size, "spectrum grid")
-    return _scans(g, values_range(g, N), [N], grid_size)[0]  # CapError past RANGE_CAP
+    return _scans(g, [N], grid_size)[0]
 
 
 # --- classical inequality checks (shared by the harness) ---------------------

@@ -4,6 +4,7 @@ Oracles: convergents recomputed through fractions.Fraction from scratch, the
 classical determinant identity, and bracket containment for tail values.
 """
 
+import bisect
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ostrowski import (
     GOLDEN,
     SILVER,
+    ConvergentTable,
     QuotientSpec,
     RangeError,
     ValidationError,
@@ -22,6 +24,7 @@ from ostrowski import (
     scale_for,
     tail,
 )
+from ostrowski.cfrac import Q_MAX
 
 PERIOD12 = QuotientSpec((), (1, 2))
 MIXED = QuotientSpec((2, 1), (3, 1, 4))
@@ -88,6 +91,77 @@ def test_scale_for_covers_and_is_minimal():
             assert t.limit >= upto
             if t.K > 1:
                 assert expand(spec, t.K - 1).limit < upto
+
+
+# The three-pass builders the one recurrence replaced: expand gathers the
+# quotients, then runs the recurrence; expand_max runs it to find K, then
+# calls expand; scale_for builds the largest table, then calls expand again.
+
+def three_pass_expand(spec, K):
+    if K < 1:
+        raise ValidationError("K must be >= 1")
+    a = [spec.quotient(i) for i in range(1, K + 1)]
+    if a[0] > Q_MAX:
+        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+    p, q = [0, 1], [1, a[0]]
+    for i in range(1, K):
+        nxt = a[i] * q[i] + q[i - 1]
+        if nxt > Q_MAX:
+            raise OverflowError(f"q_{i + 1} exceeds 2**63 - 1; largest safe K for this spec is {i}")
+        p.append(a[i] * p[i] + p[i - 1])
+        q.append(nxt)
+    try:
+        a_next = spec.quotient(K + 1)
+    except IndexError:
+        a_next = None
+    return ConvergentTable(spec, tuple(a), tuple(p), tuple(q), a_next)
+
+
+def three_pass_expand_max(spec):
+    K, q_prev, q_cur = 1, 1, spec.quotient(1)
+    if q_cur > Q_MAX:
+        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+    while spec.has_quotient(K + 1):
+        nxt = spec.quotient(K + 1) * q_cur + q_prev
+        if nxt > Q_MAX:
+            break
+        q_prev, q_cur = q_cur, nxt
+        K += 1
+    return three_pass_expand(spec, K)
+
+
+def three_pass_scale_for(spec, upto):
+    table = three_pass_expand_max(spec)
+    if table.limit < upto:
+        raise RangeError(f"spec cannot cover n < {upto} within the 63-bit budget")
+    return three_pass_expand(spec, min(bisect.bisect_left(table.q, upto, 2) - 1, table.K))
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValidationError, RangeError, OverflowError, IndexError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4", "periodic:3,1/7",
+    "list:1,2,3,4,5,6,7,8,9,10,11,12", "periodic:/1000", "list:9223372036854775808",
+    "list:1099511627776,1099511627776,1099511627776", "periodic:1099511627776/1",
+])
+def test_one_recurrence_matches_the_three_pass_builders(text):
+    # same tables and the same exception reprs: every K up to two past the
+    # largest, and 13 upto values from 0 to the limit, plus its edges
+    spec = parse_alpha_spec(text)
+    top = outcome(three_pass_expand_max, spec)
+    assert outcome(expand_max, spec) == top
+    K_max = top.K if isinstance(top, ConvergentTable) else 1
+    for K in range(-1, K_max + 3):
+        assert outcome(expand, spec, K) == outcome(three_pass_expand, spec, K), K
+    limit = top.limit if isinstance(top, ConvergentTable) else 2
+    uptos = {1, 2, 3, limit - 1, limit + 1, *(limit * j // 12 for j in range(13))}
+    for upto in sorted(uptos):
+        assert outcome(scale_for, spec, upto) == outcome(three_pass_scale_for, spec, upto), upto
 
 
 def test_scale_for_rejects_uncoverable():

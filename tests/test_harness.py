@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from ostrowski import (
     GOLDEN,
     SILVER,
-    BlockIndex,
     CheckReport,
     ExperimentConfig,
     RangeError,
@@ -40,7 +39,7 @@ from ostrowski import (
     tail,
     verify_all,
 )
-from ostrowski import harness
+from ostrowski import harness, numeration
 from ostrowski.harness import DEFAULT_ALPHA_SPECS
 
 
@@ -308,7 +307,7 @@ def test_banded_gap_scan_matches_the_per_level_scans():
     for spec_text in DEFAULT_ALPHA_SPECS:
         spec = parse_alpha_spec(spec_text)
         scale = scale_for(spec, (harness.GAP_COUNT + 2) * scale_for(spec, 4096).q[8])
-        ends = [harness.w_sequence(lam, harness.GAP_COUNT + 1, scale).starts[-1] + 1
+        ends = [numeration.w_sequence(lam, harness.GAP_COUNT + 1, scale).starts[-1] + 1
                 for lam in range(1, 9)]
         for lam, (zeros, eps) in enumerate(harness._gap_scan(scale, ends), start=1):
             want_zeros, want_eps = per_level_gap_scan(scale, lam, ends[lam - 1])
@@ -331,39 +330,48 @@ def test_gap_scan_edges():
     assert gap_structure_sweep(scale, 3, 0).ok
     with pytest.raises(ValidationError):
         gap_structure_sweep(scale, 0, 10)
+    for count in (-1, -5):  # an empty table slice would not do as a refusal
+        with pytest.raises(ValidationError):
+            gap_structure_sweep(scale, 3, count)
 
 
 @pytest.mark.parametrize("fault, spec, lam", [
     ("gap", SILVER, 2),
     ("kind", SILVER, 2),
     ("kind", GOLDEN, 1),
-], ids=["gap", "kind", "degenerate_kind"])
+    ("digit", SILVER, 2),
+], ids=["gap", "kind", "degenerate_kind", "non_maximal_digit"])
 def test_gap_check_catches_a_wrong_w_sequence(fault, spec, lam, monkeypatch):
-    # the brute-force scan is an oracle independent of w_sequence: one gap
-    # one too long (every later start shifted), or one kind tag flipped, at
-    # level lam only; at golden lam = 1 (q_1 = q_0) only the digit at lam can
-    # tell the kinds apart
-    real = harness.w_sequence
+    # the brute-force scan is an oracle independent of the block-start table
+    # that w_sequence reads: one gap one too long (every later start
+    # shifted), eps_lam at start 5 flipped between a_{lam+1} and 0 (its kind
+    # tag flipped), or a non-maximal eps_lam changed from 0 to 1 (its kind
+    # kept: silver a_3 = 2), at level lam only; at golden lam = 1
+    # (q_1 = q_0) only the digit at lam can tell the kinds apart
+    real = harness._block_table
 
-    def broken(level, count, scale):
-        block = real(level, count, scale)
+    def broken(level, scale, count=0, end=0):
+        starts, eps = (column.copy() for column in real(level, scale, count=count, end=end))
         if level != lam:
-            return block
-        starts, kinds = list(block.starts), list(block.kinds)
+            return starts, eps
         if fault == "gap":
-            starts[5:] = [w + 1 for w in starts[5:]]
+            starts[5:] += 1
+        elif fault == "kind":
+            bound = scale.digit_bound(lam)
+            eps[5] = 0 if eps[5] == bound else bound
         else:
-            kinds[5] = "short" if kinds[5] == "long" else "long"
-        return BlockIndex(level, tuple(starts), tuple(kinds))
+            assert eps[6] == 0 and scale.digit_bound(lam) == 2
+            eps[6] = 1
+        return starts, eps
 
     scale = scale_for(spec, 10**4)
     assert gap_structure_sweep(scale, 3, 50).ok
-    monkeypatch.setattr(harness, "w_sequence", broken)
+    monkeypatch.setattr(harness, "_block_table", broken)
     rep = gap_structure_sweep(scale, 3, 50)
     assert not rep.ok and rep.details
     assert {detail["lam"] for detail in rep.details} == {lam}
-    if fault == "kind":
-        assert rep.details == ({"lam": lam, "mismatch": "kind tags disagree"},)
+    if fault != "gap":
+        assert rep.details == ({"lam": lam, "mismatch": "eps_lam differs from brute force"},)
 
 
 # --- experiment configs and runs ----------------------------------------------------
@@ -483,6 +491,27 @@ def test_verify_all_runs_fn_spec_families(monkeypatch):
     seen.clear()
     verify_all(only="carry")
     assert [g.theta for g in seen] == [0.5, 0.5]
+
+
+def test_verify_all_builds_each_function_family_once(monkeypatch):
+    # 4 scales x 4 thetas for parseval and cyclic together, plus the 2 carry
+    # scales; each default theta function has the atoms of from_theta
+    built = []
+
+    def record(text, scale):
+        g = parse_fn_spec(text, scale)
+        built.append((text, g))
+        return g
+
+    monkeypatch.setattr(harness, "parse_fn_spec", record)
+    verify_all()
+    assert len(built) == 18
+    identity, carry = built[:16], built[16:]
+    assert [text for text, _ in identity] == [f"theta:{theta!r}" for theta in harness.DEFAULT_THETAS] * 4
+    assert [text for text, _ in carry] == ["theta:0.5"] * 2
+    for (text, g), theta in zip(built, list(harness.DEFAULT_THETAS) * 4 + [0.5] * 2):
+        want = from_theta(theta, g.scale)
+        assert g.theta == theta and g.atoms == want.atoms, text
 
 
 def test_verify_all_validates_fn_spec_first(tmp_path):
