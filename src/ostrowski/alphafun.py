@@ -176,52 +176,36 @@ def evaluate(g: AlphaFunction, n: int) -> complex:
 
 
 def values_range(g: AlphaFunction, count: int) -> np.ndarray:
-    """g(n) for n = 0..count-1 as one complex array.
+    """g(n) for n = 0..count-1 as one complex array, allocated once.
 
-    Level-by-level assembly: the values over [0, q_{i+1}) are a copies of the
-    block over [0, q_i) scaled by the atoms at position i, plus a final copy
-    of the block over [0, q_{i-1}) scaled by the maximal atom.  Atom products
-    accumulate in increasing digit order, the same order evaluate uses; the
-    two paths agree exactly when the atoms are exactly representable and to a
-    few ulps per factor otherwise (vector and scalar complex products round
-    differently).  Prefixes are stable: a longer build extends a shorter one
-    bit for bit.
+    Level by level: the values over [0, q_{i+1}) are g on [0, q_i) times
+    v_i(b) for each b < a = a_{i+1}, then g on [0, q_{i-1}) times v_i(a).
+    Both sources are prefixes already written, so copy b = 0 is the prefix
+    itself and each other copy is one multiply into the next free slots, up
+    to count.  Atom products accumulate in increasing digit order, as in
+    evaluate: the two agree exactly when the atoms are exactly representable
+    and to a few ulps per factor otherwise (vector and scalar complex
+    products round differently).  A longer build extends a shorter one bit
+    for bit.
     """
     if count < 0 or count > g.scale.limit:
         raise RangeError(f"count={count} outside [0, {g.scale.limit}] for this scale")
     check_size(count, "values_range")
-    if count == 0:
-        return np.zeros(0, dtype=np.complex128)
-    prev = np.ones(1, dtype=np.complex128)  # values over [0, q_0)
-    if count == 1:
-        return prev.copy()
-    q1 = g.scale.q[1]
-    cur = np.array(g.atoms[0][:q1], dtype=np.complex128)  # single-digit values
+    q = g.scale.q
+    out = np.empty(count, dtype=np.complex128)
+    size = min(q[1], count)
+    out[:size] = g.atoms[0][:size]  # single-digit values; v_0(0) = 1 at n = 0
     i = 1
-    while len(cur) < count:
+    while size < count:
         row = g.atoms[i]
-        a = len(row) - 1
-        out_len = min(a * len(cur) + len(prev), count)
-        out = np.empty(out_len, dtype=np.complex128)
-        pos = 0
-        for b in range(a):
-            if pos >= out_len:
+        for b in range(1, len(row)):
+            take = min(q[i] if b < len(row) - 1 else q[i - 1], count - size)
+            np.multiply(out[:take], row[b], out=out[size : size + take])
+            size += take
+            if size == count:
                 break
-            take = min(len(cur), out_len - pos)
-            if b == 0:
-                out[pos : pos + take] = cur[:take]
-            else:
-                np.multiply(cur[:take], row[b], out=out[pos : pos + take])
-            pos += take
-        if pos < out_len:
-            take = min(len(prev), out_len - pos)
-            np.multiply(prev[:take], row[a], out=out[pos : pos + take])
-            pos += take
-        if out_len >= count:
-            return out[:count]
-        prev, cur = cur, out
         i += 1
-    return cur[:count]
+    return out
 
 
 def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:

@@ -105,6 +105,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_convergents(args) -> int:
+    """Rows i, a_i, p_i, q_i to --depth (all by default); from K = 3 rows also
+    alpha = p_d/q_d, d = min(K - 1, 40), and its bound 1/(q_d q_{d+1})."""
     spec = parse_alpha_spec(args.alpha)
     scale = expand(spec, args.depth) if args.depth is not None else expand_max(spec)
     rows = [[i, scale.quotients[i - 1] if i else "", scale.p[i], scale.q[i]]
@@ -113,14 +115,10 @@ def cmd_convergents(args) -> int:
         "config": _config_dict(args),
         "rows": [{"i": r[0], "a": r[1] or None, "p": r[2], "q": r[3]} for r in rows],
     }
-    if scale.K >= 2:
-        try:
-            approx = alpha_value(spec, min(scale.K - 1, 40))
-        except (IndexError, OverflowError):
-            approx = None  # finite quotient list too short for the error bound
-        if approx is not None:
-            payload["alpha"] = approx.value
-            payload["alpha_error_bound"] = approx.error_bound
+    if scale.K >= 3:  # alpha_value needs depth >= 2, and row d + 1 for its bound
+        approx = alpha_value(spec, min(scale.K - 1, 40))
+        payload["alpha"] = approx.value
+        payload["alpha_error_bound"] = approx.error_bound
     _emit(args, payload, rows, ["i", "a", "p", "q"])
     return EXIT_OK
 

@@ -248,8 +248,6 @@ def _psi_counts(scale: ConvergentTable, lam_max: int, N: int) -> list[np.ndarray
     largest psi_lam seen.  The walk yields no level above the top index of
     N - 1; there psi_lam(n) = n.
     """
-    if lam_max < 1:
-        return []
     q = scale.q
     counts = {}
     for _, k, _, psi in _walk(scale, N, 1):
@@ -265,6 +263,8 @@ def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> C
 
     Also verifies that the formula masses sum to 1 (within 1e-10) per level.
     """
+    if lam_max < 1:
+        raise ValidationError("lam_max must be >= 1")
     if N < 1:
         raise ValidationError("N must be >= 1")
     reports = []

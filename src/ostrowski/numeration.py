@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfrac import ConvergentTable
+from .cfrac import Q_MAX, ConvergentTable
 from .errors import RangeError, ValidationError
 from .numerics import check_size
 
@@ -152,41 +152,51 @@ def _block_table(
     assembly stops at the first level holding `count` starts and reaching
     `end`, and never passes scale.limit (q_{K+1} when a_next is known); that
     last level keeps only the copies needed to reach both.  The start count
-    follows c_{i+1} = a_{i+1}*c_i + c_{i-1}, so the size is known, and checked
-    against RANGE_CAP, before any array exists.
+    c_{i+1} = a_{i+1}*c_i + c_{i-1} is checked against RANGE_CAP, and the
+    largest start m_{i+1} = a_{i+1}*q_i + m_{i-1} against Q_MAX (RangeError),
+    before both arrays are allocated at once.  Every copy reads a prefix
+    already written, so copy b = 0 is never made, and the copies of a level
+    double: copies d..2d-1 are copies 0..d-1 shifted by d*q_i, so a level
+    takes O(log a_{i+1}) array operations.
     """
     if lam < 1:
         raise ValidationError("lam must be >= 1")
     scale.digit_bound(lam)  # RangeError if the table has no level lam
     q = scale.q
     bounds = (*q, scale.limit)  # starts below bounds[i]; q_{K+1} = limit when a_next is known
-    top, c_prev, c = lam, 1, 1
+    top, c_prev, c, m_prev, m = lam, 1, 1, 0, 0
     while (c < count or bounds[top] < end) and top < scale.rows:
-        c_prev, c = c, scale.digit_bound(top) * c + c_prev
+        a = scale.digit_bound(top)
+        c_prev, c = c, a * c + c_prev
+        m_prev, m = m, a * q[top] + m_prev
         top += 1
     if c < count:
         raise OverflowError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
     if bounds[top] < end:
         raise RangeError(f"end={end} beyond table limit {scale.limit}")
-    copies = 0
     if top > lam:
         a = scale.digit_bound(top - 1)
         copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
-        if copies < a:
-            c = copies * c_prev  # the tail block (shifted by a*q_{top-1}) is dropped too
+        if copies < a:  # the tail block (shifted by a*q_{top-1}) is dropped too
+            c, m = copies * c_prev, (copies - 1) * q[top - 1] + m_prev
+    if m > Q_MAX:
+        raise RangeError(f"level-{lam} block start {m} passes the 63-bit budget {Q_MAX}")
     check_size(c, f"level-{lam} block-start table")
-    starts = prev_starts = np.zeros(1, dtype=np.int64)
-    eps = prev_eps = np.zeros(1, dtype=np.int64)
+    starts, eps = np.zeros(c, dtype=np.int64), np.zeros(c, dtype=np.int64)
+    size, prev = 1, 1  # starts written (those below q_i) and those below q_{i-1}
     for i in range(lam, top):
-        a = scale.digit_bound(i)
-        b = np.arange(a if i < top - 1 else copies, dtype=np.int64)[:, None]
-        step = int(i == lam)
-        new_starts, new_eps = [(starts + b * q[i]).ravel()], [(eps + b * step).ravel()]
-        if len(b) == a:
-            new_starts.append(prev_starts + a * q[i])
-            new_eps.append(prev_eps + a * step)
-        prev_starts, starts = starts, np.concatenate(new_starts)
-        prev_eps, eps = eps, np.concatenate(new_eps)
+        a, below, step = scale.digit_bound(i), size, int(i == lam)
+        done = 1  # copies b < done of the starts below q_i written; b = 0 is the prefix
+        while done < a and size < c:  # copies done.. are copies 0.. shifted by done*q_i
+            take = min(done, a - done, (c - size) // below) * below
+            np.add(starts[:take], done * q[i], out=starts[size : size + take])
+            np.add(eps[:take], done * step, out=eps[size : size + take])
+            size, done = size + take, done + take // below
+        if size < c:  # the tail: the starts below q_{i-1} shifted by a*q_i
+            np.add(starts[:prev], a * q[i], out=starts[size : size + prev])
+            np.add(eps[:prev], a * step, out=eps[size : size + prev])
+            size += prev
+        prev = below
     return starts, eps
 
 
@@ -211,14 +221,18 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     w + q_{lam-1} when eps_lam(w) = a_{lam+1} and at w + q_lam otherwise.
     Gaps are classified by their length; in the degenerate case
     q_lam = q_{lam-1} (lam = 1, a_1 = 1) every gap counts as long.
-    Satisfies |a*q_lam + b*q_{lam-1} - N| <= q_lam.
+    Satisfies |a*q_lam + b*q_{lam-1} - N| <= q_lam.  RangeError where the
+    table reaching N holds a start past Q_MAX = 2**63 - 1.  A block is tested
+    as w <= N - gap, the bound clipped to [-1, Q_MAX] (exact for starts in
+    [0, Q_MAX]), so neither w + gap nor N has to fit in int64.
     """
     starts, eps = _block_table(lam, scale, end=N)
-    q_long = scale.q[lam]
-    gaps = np.where(eps == scale.digit_bound(lam), scale.q[lam - 1], q_long)
-    inside = starts + gaps <= N
-    a = int(np.count_nonzero(gaps[inside] == q_long))
-    return a, int(np.count_nonzero(inside)) - a
+    q_long, q_short = scale.q[lam], scale.q[lam - 1]
+    short = eps == scale.digit_bound(lam)
+    last_long, last_short = (min(max(N - gap, -1), Q_MAX) for gap in (q_long, q_short))
+    inside = starts <= np.where(short, last_short, last_long)
+    b = 0 if q_long == q_short else int(np.count_nonzero(inside & short))
+    return int(np.count_nonzero(inside)) - b, b
 
 
 # --- vectorized per-n greedy kernels ---------------------------------------

@@ -8,6 +8,7 @@ reduction.
 import cmath
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from ostrowski import (
     SILVER,
     AlphaFunction,
     CapError,
+    RangeError,
     ValidationError,
     encode,
     evaluate,
@@ -177,6 +179,101 @@ def test_values_range_prefix_stability():
     for count in (1, 2, 137, 1000):
         short = values_range(g, count)
         assert np.array_equal(short.view(np.float64), long[:count].view(np.float64))
+
+
+def concatenating_values_range(g, count):
+    """g on [0, count) from fresh prev/cur/out arrays at every level.
+
+    The differential oracle of values_range's in-place build, which must
+    match it byte for byte: the same products of the same operands in the
+    same order.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.complex128)
+    prev = np.ones(1, dtype=np.complex128)
+    if count == 1:
+        return prev.copy()
+    cur = np.array(g.atoms[0][: g.scale.q[1]], dtype=np.complex128)
+    i = 1
+    while len(cur) < count:
+        row = g.atoms[i]
+        a = len(row) - 1
+        out_len = min(a * len(cur) + len(prev), count)
+        out = np.empty(out_len, dtype=np.complex128)
+        pos = 0
+        for b in range(a):
+            if pos >= out_len:
+                break
+            take = min(len(cur), out_len - pos)
+            if b == 0:
+                out[pos : pos + take] = cur[:take]
+            else:
+                np.multiply(cur[:take], row[b], out=out[pos : pos + take])
+            pos += take
+        if pos < out_len:
+            take = min(len(prev), out_len - pos)
+            np.multiply(prev[:take], row[a], out=out[pos : pos + take])
+            pos += take
+        if out_len >= count:
+            return out[:count]
+        prev, cur = cur, out
+        i += 1
+    return cur[:count]
+
+
+GRID_SPECS = ("golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4", "periodic:/1000",
+              "periodic:3,1/7", "list:2,1,1,5,1,1,1,1,1,1,1,1", "list:1,1,1")
+GRID_MAX = 3 * 10**5
+
+
+def grid_functions(scale):
+    """The parity grid's nine functions: seven theta families, a random modulus-2 table, a twist."""
+    rng = np.random.default_rng(7)
+    rows = []
+    for k in range(scale.rows):
+        top = row_top(scale, k) + 1
+        row = 2.0 * rng.random(top) * np.exp(2j * np.pi * rng.random(top))
+        row[0] = 1.0
+        rows.append(tuple(row.tolist()))
+    return ([from_theta(theta, scale) for theta in (0, 0.25, 0.5, 0.75, 1 / 3, 0.1234567, -0.3)]
+            + [AlphaFunction(scale, tuple(rows), modulus_bound=2.0),
+               twist(from_theta(0.5, scale), 0.3)])
+
+
+@pytest.mark.parametrize("text", GRID_SPECS)
+def test_values_range_matches_the_concatenating_build_byte_for_byte(text):
+    scale = expand_max(parse_alpha_spec(text))
+    top = min(scale.limit, GRID_MAX)
+    counts = {*range(6), 7, 8, 13, 100, 1000, 1001}
+    counts |= {q + d for q in scale.q for d in (-1, 0, 1)}
+    counts = sorted(n for n in counts if 0 <= n <= top)
+    for g in grid_functions(scale):
+        for count in counts:
+            got, want = values_range(g, count), concatenating_values_range(g, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (text, count)
+
+
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER, parse_alpha_spec("periodic:/1,2,3,1,1,4")],
+                         ids=["golden", "silver", "p123114"])
+def test_values_range_allocates_only_its_result(spec):
+    g = from_theta(0.3, scale_for(spec, 2**20))
+    tracemalloc.start()
+    try:
+        out = values_range(g, 2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes
+
+
+def test_values_range_count_validation():
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    for count in (-1, g.scale.limit + 1):
+        with pytest.raises(RangeError):
+            values_range(g, count)
+    empty = values_range(g, 0)
+    assert empty.shape == (0,) and empty.dtype == np.complex128
+    assert values_range(g, g.scale.limit).shape == (g.scale.limit,)
 
 
 # --- twisting --------------------------------------------------------------------

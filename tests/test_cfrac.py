@@ -209,6 +209,8 @@ def test_quotientspec_validation():
         QuotientSpec((0,), (1,))
     with pytest.raises(ValidationError):
         QuotientSpec((), ())
+    with pytest.raises(IndexError, match="1-indexed"):
+        GOLDEN.quotient(0)
 
 
 # --- alpha and tail values ----------------------------------------------------
@@ -224,6 +226,13 @@ def test_alpha_value_brackets_golden_ratio():
 def test_alpha_value_depth_validation():
     with pytest.raises(ValidationError):
         alpha_value(GOLDEN, 1)
+
+
+def test_tail_validation():
+    with pytest.raises(ValidationError, match="lam"):
+        tail(GOLDEN, -1)
+    with pytest.raises(ValidationError, match="depth"):
+        tail(GOLDEN, 3, depth=1)
 
 
 def test_tail_is_bracketed_by_shifted_convergents():

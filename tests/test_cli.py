@@ -97,6 +97,16 @@ def test_convergents_table(capsys):
     assert abs(doc["alpha"] - (3 ** 0.5 - 1)) <= doc["alpha_error_bound"]
 
 
+@pytest.mark.parametrize("argv", [("--depth", "2"), ("--alpha", "list:1,2")])
+def test_convergents_of_a_three_row_table(capsys, argv):
+    # too short for alpha's error bound: the rows alone, exit 0
+    code, out = run(capsys, "convergents", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["i"] for r in doc["rows"]] == [0, 1, 2]
+    assert "alpha" not in doc and "alpha_error_bound" not in doc
+
+
 def test_correlate_payload(capsys):
     code, out = run(capsys, "correlate", "--N", "2000", "--R", "16")
     assert code == 0

@@ -245,6 +245,9 @@ def test_density_check_and_sweep():
     assert sweep.instances_run == 4 + sum(scale.q[lam] for lam in range(1, 5))
     with pytest.raises(ValidationError):
         density_sweep(scale, 4, N=0)
+    for lam_max in (0, -3):  # refused as carry_bound_sweep and gap_structure_sweep refuse it
+        with pytest.raises(ValidationError, match="lam_max"):
+            density_sweep(scale, lam_max)
 
 
 def per_level_density_report(scale, lam_max, N):

@@ -43,6 +43,7 @@ from ostrowski import (
 )
 from ostrowski import harness, numeration
 from ostrowski.numeration import _greedy, _violation
+from ostrowski.cfrac import Q_MAX
 from ostrowski.numerics import RANGE_CAP
 
 PERIOD12 = QuotientSpec((), (1, 2))
@@ -126,6 +127,20 @@ def test_digit_rules_enforced():
 def test_trailing_zeros_trimmed():
     scale = scale_for(GOLDEN, 100)
     assert DigitString((0, 1, 0, 0), scale).digits == (0, 1)
+
+
+def test_digit_string_refusals():
+    scale = scale_for(GOLDEN, 100)
+    too_long = (0,) * scale.rows + (1,)
+    with pytest.raises(ValidationError, match="positions"):
+        DigitString(too_long, scale)
+    with pytest.raises(ValidationError, match="negative digit at position 1"):
+        DigitString((0, -1), scale)
+    assert not validate(too_long, scale) and not validate((0, -1), scale)
+    assert not validate((0, "x"), scale) and not validate((0, None), scale)
+    assert validate((0, 1) + (0,) * (scale.rows + 3), scale)  # trailing zeros are trimmed first
+    with pytest.raises(ValidationError, match="lam"):
+        psi(5, -1, scale)
 
 
 def test_sigma_and_psi_against_digits():
@@ -284,6 +299,132 @@ def test_block_table_errors():
         block_counts(scale.rows, 5, scale)
     with pytest.raises(OverflowError):
         w_sequence(2, 10**6, scale)
+
+
+def concatenating_block_table(lam, scale, count=0, end=0, dtype=np.int64):
+    """The block-start table by np.concatenate of shifted copies at every level.
+
+    The differential oracle of _block_table's in-place build, with the same
+    cut rule.  In int64 a start past 2**63 - 1 wraps; with dtype=object the
+    starts are exact Python ints.
+    """
+    if lam < 1:
+        raise ValidationError("lam must be >= 1")
+    scale.digit_bound(lam)
+    q = scale.q
+    bounds = (*q, scale.limit)
+    top, c_prev, c = lam, 1, 1
+    while (c < count or bounds[top] < end) and top < scale.rows:
+        c_prev, c = c, scale.digit_bound(top) * c + c_prev
+        top += 1
+    if c < count:
+        raise OverflowError(f"only {c} level-{lam} block starts lie below the table limit")
+    if bounds[top] < end:
+        raise RangeError(f"end={end} beyond table limit {scale.limit}")
+    copies = 0
+    if top > lam:
+        a = scale.digit_bound(top - 1)
+        copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
+        if copies < a:
+            c = copies * c_prev
+    starts = prev_starts = np.zeros(1, dtype=dtype)
+    eps = prev_eps = np.zeros(1, dtype=np.int64)
+    for i in range(lam, top):
+        a = scale.digit_bound(i)
+        b = np.arange(a if i < top - 1 else copies, dtype=np.int64)[:, None]
+        step = int(i == lam)
+        new_starts = [(starts + b.astype(dtype) * q[i]).ravel()]
+        new_eps = [(eps + b * step).ravel()]
+        if len(b) == a:
+            new_starts.append(prev_starts + a * q[i])
+            new_eps.append(prev_eps + a * step)
+        prev_starts, starts = starts, np.concatenate(new_starts)
+        prev_eps, eps = eps, np.concatenate(new_eps)
+    return starts, eps
+
+
+TABLE_SPECS = ("golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4", "periodic:/1000",
+               "periodic:3,1/7", "list:2,1,1,5,1,1,1,1,1,1,1,1", "list:1,1,1")
+
+
+@pytest.mark.parametrize("text", TABLE_SPECS)
+def test_block_table_matches_the_concatenating_build_byte_for_byte(text):
+    # where the int64 oracle wraps past 2**63 - 1 the table refuses, and the
+    # exact starts confirm that one of them passes the budget
+    scale = expand_max(parse_alpha_spec(text))
+    refused = 0
+    for lam in range(1, min(12, scale.rows - 1) + 1):
+        for count in (0, 1, 2, 3, 5, 10, 11, 100, 10**4 + 1):
+            for end in (0, 1, 7, 100, 10**4, 10**6):
+                want = outcome(concatenating_block_table, lam, scale, count, end)
+                got = outcome(numeration._block_table, lam, scale, count, end)
+                if got is RangeError and want is not RangeError:
+                    exact, _ = concatenating_block_table(lam, scale, count, end, dtype=object)
+                    assert max(exact) > Q_MAX, (lam, count, end)
+                    refused += 1
+                elif isinstance(want, type):
+                    assert got is want, (lam, count, end)
+                else:
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (lam, count, end)
+    assert (refused > 0) == (text == "periodic:/1000")  # its q_6 is already about 10**18
+
+
+def test_block_table_allocates_only_its_result():
+    for spec in (GOLDEN, SILVER, MIXED):
+        scale = expand_max(spec)
+        tracemalloc.start()
+        try:
+            starts, eps = numeration._block_table(1, scale, end=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (starts.nbytes + eps.nbytes)
+
+
+def exact_starts_below(lam, N, scale):
+    return [w for w, _, _ in scalar_gaps(lam, scale, N)]
+
+
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER, PERIOD12, parse_alpha_spec("periodic:/1000")],
+                         ids=["golden", "silver", "p12", "p1000"])
+def test_block_starts_past_2_63_match_python_ints_or_are_refused(spec):
+    # the top levels of these scales reach past 2**63 - 1: every request
+    # matches the scalar walk in Python ints or names the 63-bit budget,
+    # never a wrapped start or a numpy conversion error
+    scale = expand_max(spec)
+    served = 0
+    for lam in range(max(1, scale.K - 3), scale.rows):
+        for N in (2**62, 2**63 - 1, 2**63, scale.limit):
+            if N > scale.limit or N // scale.q[lam - 1] >= 10**4:
+                continue  # past the table, or too many starts for the scalar walk
+            requests = ((block_counts, (lam, N), walk_block_counts),
+                        (table_sequence, (lam, len(exact_starts_below(lam, N, scale))),
+                         walk_w_sequence))
+            for f, args, oracle in requests:
+                want = outcome(oracle, *args, scale)
+                try:
+                    got = f(*args, scale)
+                except RangeError as exc:
+                    assert "63-bit budget" in str(exc)
+                    continue
+                assert got == want, (f.__name__, args)
+                served += 1
+    assert served
+
+
+@pytest.mark.parametrize("request_", [
+    lambda: w_sequence(6, 11, expand_max(parse_alpha_spec("periodic:/1000"))),
+    lambda: block_counts(88, 2**63, expand_max(GOLDEN)),
+    lambda: block_counts(6, 10**20, expand_max(parse_alpha_spec("periodic:/1000"))),
+    lambda: block_counts(46, 2**63, expand_max(SILVER)),
+], ids=["p1000-w11", "golden-88", "p1000-1e20", "silver-46"])
+def test_block_starts_past_2_63_are_refused_not_wrapped(request_):
+    # each table holds a start past 2**63 - 1: a wrapped start or count, or
+    # numpy's conversion OverflowError, would be the wrong outcome
+    with pytest.raises(RangeError, match="63-bit budget"):
+        request_()
+
 
 
 def test_block_routes_make_no_scalar_encode(monkeypatch):

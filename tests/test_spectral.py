@@ -128,6 +128,31 @@ def test_correlation_profile_validation():
     for R, N in ((4, 0), (4, -3), (0, 10)):
         with pytest.raises(ValidationError):
             correlation_profile(g, R, N)
+    with pytest.raises(RangeError, match="past the scale limit"):
+        correlation_profile(g, 4, g.scale.limit - 2)
+    for r, N in ((0, 0), (3, -1), (-1, 10)):
+        with pytest.raises(ValidationError):
+            correlation(g, r, N)
+
+
+def test_sums_and_inequality_checks_refuse_bad_sizes():
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    for N in (0, -4):
+        with pytest.raises(ValidationError, match="N must be"):
+            exponential_sum(g, 0.3, N)
+        with pytest.raises(ValidationError, match="N must be"):
+            spectrum_scan(g, N)
+    for K in (-1, g.scale.K + 1):
+        with pytest.raises(RangeError, match=f"K={K}"):
+            scale_sums(g, 0.3, K)
+    with pytest.raises(ValidationError):
+        fejer_check(0, 0.3)
+    for H, R in ((0, 4), (4, 0), (-1, -1)):
+        with pytest.raises(ValidationError):
+            large_sieve_check(H, R, 0.3)
+    for R in (0, 6):
+        with pytest.raises(RangeError):
+            vdc_check(np.ones(5), R)
 
 
 # --- level-recursion correlation route against the pairwise oracle -------------
