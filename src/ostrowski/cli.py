@@ -6,7 +6,8 @@ verification failed, 2 usage or validation error, 3 range/overflow/cap error.
 
 Every subcommand accepts only the flags it reads.  All output except the
 verify report goes through `_emit`: JSON, or CSV whose first line is
-`# config: ` and the JSON of the payload's `config`.
+`# config: ` and the JSON of the payload's `config`.  Every file, the verify
+report's included, goes through `_write`.
 """
 
 from __future__ import annotations
@@ -49,10 +50,18 @@ def _emit(args, payload: dict, rows, header) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    """The one file writer: text to path, ValidationError (exit 2) if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _scale_fn(args, upto: int):
@@ -172,16 +181,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     reports = verify_all(seed=args.seed, only=only, fn_spec=args.fn, alpha_spec=args.alpha)
     for rep in reports:
         status = "PASS" if rep.ok else "FAIL"
         print(f"{status} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
               f"instances, worst margin {rep.worst_margin:.3e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([asdict(rep) for rep in reports], fh, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps([asdict(rep) for rep in reports], indent=2) + "\n")
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
 

@@ -357,7 +357,12 @@ def gap_structure_sweep(scale: ConvergentTable, lam_max: int, count: int = GAP_C
 # --- experiments -------------------------------------------------------------
 
 def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
-    """Correlation quadratic means Q(R) for each configured R at fixed N."""
+    """Correlation quadratic means Q(R) for each configured R at fixed N.
+
+    One correlation_profile at R = max(R_list) serves every R (its prefixes);
+    the payload's route is that profile's, "levels-exact" (bit for bit
+    correlation()) or "levels" (within 1e-13 * max|g|^2).
+    """
     if not config.R_list:
         raise ValidationError("R_list must not be empty")
     if config.N < max(config.R_list):

@@ -25,11 +25,10 @@ import numpy as np
 from .alphafun import AlphaFunction, _Rows, values_range
 from .errors import CapError, RangeError, ValidationError
 from .numeration import encode
-from .numerics import RANGE_CAP, check_size, frac_mul_array, pairwise_sum, unit
+from .numerics import check_size, frac_mul_array, pairwise_sum, unit
 
 DFT_CAP = 1 << 20      # hard cap on transform length
 
-CORR_FFT_MIN = 1 << 20      # correlation profiles with N * R above this take the level recursion
 EXACT_RESIDUAL_MAX = 1e-3   # largest |c - rint(c)| accepted as a Gaussian-integer sum
 EXACT_INT_MAX = 1 << 53     # integers up to here are exact floats, and so are their sums
 EXACT_FFT_NORM_MAX = 1 << 40  # largest |x| * |y| (2-norms) of one transform whose rounding is trusted
@@ -57,8 +56,9 @@ def correlation(g: AlphaFunction, r: int, N: int) -> complex:
 class CorrelationProfile:
     """gamma[r] = correlation(g, r, N) for r < R, plus its two summary means.
 
-    route names the computation that produced gamma: "pairwise",
-    "levels" or "levels-exact" (see correlation_profile).
+    route names the computation that produced gamma: "levels-exact"
+    (bit for bit correlation()) or "levels" (within 1e-13 * max|g|**2 of
+    it); see correlation_profile.
     """
 
     R: int
@@ -74,15 +74,6 @@ def _profile_means(gamma: np.ndarray) -> tuple[float, float]:
     quad = pairwise_sum(power).real / len(gamma)
     absm = pairwise_sum(np.abs(gamma)).real / len(gamma)
     return quad, absm
-
-
-def _profile_pairwise(vals: np.ndarray, R: int, N: int) -> np.ndarray:
-    """gamma[r] through the per-shift product and pairwise sum of correlation()."""
-    ref = np.conj(vals[:N])
-    gamma = np.empty(R, dtype=np.complex128)
-    for r in range(R):
-        gamma[r] = pairwise_sum(vals[r : r + N] * ref) / N
-    return gamma
 
 
 def _lagged_sums(x: np.ndarray, R: int, y: np.ndarray | None = None) -> np.ndarray:
@@ -101,7 +92,7 @@ def _lagged_sums(x: np.ndarray, R: int, y: np.ndarray | None = None) -> np.ndarr
 
 
 class _Inexact(Exception):
-    """A transform's sums could not be trusted to round to their Gaussian integers."""
+    """The level sums could not be trusted to round to their Gaussian integers."""
 
 
 def _rint_sums(x: np.ndarray, R: int, y: np.ndarray | None = None) -> np.ndarray:
@@ -213,69 +204,53 @@ def _gaussian_square_bound(rows) -> int | None:
     return prod(max(int(v.real) ** 2 + int(v.imag) ** 2 for v in row) for row in rows)
 
 
-def _profile_levels(g: AlphaFunction, R: int, N: int) -> tuple[np.ndarray, str]:
-    """(gamma, route) from the level recursion; see correlation_profile."""
-    M = N + R - 1
-    digits = encode(M - 1, g.scale).digits
-    square_bound = _gaussian_square_bound(g.atoms[: len(digits)])
-    if square_bound is not None:
-        if M * square_bound <= EXACT_INT_MAX:
-            try:
-                c = _level_sums(g, R, N, digits, _rint_sums)
-            except _Inexact:
-                pass
-            else:
-                gamma = np.empty(R, dtype=np.complex128)
-                gamma.real = c.real / N
-                gamma.imag = c.imag / N
-                return gamma, "levels-exact"
-        if M <= RANGE_CAP:
-            return _profile_pairwise(values_range(g, M), R, N), "pairwise"
-    return _level_sums(g, R, N, digits, _lagged_sums) / N, "levels"
-
-
 def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
-    """Correlations for all shifts r < R at a common N.
+    """Correlations for all shifts r < R at a common N, from the level recursion.
 
-    For N * R <= CORR_FFT_MIN (the "pairwise" route), each gamma[r]
-    reproduces correlation(g, r, N) bit for bit: the shared value block is
-    sliced per shift and fed through the same product and the same
-    pairwise sum.
-
-    Otherwise the sums come from the level recursion of _level_sums, whose
-    only value block has q_{k0+1} entries (k0 the first level with
-    q_k0 >= R), so N may run up to the scale's limit while R + q_{k0+1}
-    stays within RANGE_CAP (CapError otherwise, before anything is
-    allocated).  Its cost is O(q_{k0+1} log q_{k0+1} + R log R + sum a_k).
+    The sums come from _level_sums, whose only value block has
+    min(N + R - 1, q_{k0+1}) entries (k0 the first level with q_k0 >= R),
+    so N may run up to the scale's limit while R + q_{k0+1} stays within
+    RANGE_CAP (CapError otherwise, before anything is allocated).  Its cost
+    is O(q_{k0+1} log q_{k0+1} + R log R + sum a_k).
 
     When every atom on the rows the digits of N + R - 2 reach is a Gaussian
     integer (theta in {0, 1/4, 1/2, 3/4}, or an integer atom table) and
     (N + R - 1) * B**2 <= EXACT_INT_MAX = 2**53, B the product of those
     rows' largest moduli, every partial sum is an exact float: the
     transform outputs are rounded to their Gaussian integers and the
-    result divided by N part by part, so gamma is bit for bit the pairwise
-    route's ("levels-exact").  If that bound fails, a rounding residual
-    reaches EXACT_RESIDUAL_MAX, or a transform's input norms pass
-    EXACT_FFT_NORM_MAX, the pairwise route runs instead while
-    N + R - 1 <= RANGE_CAP, and the "levels" route past it.
+    result divided by N part by part, so each gamma[r] is bit for bit
+    correlation(g, r, N) ("levels-exact").
 
-    For any other atoms ("levels") gamma agrees with the pairwise route to
-    within 1e-13 * max_{n < N+R-1} |g(n)|^2, which is 1e-13 for unimodular
-    atoms (measured: at most 8.9e-16 for theta in {0.1234567, 1/3} over
-    golden, silver, [1,2] and [1,2,3,1,1,4], R from 1 to 8192, N at
-    q_k +- 1, q_k + R - 1 and q_k + R up to 2**21; 3.6e-17 * max|g|^2 for
-    random atom tables of modulus up to 2).
+    Otherwise ("levels": other atoms, that bound failing, a rounding
+    residual reaching EXACT_RESIDUAL_MAX, or a transform's input norms
+    passing EXACT_FFT_NORM_MAX) gamma agrees with correlation() to within
+    1e-13 * max_{n < N+R-1} |g(n)|^2, which is 1e-13 for unimodular atoms
+    (measured for theta in {0.1234567, 1/3}: at most 8.9e-16 over golden,
+    silver, [1,2] and [1,2,3,1,1,4], R from 1 to 8192, N at q_k +- 1,
+    q_k + R - 1 and q_k + R up to 2**21; at most 1.3e-15 over those,
+    /1000, 3/7,1 and list:1,...,20 with N from 1 to 2000 and R from 1 to
+    300; 1.8e-16 * max|g|^2 for random atom tables of modulus up to 2 and
+    integer tables in [-3, 3]).
     """
     if N < 1:
         raise ValidationError("N must be >= 1")
     if R < 1:
         raise ValidationError("R must be >= 1")
-    if N + R - 1 > g.scale.limit:
-        raise RangeError(f"N + R - 1 = {N + R - 1} past the scale limit {g.scale.limit}")
-    if N * R <= CORR_FFT_MIN:
-        gamma, route = _profile_pairwise(values_range(g, N + R - 1), R, N), "pairwise"
+    M = N + R - 1
+    if M > g.scale.limit:
+        raise RangeError(f"N + R - 1 = {M} past the scale limit {g.scale.limit}")
+    digits = encode(M - 1, g.scale).digits
+    square_bound = _gaussian_square_bound(g.atoms[: len(digits)])
+    try:
+        if square_bound is None or M * square_bound > EXACT_INT_MAX:
+            raise _Inexact
+        c = _level_sums(g, R, N, digits, _rint_sums)
+    except _Inexact:
+        gamma, route = _level_sums(g, R, N, digits, _lagged_sums) / N, "levels"
     else:
-        gamma, route = _profile_levels(g, R, N)
+        gamma, route = np.empty(R, dtype=np.complex128), "levels-exact"
+        gamma.real = c.real / N  # parts divided on their own, as Python's complex / int does
+        gamma.imag = c.imag / N
     quad, absm = _profile_means(gamma)
     return CorrelationProfile(R, N, gamma, quad, absm, route)
 

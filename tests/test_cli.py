@@ -14,6 +14,7 @@ import pytest
 from ostrowski import (
     GOLDEN,
     CheckReport,
+    correlation,
     expand_max,
     from_theta,
     parse_alpha_spec,
@@ -111,10 +112,14 @@ def test_correlate_payload(capsys):
     code, out = run(capsys, "correlate", "--N", "2000", "--R", "16")
     assert code == 0
     doc = json.loads(out)
-    assert doc["route"] == "pairwise"
+    assert doc["route"] == "levels-exact"
     assert len(doc["rows"]) == 16
     assert doc["rows"][0]["re"] == pytest.approx(1.0)
     assert 0.0 < doc["quadratic_mean"] <= 1.0
+    # the default theta:0.5 is exact: every row is correlation() bit for bit
+    g = from_theta(0.5, scale_for(GOLDEN, 2000 + 16 - 1))
+    assert [complex(row["re"], row["im"]) for row in doc["rows"]] == [
+        correlation(g, r, 2000) for r in range(16)]
 
 
 def test_fourier_payload(capsys):
@@ -195,6 +200,20 @@ def test_verify_reports_file(tmp_path, capsys, monkeypatch):
     assert docs[0] == {"check_name": "forced", "instances_run": 2, "instances_passed": 1,
                        "worst_margin": -0.25, "details": [detail]}
     assert docs[1]["check_name"] == "van_der_corput"
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--N", "100", "--R", "4"),
+    ("verify", "--only", "fejer"),
+])
+@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}"], ids=["missing_dir", "a_dir"])
+def test_out_to_an_unwritable_path_is_exit_2_without_traceback(argv, target, tmp_path):
+    path = target.format(tmp=tmp_path)
+    proc = run_process(*argv, "--out", path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]  # one line
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -418,6 +437,7 @@ def run_process(*argv) -> subprocess.CompletedProcess:
     ("spectrum", "--N", "100", "--fn", "atoms:{tmp}/missing.json"),
     ("spectrum", "--N", "100", "--fn", "atoms:{tmp}"),  # a directory
     ("spectrum", "--N", "100", "--fn", "atoms:{tmp}/not.json"),
+    ("verify", "--only", ""),  # the empty family name, not the whole battery
 ])
 def test_bad_sizes_are_exit_2_without_traceback(argv, tmp_path):
     (tmp_path / "not.json").write_text("not json")

@@ -23,6 +23,7 @@ from ostrowski import (
     RangeError,
     ValidationError,
     carry_bound_sweep,
+    correlation,
     density_formula,
     density_sweep,
     encode,
@@ -41,6 +42,7 @@ from ostrowski import (
 )
 from ostrowski import harness, numeration
 from ostrowski.harness import DEFAULT_ALPHA_SPECS
+from ostrowski.numerics import pairwise_sum
 
 
 # --- reports ---------------------------------------------------------------------
@@ -394,12 +396,24 @@ def test_experiment_config_validation():
 def test_pseudorandomness_experiment_output():
     cfg = ExperimentConfig(N=4000, R_list=(8, 32))
     payload = pseudorandomness_experiment(cfg)
-    assert payload["route"] == "pairwise"
+    assert payload["route"] == "levels-exact"
     assert [row["R"] for row in payload["rows"]] == [8, 32]
     for row in payload["rows"]:
         assert 0.0 <= row["quadratic_mean"] <= 1.0
         assert 0.0 <= row["absolute_mean"] <= 1.0
     assert payload["config"]["N"] == 4000
+    # theta = 1/2 is exact: the means are those of correlation()'s gammas, bit for bit;
+    # a generic theta takes the levels route, within 1e-13 of them
+    for fn, route, tol in (("theta:0.5", "levels-exact", 0.0), ("theta:0.1234567", "levels", 1e-13)):
+        payload = pseudorandomness_experiment(ExperimentConfig(fn_spec=fn, N=4000, R_list=(8, 32)))
+        assert payload["route"] == route
+        g = parse_fn_spec(fn, scale_for(GOLDEN, 4000 + 32 - 1))
+        gamma = np.array([correlation(g, r, 4000) for r in range(32)])
+        for row in payload["rows"]:
+            head = gamma[: row["R"]]
+            quad = pairwise_sum(head.real**2 + head.imag**2).real / row["R"]
+            assert abs(row["quadratic_mean"] - quad) <= tol
+            assert abs(row["absolute_mean"] - pairwise_sum(np.abs(head)).real / row["R"]) <= tol
 
 
 def test_spectrum_experiment_output():
@@ -469,6 +483,8 @@ def test_verify_all_alpha_runs_the_function_families_on_one_scale():
 def test_verify_all_unknown_family():
     with pytest.raises(ValidationError):
         verify_all(only="nope")
+    with pytest.raises(ValidationError, match=r"unknown check families: \[''\]"):
+        verify_all(only="")
 
 
 def test_verify_all_runs_fn_spec_families(monkeypatch):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ostrowski.spectral as spectral
@@ -49,14 +49,12 @@ from ostrowski import (
 )
 from ostrowski.numerics import RANGE_CAP, frac_mul_array, pairwise_sum, unit
 from ostrowski.spectral import (
-    CORR_FFT_MIN,
     DFT_CAP,
     _dft_fast,
     REFINE_PEAKS,
     REFINE_WIDTH,
     _digit_exp_sums,
     _digit_plan,
-    _profile_pairwise,
     _refine,
     _scale_partials,
     _top_local_maxima,
@@ -157,19 +155,49 @@ def test_sums_and_inequality_checks_refuse_bad_sizes():
 
 # --- level-recursion correlation route against the pairwise oracle -------------
 
-# just above CORR_FFT_MIN; N + R - 1 = 16485 is no denominator of golden or silver
+# N * R = 2**20 was the largest profile the removed per-shift route served;
+# the shapes chosen just past it stay covered.  N_FFT * R_FFT is just past
+# BIG, and N + R - 1 = 16485 is no denominator of golden or silver
+BIG = 1 << 20
 N_FFT, R_FFT = 16421, 65
 FFT_ABS_TOL = 1e-13
+QUARTER_TURNS = (0.0, 0.25, 0.5, 0.75)
 
 
 def pairwise_oracle(g, R, N):
-    return _profile_pairwise(values_range(g, N + R - 1), R, N)
+    """[correlation(g, r, N) for r < R] bit for bit: one value block sliced per shift."""
+    vals = values_range(g, N + R - 1)
+    ref = np.conj(vals[:N])
+    return np.array([pairwise_sum(vals[r : r + N] * ref) / N for r in range(R)])
+
+
+def peak_power(g, R, N):
+    """max_{n < N+R-1} |g(n)|**2, the scale of the levels route's tolerance."""
+    vals = values_range(g, N + R - 1)
+    return float(np.max(vals.real**2 + vals.imag**2))
+
+
+def assert_matches_oracle(prof, g, tol=FFT_ABS_TOL):
+    """levels-exact: bit for bit the oracle; levels: within tol (absolute)."""
+    want = pairwise_oracle(g, prof.R, prof.N)
+    if prof.route == "levels-exact":
+        assert np.array_equal(prof.gamma, want)
+    else:
+        assert prof.route == "levels"
+        assert np.max(np.abs(prof.gamma - want)) <= tol
+
+
+def test_pairwise_oracle_is_correlation_bit_for_bit():
+    N, R = 300, 24
+    for theta in (0.5, 0.1234567):
+        g = from_theta(theta, scale_for(SILVER, N + R - 1))
+        assert np.array_equal(pairwise_oracle(g, R, N), [correlation(g, r, N) for r in range(R)])
 
 
 @pytest.mark.parametrize("spec", [GOLDEN, SILVER])
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
 def test_fft_route_is_exact_for_quarter_turns(spec, theta):
-    assert N_FFT * R_FFT > CORR_FFT_MIN
+    assert N_FFT * R_FFT > BIG
     g = from_theta(theta, scale_for(spec, N_FFT + R_FFT))
     prof = correlation_profile(g, R_FFT, N_FFT)
     assert prof.route == "levels-exact"
@@ -210,80 +238,126 @@ def test_fft_route_tolerance_contracting_atom_table():
     assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
 
 
-@pytest.mark.parametrize("atom, route", [((1.0, 1.0), "levels-exact"), ((4.0, 0.0), "pairwise")])
+@pytest.mark.parametrize("atom, route", [((1.0, 1.0), "levels-exact"), ((4.0, 0.0), "levels")])
 def test_fft_route_integer_atom_tables(atom, route):
     # 1+i keeps (N + R - 1) * B**2 near 2**35, within EXACT_INT_MAX; atom 4
     # pushes it to about 2**98 (B = 4**21 over the 21 rows below N + R - 1),
-    # so only the pairwise route is trusted there
+    # so the sums are not exact floats and the levels route holds them to
+    # 1e-13 * max|g|**2
     scale = scale_for(GOLDEN, N_FFT + R_FFT)
     g = load_atoms(atom_document(scale, lambda k, e: atom), scale)
     prof = correlation_profile(g, R_FFT, N_FFT)
     assert prof.route == route
-    assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
+    assert_matches_oracle(prof, g, FFT_ABS_TOL * peak_power(g, R_FFT, N_FFT))
 
 
 def test_route_selection():
-    g = from_theta(0.5, scale_for(GOLDEN, CORR_FFT_MIN + 20))
-    for R, N, route in ((64, CORR_FFT_MIN // 64, "pairwise"),
-                        (64, CORR_FFT_MIN // 64 + 1, "levels-exact"),
-                        (1, CORR_FFT_MIN, "pairwise"),
-                        (1, CORR_FFT_MIN + 1, "levels-exact")):
-        assert correlation_profile(g, R, N).route == route
+    # the route depends on the atoms only: the same on both sides of N * R = 2**20
+    scale = scale_for(GOLDEN, BIG + 20)
+    for theta, route in ((0.5, "levels-exact"), (0.1234567, "levels")):
+        g = from_theta(theta, scale)
+        for R, N in ((64, BIG // 64), (64, BIG // 64 + 1), (1, BIG), (1, BIG + 1)):
+            prof = correlation_profile(g, R, N)
+            assert prof.route == route
+            assert_matches_oracle(prof, g)
 
 
-@pytest.mark.parametrize("R, N", [(1, CORR_FFT_MIN + 1), (8192, 200), (8192, 20000)])
+@pytest.mark.parametrize("R, N", [(1, BIG + 1), (8192, 200), (8192, 20000), (1, 1), (300, 7)])
 def test_fft_route_edge_shapes(R, N):
     # R = 1: k0 = 0 and a one-value seed; R = 8192 on golden: N + R - 1 is
-    # below q_{k0+1} = 17711 at N = 200 (one dense block) and past it at N = 20000
+    # below q_{k0+1} = 17711 at N = 200 (one dense block) and past it at
+    # N = 20000; N = 7 < R = 300 is one dense block; N = R = 1 reads g(0) = 1
+    # alone, which no atom reaches, so it is exact for every theta
     for theta, route in ((0.5, "levels-exact"), (0.1234567, "levels")):
         g = from_theta(theta, scale_for(GOLDEN, N + R))
         prof = correlation_profile(g, R, N)
-        assert prof.route == route
-        want = pairwise_oracle(g, R, N)
-        if route == "levels-exact":
-            assert np.array_equal(prof.gamma, want)
-        else:
-            assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
+        assert prof.route == (route if N + R > 2 else "levels-exact")
+        assert_matches_oracle(prof, g)
 
 
 def test_fft_route_falls_back_when_rounding_is_not_clean(monkeypatch):
+    # the exact route's transforms come back 0.3 off the integers, so the
+    # profile takes the levels route, whose transforms are clean
     g = from_theta(0.5, scale_for(GOLDEN, N_FFT + R_FFT))
-    clean = spectral._lagged_sums
-    monkeypatch.setattr(spectral, "_lagged_sums", lambda x, R, y=None: clean(x, R, y) + 0.3)
+    clean, rint_sums = spectral._lagged_sums, spectral._rint_sums
+    unclean = []
+
+    def off_integers(x, R, y=None):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_lagged_sums", lambda x, R, y=None: clean(x, R, y) + 0.3)
+            unclean.append(len(x))
+            return rint_sums(x, R, y)
+
+    monkeypatch.setattr(spectral, "_rint_sums", off_integers)
     prof = correlation_profile(g, R_FFT, N_FFT)
-    assert prof.route == "pairwise"
-    assert np.array_equal(prof.gamma, pairwise_oracle(g, R_FFT, N_FFT))
+    assert unclean
+    assert prof.route == "levels"
+    assert np.max(np.abs(prof.gamma - pairwise_oracle(g, R_FFT, N_FFT))) <= FFT_ABS_TOL
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+LIST20 = "list:" + ",".join(map(str, range(1, 21)))  # no a_next: its last row is a_20's
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    spec=st.sampled_from(["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4"]),
-    theta=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    spec=st.sampled_from(["golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4",
+                          "periodic:/1000", "periodic:3/7,1", LIST20]),
+    theta=st.one_of(st.sampled_from(QUARTER_TURNS),
                     st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
     R=st.integers(min_value=1, max_value=700),
+    small=st.booleans(),
     extra=st.integers(min_value=1, max_value=5000),
 )
-def test_fft_route_matches_pairwise_property(spec, theta, R, extra):
-    N = CORR_FFT_MIN // R + extra
+@example(spec="golden", theta=0.5, R=1, small=True, extra=1)
+@example(spec="golden", theta=0.1234567, R=1, small=True, extra=1)
+@example(spec=LIST20, theta=0.1234567, R=300, small=True, extra=2000)
+@example(spec="periodic:/1000", theta=0.25, R=64, small=True, extra=1500)
+@example(spec="periodic:/1000", theta=1 / 3, R=700, small=False, extra=3)
+@example(spec="periodic:3/7,1", theta=0.1234567, R=33, small=True, extra=222)
+def test_fft_route_matches_pairwise_property(spec, theta, R, small, extra):
+    # small: N * R up to 3.5e6 from N = 1; otherwise N * R just past 2**20
+    N = extra if small else BIG // R + extra
     g = from_theta(theta, scale_for(parse_alpha_spec(spec), N + R))
     prof = correlation_profile(g, R, N)
-    want = pairwise_oracle(g, R, N)
-    if theta in (0.0, 0.25, 0.5, 0.75):
+    if theta in QUARTER_TURNS:
         assert prof.route == "levels-exact"
-    if prof.route == "levels-exact":
-        assert np.array_equal(prof.gamma, want)
-    else:
+    assert_matches_oracle(prof, g)
+
+
+@pytest.mark.parametrize("spec", ["golden", "silver", "periodic:3/7,1"])
+def test_levels_route_random_atom_tables_at_small_sizes(spec):
+    # complex atoms of modulus <= 2 take the levels route; integer atoms in
+    # [-3, 3] keep (N + R - 1) * B**2 within 2**53 at these sizes, so they
+    # are bit for bit the oracle
+    rng = np.random.default_rng(17)
+    alpha = parse_alpha_spec(spec)
+    for R, N in ((1, 2), (5, 3), (16, 100), (64, 39), (40, 250)):
+        scale = scale_for(alpha, N + R - 1)
+        g = random_atoms(scale, rng)
+        prof = correlation_profile(g, R, N)
         assert prof.route == "levels"
-        assert np.max(np.abs(prof.gamma - want)) <= FFT_ABS_TOL
+        assert_matches_oracle(prof, g, FFT_ABS_TOL * peak_power(g, R, N))
+        h = load_atoms(atom_document(scale, lambda k, e: (float(rng.integers(-3, 4)), 0.0)), scale)
+        prof = correlation_profile(h, R, N)
+        assert prof.route == "levels-exact"
+        assert_matches_oracle(prof, h)
 
 
 GOLDEN_Q = expand_max(GOLDEN).q
 
 
 def boundary_lengths(R):
-    """N at q_k - 1, q_k, q_k + 1, q_k + R - 1 and q_k + R, for the q_k that put N * R past CORR_FFT_MIN."""
-    q = next(qk for qk in GOLDEN_Q if qk * R > CORR_FFT_MIN + R)
-    return [q - 1, q, q + 1, q + R - 1, q + R]
+    """N >= 2 at q_k - 1, q_k, q_k + 1, q_k + R - 1 and q_k + R, for some q_k.
+
+    They are the last q_k with q_k * R <= 2**20, the first with q_k * R past
+    2**20 + R, and the first q_k >= R (k0's own denominator) if its
+    q_k * R <= 2**20.
+    """
+    first = next(qk for qk in GOLDEN_Q if qk >= R)
+    qs = {max(qk for qk in GOLDEN_Q if qk * R <= BIG), next(qk for qk in GOLDEN_Q if qk * R > BIG + R)}
+    if first * R <= BIG:
+        qs.add(first)
+    return sorted({N for q in qs for N in (q - 1, q, q + 1, q + R - 1, q + R) if N >= 2})
 
 
 @pytest.mark.parametrize("R", [1, 610, 8192])
@@ -326,6 +400,27 @@ def test_levels_route_builds_no_N_sized_block(monkeypatch):
     prof = correlation_profile(from_theta(0.5, scale_for(GOLDEN, N + R - 1)), R, N)
     assert prof.route == "levels-exact"
     assert prof.gamma[0] == 1.0
+
+
+def test_levels_route_serves_integer_atoms_past_the_exact_bound(monkeypatch):
+    # atoms 2 put (N + R - 1) * B**2 past 2**53: the level recursion still
+    # runs, on the seed block g(n), n < q_{k0+1} = 610 (q_k0 = 377 >= R), alone
+    R, N = 256, BIG
+    scale = scale_for(GOLDEN, N + R - 1)
+    g = load_atoms(atom_document(scale, lambda k, e: (2.0, 0.0)), scale)
+    built = spectral.values_range
+
+    def small_only(g, count):
+        assert count <= 610 + R, f"value block of {count}"
+        return built(g, count)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "values_range", small_only)
+        prof = correlation_profile(g, R, N)
+    assert prof.route == "levels"
+    tol = FFT_ABS_TOL * peak_power(g, R, N)
+    for r in (0, 1, 255):
+        assert abs(prof.gamma[r] - correlation(g, r, N)) <= tol
 
 
 def test_levels_route_transforms_stay_near_the_seed(monkeypatch):
