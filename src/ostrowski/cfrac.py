@@ -29,7 +29,7 @@ class QuotientSpec:
     """Partial quotients a_1, a_2, ... given as a preperiod plus repeating period.
 
     An empty period means the list is explicit and finite: indexed access past
-    its end raises IndexError.
+    its end raises RangeError.
     """
 
     preperiod: tuple[int, ...] = ()
@@ -46,11 +46,11 @@ class QuotientSpec:
     def quotient(self, i: int) -> int:
         """a_i, 1-indexed."""
         if i < 1:
-            raise IndexError(f"quotient index {i} < 1 (quotients are 1-indexed)")
+            raise RangeError(f"quotient index {i} < 1 (quotients are 1-indexed)")
         if i <= len(self.preperiod):
             return self.preperiod[i - 1]
         if not self.period:
-            raise IndexError(
+            raise RangeError(
                 f"explicit quotient list exhausted at a_{i} "
                 f"(only {len(self.preperiod)} quotients given)"
             )
@@ -64,7 +64,8 @@ GOLDEN = QuotientSpec(*_PRESETS["golden"])
 SILVER = QuotientSpec(*_PRESETS["silver"])
 
 
-def _parse_int_list(body: str, what: str) -> tuple[int, ...]:
+def parse_int_list(body: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank entry is refused, a blank string is ()."""
     body = body.strip()
     if not body:
         return ()
@@ -89,9 +90,9 @@ def parse_alpha_spec(text: str) -> QuotientSpec:
         if "/" not in body:
             raise ValidationError(f"periodic spec {text!r} needs '<preperiod>/<period>'")
         pre, per = body.split("/", 1)
-        return QuotientSpec(_parse_int_list(pre, "preperiod"), _parse_int_list(per, "period"))
+        return QuotientSpec(parse_int_list(pre, "preperiod"), parse_int_list(per, "period"))
     if t.startswith("list:"):
-        return QuotientSpec(_parse_int_list(t[len("list:"):], "quotient list"), ())
+        return QuotientSpec(parse_int_list(t[len("list:"):], "quotient list"), ())
     raise ValidationError(f"unrecognized alpha spec {text!r}")
 
 
@@ -174,7 +175,7 @@ def _convergents(spec: QuotientSpec) -> Iterator[tuple[int, int, int]]:
 def _table(spec: QuotientSpec, rows: list[tuple[int, int, int]]) -> ConvergentTable:
     """The table through K = len(rows) from the rows (a_i, p_i, q_i), i = 1..K."""
     if not rows:
-        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+        raise RangeError("a_1 alone exceeds 2**63 - 1")
     a, p, q = zip(*rows)
     a_next = spec.quotient(len(a) + 1) if spec.has_quotient(len(a) + 1) else None
     return ConvergentTable(spec, a, (0, *p), (1, *q), a_next)
@@ -183,17 +184,18 @@ def _table(spec: QuotientSpec, rows: list[tuple[int, int, int]]) -> ConvergentTa
 def expand(spec: QuotientSpec, K: int) -> ConvergentTable:
     """Convergent table through index K: the first K rows of the recurrence.
 
-    Raises IndexError if an explicit quotient list is too short (before any
-    denominator is checked) and OverflowError (reporting the largest safe K)
-    if a denominator would pass 2**63 - 1.
+    Raises RangeError if an explicit quotient list is too short (before any
+    denominator is checked) or if a denominator would pass 2**63 - 1
+    (reporting the largest safe K).  The slice stops at Q_MAX rows, which no
+    table reaches, so a K past sys.maxsize gets that refusal too.
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
     if not spec.has_quotient(K):
-        spec.quotient(len(spec.preperiod) + 1)  # IndexError naming the first missing quotient
-    rows = list(islice(_convergents(spec), K))
+        spec.quotient(len(spec.preperiod) + 1)  # RangeError naming the first missing quotient
+    rows = list(islice(_convergents(spec), min(K, Q_MAX)))
     if rows and len(rows) < K:
-        raise OverflowError(
+        raise RangeError(
             f"q_{len(rows) + 1} exceeds 2**63 - 1; largest safe K for this spec is {len(rows)}"
         )
     return _table(spec, rows)

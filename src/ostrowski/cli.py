@@ -2,12 +2,13 @@
 
 Subcommands: encode, decode, sigma, convergents, correlate, fourier,
 spectrum, verify, experiment.  Exit codes: 0 success, 1 a check or
-verification failed, 2 usage or validation error, 3 range/overflow/cap error.
+verification failed, 2 usage or ValidationError, 3 RangeError or CapError.
+Any other exception is a bug and propagates.
 
-Every subcommand accepts only the flags it reads.  All output except the
-verify report goes through `_emit`: JSON, or CSV whose first line is
-`# config: ` and the JSON of the payload's `config`.  Every file, the verify
-report's included, goes through `_write`.
+Every subcommand, and each experiment kind, accepts only the flags it
+reads.  All output except the verify report goes through `_emit`: JSON, or
+CSV whose first line is `# config: ` and the JSON of the payload's `config`.
+Every file, the verify report's included, goes through `_write`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from .alphafun import parse_fn_spec
-from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, scale_for
+from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, parse_int_list, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
 from .numeration import DigitString, decode, encode, psi, sigma
@@ -49,7 +50,7 @@ def _emit(args, payload: dict, rows, header) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -67,14 +68,6 @@ def _write(path: str, text: str) -> None:
 def _scale_fn(args, upto: int):
     scale = scale_for(parse_alpha_spec(args.alpha), upto)
     return scale, parse_fn_spec(args.fn, scale)
-
-
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    """Comma-separated integers (blank entries skipped), else ValidationError."""
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise ValidationError(f"{what} must be a comma-separated list of integers") from exc
 
 
 # --- handlers -----------------------------------------------------------------
@@ -97,7 +90,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    digits = _int_list(args.digits, "digits")
+    digits = parse_int_list(args.digits, "digits")
     scale = expand(parse_alpha_spec(args.alpha), max(len(digits), 2))
     n = decode(DigitString(digits, scale))
     payload = {"config": _config_dict(args), "digits": list(digits), "n": n}
@@ -187,7 +180,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if rep.ok else "FAIL"
         print(f"{status} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
               f"instances, worst margin {rep.worst_margin:.3e}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, json.dumps([asdict(rep) for rep in reports], indent=2) + "\n")
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
@@ -195,20 +188,14 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     fields = {"alpha_spec": args.alpha, "fn_spec": args.fn, "N": args.N}
     if args.kind == "spectrum":
-        if args.R_list is not None:
-            raise ValidationError("--R-list applies to pseudorandomness experiments only")
-        if args.seed is not None:
-            fields["seed"] = args.seed
-        payload = spectrum_experiment(ExperimentConfig(**fields))
+        payload = spectrum_experiment(ExperimentConfig(**fields, seed=args.seed))
         rows = [["ladder", r["N"], r["beta_peak"], r["peak_value"]] for r in payload["ladder"]]
         rows += [["scale_sums", s["beta"], len(s["moduli"]), s["contraction_margin"]]
                  for s in payload["scale_sums"]]
         _emit(args, payload, rows, ["section", "x", "y", "z"])
     else:
-        if args.seed is not None:
-            raise ValidationError("--seed applies to spectrum experiments only")
         if args.R_list is not None:
-            fields["R_list"] = _int_list(args.R_list, "--R-list")
+            fields["R_list"] = parse_int_list(args.R_list, "--R-list")
         payload = pseudorandomness_experiment(ExperimentConfig(**fields))
         rows = [[r["R"], r["quadratic_mean"], r["absolute_mean"]] for r in payload["rows"]]
         _emit(args, payload, rows, ["R", "quadratic_mean", "absolute_mean"])
@@ -264,14 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, help="comma list of check families to run")
 
-    p = sub.add_parser("experiment", parents=[shared, fn], help="run a sweep experiment")
-    p.add_argument("kind", choices=("pseudorandomness", "spectrum"))
+    kinds = sub.add_parser("experiment", help="run a sweep experiment").add_subparsers(
+        dest="kind", required=True)
+    p = kinds.add_parser("pseudorandomness", parents=[shared, fn], help="correlation decay in R")
     p.add_argument("--N", type=int, default=10**6)
     p.add_argument("--R-list", dest="R_list", default=None,
-                   help="comma list of shift counts R (pseudorandomness only; "
-                        "default 32,64,...,4096)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the scale-sum betas (spectrum only; default 0)")
+                   help="comma list of shift counts R (default 32,64,...,4096)")
+    p = kinds.add_parser("spectrum", parents=[shared, fn], help="peak ladder and scale sums")
+    p.add_argument("--N", type=int, default=10**6)
+    p.add_argument("--seed", type=int, default=0, help="seed of the scale-sum betas")
 
     return parser
 
@@ -289,7 +277,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RangeError, CapError, OverflowError, IndexError) as exc:
+    except (RangeError, CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
 

@@ -1,8 +1,7 @@
-"""Exception types shared across the package.
+"""The package's three refusals: every error it raises to a caller is one of these.
 
-Builtin OverflowError and IndexError are used directly where they fit
-(convergent growth past the 63-bit budget, quotient access past an explicit
-list); the classes below cover the remaining failure modes.
+The command line maps ValidationError to exit 2 and RangeError and CapError
+to exit 3; any other exception is a bug and propagates.
 """
 
 

@@ -79,12 +79,10 @@ def _violation(digits: Sequence[int], scale: ConvergentTable) -> str | None:
 def validate(digits: Sequence[int], scale: ConvergentTable) -> bool:
     """True iff the array is a legal Ostrowski digit string for this scale."""
     try:
-        ds = tuple(int(e) for e in digits)
-    except (TypeError, ValueError):
+        DigitString(digits, scale)
+    except (TypeError, ValueError):  # ValidationError is a ValueError
         return False
-    while ds and ds[-1] == 0:
-        ds = ds[:-1]
-    return _violation(ds, scale) is None
+    return True
 
 
 def encode(n: int, scale: ConvergentTable) -> DigitString:
@@ -151,13 +149,14 @@ def _block_table(
     sets eps_lam to b (or a_{lam+1}), above lam every copy inherits it.  The
     assembly stops at the first level holding `count` starts and reaching
     `end`, and never passes scale.limit (q_{K+1} when a_next is known); that
-    last level keeps only the copies needed to reach both.  The start count
-    c_{i+1} = a_{i+1}*c_i + c_{i-1} is checked against RANGE_CAP, and the
-    largest start m_{i+1} = a_{i+1}*q_i + m_{i-1} against Q_MAX (RangeError),
-    before both arrays are allocated at once.  Every copy reads a prefix
-    already written, so copy b = 0 is never made, and the copies of a level
-    double: copies d..2d-1 are copies 0..d-1 shifted by d*q_i, so a level
-    takes O(log a_{i+1}) array operations.
+    last level keeps only the copies needed to reach both.  Fewer than
+    `count` starts below the limit, or an `end` past it, raise RangeError.
+    The start count c_{i+1} = a_{i+1}*c_i + c_{i-1} is checked against
+    RANGE_CAP, and the largest start m_{i+1} = a_{i+1}*q_i + m_{i-1} against
+    Q_MAX (RangeError), before both arrays are allocated at once.  Every copy
+    reads a prefix already written, so copy b = 0 is never made, and the
+    copies of a level double: copies d..2d-1 are copies 0..d-1 shifted by
+    d*q_i, so a level takes O(log a_{i+1}) array operations.
     """
     if lam < 1:
         raise ValidationError("lam must be >= 1")
@@ -171,7 +170,7 @@ def _block_table(
         m_prev, m = m, a * q[top] + m_prev
         top += 1
     if c < count:
-        raise OverflowError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
+        raise RangeError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
     if bounds[top] < end:
         raise RangeError(f"end={end} beyond table limit {scale.limit}")
     if top > lam:

@@ -65,14 +65,14 @@ def test_known_denominators():
 
 
 def test_expand_overflow_reports_largest_safe_K():
-    with pytest.raises(OverflowError, match=r"largest safe K for this spec is \d+"):
+    with pytest.raises(RangeError, match=r"largest safe K for this spec is \d+"):
         expand(GOLDEN, 200)
 
 
 def test_expand_max_is_maximal():
     for spec in (GOLDEN, SILVER, PERIOD12):
         t = expand_max(spec)
-        with pytest.raises(OverflowError):
+        with pytest.raises(RangeError):
             expand(spec, t.K + 1)
 
 
@@ -80,8 +80,17 @@ def test_finite_list_runs_out():
     spec = QuotientSpec((2, 3, 1), ())
     t = expand_max(spec)
     assert t.K == 3 and t.a_next is None
-    with pytest.raises(IndexError):
+    with pytest.raises(RangeError):
         expand(spec, 4)
+
+
+@pytest.mark.parametrize("K", [2**63 - 1, 2**63, 2**64, 10**30])
+def test_expand_past_sys_maxsize_is_refused(K):
+    # the recurrence stops at Q_MAX rows, so no K reaches islice's limit
+    with pytest.raises(RangeError, match="largest safe K for this spec is 91"):
+        expand(GOLDEN, K)
+    with pytest.raises(RangeError, match="exhausted at a_4"):
+        expand(QuotientSpec((2, 3, 1), ()), K)
 
 
 def test_scale_for_covers_and_is_minimal():
@@ -102,17 +111,17 @@ def three_pass_expand(spec, K):
         raise ValidationError("K must be >= 1")
     a = [spec.quotient(i) for i in range(1, K + 1)]
     if a[0] > Q_MAX:
-        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+        raise RangeError("a_1 alone exceeds 2**63 - 1")
     p, q = [0, 1], [1, a[0]]
     for i in range(1, K):
         nxt = a[i] * q[i] + q[i - 1]
         if nxt > Q_MAX:
-            raise OverflowError(f"q_{i + 1} exceeds 2**63 - 1; largest safe K for this spec is {i}")
+            raise RangeError(f"q_{i + 1} exceeds 2**63 - 1; largest safe K for this spec is {i}")
         p.append(a[i] * p[i] + p[i - 1])
         q.append(nxt)
     try:
         a_next = spec.quotient(K + 1)
-    except IndexError:
+    except RangeError:
         a_next = None
     return ConvergentTable(spec, tuple(a), tuple(p), tuple(q), a_next)
 
@@ -120,7 +129,7 @@ def three_pass_expand(spec, K):
 def three_pass_expand_max(spec):
     K, q_prev, q_cur = 1, 1, spec.quotient(1)
     if q_cur > Q_MAX:
-        raise OverflowError("a_1 alone exceeds 2**63 - 1")
+        raise RangeError("a_1 alone exceeds 2**63 - 1")
     while spec.has_quotient(K + 1):
         nxt = spec.quotient(K + 1) * q_cur + q_prev
         if nxt > Q_MAX:
@@ -140,7 +149,7 @@ def three_pass_scale_for(spec, upto):
 def outcome(build, *args):
     try:
         return build(*args)
-    except (ValidationError, RangeError, OverflowError, IndexError) as exc:
+    except (ValidationError, RangeError) as exc:
         return repr(exc)
 
 
@@ -197,7 +206,8 @@ def test_format_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "gold", "periodic:", "periodic:/", "list:", "list:0,1", "periodic:1,-2/3", "list:a"],
+    ["", "gold", "periodic:", "periodic:/", "list:", "list:0,1", "periodic:1,-2/3", "list:a",
+     "list:1,,2", "periodic:1,/2"],
 )
 def test_parse_rejects_garbage(text):
     with pytest.raises(ValidationError):
@@ -209,7 +219,7 @@ def test_quotientspec_validation():
         QuotientSpec((0,), (1,))
     with pytest.raises(ValidationError):
         QuotientSpec((), ())
-    with pytest.raises(IndexError, match="1-indexed"):
+    with pytest.raises(RangeError, match="1-indexed"):
         GOLDEN.quotient(0)
 
 

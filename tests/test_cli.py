@@ -1,6 +1,7 @@
 """Command line interface: payload shapes, exit codes, output formats."""
 
 import argparse
+import ast
 import cmath
 import json
 import os
@@ -22,6 +23,7 @@ from ostrowski import (
     values_range,
 )
 from ostrowski.cli import build_parser, main
+import ostrowski.cli as cli
 import ostrowski.harness as harness
 import ostrowski.spectral as spectral
 
@@ -80,6 +82,29 @@ def test_decode_round_trip(capsys):
     code, out = run(capsys, "decode", "0,1,0,1")
     assert code == 0
     assert json.loads(out)["n"] == 4
+
+
+PSEUDO = ("experiment", "pseudorandomness", "--N", "100", "--R-list")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decode", "0,,1"), "bad digits '0,,1': comma-separated integers expected"),
+    (("decode", ",1", "--alpha", "silver"), "bad digits ',1': comma-separated integers expected"),
+    (("decode", "1,"), "bad digits '1,': comma-separated integers expected"),
+    (("decode", ","), "bad digits ',': comma-separated integers expected"),
+    ((*PSEUDO, "4,,8"), "bad --R-list '4,,8': comma-separated integers expected"),
+    ((*PSEUDO, ",4"), "bad --R-list ',4': comma-separated integers expected"),
+    ((*PSEUDO, ""), "R_list must not be empty"),
+])
+def test_a_blank_list_entry_is_exit_2(argv, message, capsys):
+    # a blank entry would drop a position: decode ",1" is not eps_0 = 1
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_decode_of_the_empty_string_is_zero(capsys):
+    code, out = run(capsys, "decode", "")
+    assert code == 0 and json.loads(out)["n"] == 0
 
 
 def test_sigma_multiple(capsys):
@@ -206,7 +231,8 @@ def test_verify_reports_file(tmp_path, capsys, monkeypatch):
     ("correlate", "--N", "100", "--R", "4"),
     ("verify", "--only", "fejer"),
 ])
-@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}"], ids=["missing_dir", "a_dir"])
+@pytest.mark.parametrize("target", ["{tmp}/missing/x.json", "{tmp}", ""],
+                         ids=["missing_dir", "a_dir", "empty"])
 def test_out_to_an_unwritable_path_is_exit_2_without_traceback(argv, target, tmp_path):
     path = target.format(tmp=tmp_path)
     proc = run_process(*argv, "--out", path)
@@ -264,9 +290,10 @@ def test_spectrum_experiment_needs_no_r_list(capsys):
 
 
 def test_spectrum_experiment_refuses_r_list(capsys):
-    assert main(["experiment", "spectrum", "--N", "5000", "--R-list", "8"]) == 2
-    assert "pseudorandomness" in capsys.readouterr().err
-
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "spectrum", "--N", "5000", "--R-list", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --R-list 8" in capsys.readouterr().err
 
 def test_verify_fn_runs_the_given_function(capsys):
     base_code, base = run(capsys, "verify", "--only", "parseval,cyclic")
@@ -318,7 +345,7 @@ def test_verify_alpha_needs_a_function_family(capsys):
     ("encode", "4", "--format", "yaml"),
 ])
 def test_unread_flags_are_refused(argv, capsys):
-    # argparse refuses all but the pseudorandomness --seed, which its handler refuses
+    # argparse refuses every one of them: each experiment kind has its own parser
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -336,14 +363,25 @@ FLAGS = {
     "fourier": {"--alpha", "--out", "--format", "--fn", "--lam"},
     "spectrum": {"--alpha", "--out", "--format", "--fn", "--N", "--grid"},
     "verify": {"--alpha", "--fn", "--out", "--seed", "--only"},
-    "experiment": {"--alpha", "--out", "--format", "--fn", "--seed", "--N", "--R-list"},
+    "experiment": set(),
+    "experiment pseudorandomness": {"--alpha", "--out", "--format", "--fn", "--N", "--R-list"},
+    "experiment spectrum": {"--alpha", "--out", "--format", "--fn", "--N", "--seed"},
 }
 
 
+def sub_parsers(parser, prefix=""):
+    """(command words, parser) of every subcommand, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + name, sub
+                yield from sub_parsers(sub, prefix + name + " ")
+
+
 def test_each_subcommand_takes_the_flags_of_the_readme_table():
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(sub.choices) == set(FLAGS)
-    for name, parser in sub.choices.items():
+    parsers = dict(sub_parsers(build_parser()))
+    assert set(parsers) == set(FLAGS)
+    for name, parser in parsers.items():
         flags = {opt for action in parser._actions for opt in action.option_strings}
         assert flags - {"-h", "--help"} == FLAGS[name], name
 
@@ -418,6 +456,22 @@ def test_range_error_is_exit_3(capsys):
     assert main(["encode", "-5"]) == 3
 
 
+def test_a_bug_in_a_handler_propagates_out_of_main(monkeypatch):
+    # main maps the package's three errors to exit codes, and nothing else
+    def index_error(*args):
+        raise IndexError("list index out of range")
+
+    def overflow_error(*args):
+        raise OverflowError("planted")
+
+    monkeypatch.setattr(cli, "encode", index_error)
+    monkeypatch.setattr(cli, "correlation_profile", overflow_error)
+    with pytest.raises(IndexError):
+        main(["encode", "4"])
+    with pytest.raises(OverflowError):
+        main(["correlate", "--N", "100", "--R", "4"])
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -426,6 +480,49 @@ def run_process(*argv) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def raises_in(path: Path) -> list[tuple[str | None, str]]:
+    """(enclosing function, exception name) of every raise statement in a module."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((func, "raise" if exc is None else ast.unparse(exc)))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_the_package_raises_only_its_three_errors():
+    # besides the internal _Inexact, which correlation_profile catches, and
+    # the invariant of harness._density_margins
+    allowed = {"ValidationError", "RangeError", "CapError"}
+    stray = [(path.name, func, name)
+             for path in sorted(Path(SRC, "ostrowski").glob("*.py"))
+             for func, name in raises_in(path)
+             if name not in allowed
+             and (path.name, name) != ("spectral.py", "_Inexact")
+             and (path.name, func, name) != ("harness.py", "_density_margins", "AssertionError")]
+    assert stray == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("convergents", "--depth", str(2**63)), 3),
+    (("decode", "0,,1"), 2),
+    (("encode", "4", "--out", ""), 2),
+    (("experiment", "pseudorandomness", "--N", "100", "--seed", "3"), 2),
+    (("experiment", "spectrum", "--N", "100", "--R-list", "8"), 2),
+])
+def test_refusals_are_one_error_line_without_traceback(argv, code):
+    proc = run_process(*argv)
+    assert proc.returncode == code
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,12 @@
 Derandomized hypothesis over the alpha and fn grammars (theta and beta
 including nan, +-inf and 1e300; atom tables that are valid, hold a NaN atom,
 hold a non-list row or miss a row) and small numeric flags, negative ones
-included, over every subcommand but verify and both experiment kinds.  Sizes
-stay small (N <= 2e4, R <= 64, Fourier levels <= 12) so no request allocates
-much.
+included, over every subcommand but verify and both experiment kinds.  Every
+integer flag and operand also draws 2**63, 2**64 and 10**30, past the 63-bit
+budget and sys.maxsize; digit strings and R-lists also draw blank entries.
+Otherwise sizes stay small (N <= 2e4, R <= 64, Fourier levels <= 12): the
+huge sizes are refused, or served by the level recursion, before any
+N-sized block is built.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from ostrowski.cli import main
 
 ROWS = 100  # more rows than any scale below certifies; extra rows are ignored
+HUGE = st.sampled_from([2**63, 2**64, 10**30])
 
 
 @pytest.fixture(scope="module")
@@ -73,34 +77,44 @@ def requests(atom_paths):
     ints = st.integers
     shared = st.builds(lambda a: ["--alpha", a], ALPHAS) | st.just([])
     fn = st.builds(lambda f: ["--fn", f], fn_specs(atom_paths))
-    N = st.builds(lambda n: ["--N", str(n)], ints(1, 300) | ints(-3, 20000))
-    digits = st.lists(ints(-1, 4), max_size=8).map(lambda ds: ",".join(map(str, ds)))
+    N = st.builds(lambda n: ["--N", str(n)], ints(1, 300) | ints(-3, 20000) | HUGE)
+
+    def int_lists(entry, max_size):
+        """Comma lists of entries, and the same with one blank entry inserted."""
+        full = st.lists(entry.map(str), max_size=max_size)
+        blank = st.builds(lambda es, i: es[:i] + [""] + es[i:],
+                          st.lists(entry.map(str), min_size=1, max_size=max_size - 1),
+                          ints(0, max_size - 1))
+        return (full | blank).map(",".join)
+
+    digits = int_lists(ints(-1, 4), 8)
     # always given: the default N = 10**6 is too large here; N < a_1 is an edge
-    experiment_N = ints(1, 3) | ints(1, 300) | ints(1, 20000)
+    experiment_N = ints(1, 3) | ints(1, 300) | ints(1, 20000) | HUGE
     return st.one_of(
         st.builds(lambda n, lam, a: ["encode", str(n), *lam, *a],
-                  ints(-3, 10**6) | st.just(10**30),
-                  st.lists(ints(-2, 40), max_size=2).map(
+                  ints(-3, 10**6) | HUGE,
+                  st.lists(ints(-2, 40) | HUGE, max_size=2).map(
                       lambda ls: [x for lam in ls for x in ("--lam", str(lam))]),
                   shared),
         st.builds(lambda d, a: ["decode", d, *a], digits | st.just("1,x"), shared),
         st.builds(lambda ns, a: ["sigma", *map(str, ns), *a],
-                  st.lists(ints(-3, 10**6), min_size=1, max_size=3), shared),
+                  st.lists(ints(-3, 10**6) | HUGE, min_size=1, max_size=3), shared),
         st.builds(lambda d, a: ["convergents", *d, *a],
-                  st.just([]) | ints(-2, 100).map(lambda d: ["--depth", str(d)]), shared),
+                  st.just([]) | (ints(-2, 100) | HUGE).map(lambda d: ["--depth", str(d)]),
+                  shared),
         st.builds(lambda n, r, a, f: ["correlate", *n, "--R", str(r), *a, *f],
-                  N, ints(-2, 64), shared, fn),
+                  N, ints(-2, 64) | HUGE, shared, fn),
         st.builds(lambda lam, a, f: ["fourier", "--lam", str(lam), *a, *f],
-                  ints(-2, 12), shared, fn),
+                  ints(-2, 12) | HUGE, shared, fn),
         st.builds(lambda n, m, a, f: ["spectrum", *n, "--grid", str(m), *a, *f],
-                  N, ints(16, 512) | ints(-1, 512), shared, fn),
+                  N, ints(16, 512) | ints(-1, 512) | HUGE, shared, fn),
         st.builds(lambda n, s, a, f: ["experiment", "spectrum", "--N", str(n), *s, *a, *f],
-                  experiment_N, st.just([]) | ints(-1, 5).map(lambda s: ["--seed", str(s)]),
+                  experiment_N,
+                  st.just([]) | (ints(-1, 5) | HUGE).map(lambda s: ["--seed", str(s)]),
                   shared, fn),
         st.builds(lambda n, rs, a, f: ["experiment", "pseudorandomness", "--N", str(n), *rs, *a, *f],
                   experiment_N,
-                  st.lists(ints(-1, 64), max_size=3).map(
-                      lambda rs: ["--R-list", ",".join(map(str, rs))]) | st.just([]),
+                  int_lists(ints(-1, 64), 3).map(lambda rs: ["--R-list", rs]) | st.just([]),
                   shared, fn),
     )
 
