@@ -70,7 +70,6 @@ from .spectral import (
     fejer_check,
     fourier_coeffs,
     large_sieve_check,
-    parseval_check,
     quadratic_mean,
     scale_sums,
     spectrum_scan,
@@ -97,7 +96,7 @@ __all__ = [
     # spectral
     "CorrelationProfile", "FourierTable", "SpectrumScan", "correlation",
     "correlation_profile", "quadratic_mean", "fourier_coeffs",
-    "parseval_check", "cyclic_identity_sweep", "exponential_sum",
+    "cyclic_identity_sweep", "exponential_sum",
     "scale_sums", "spectrum_scan",
     "fejer_check", "large_sieve_check", "vdc_check",
     # harness

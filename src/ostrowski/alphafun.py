@@ -9,19 +9,19 @@ splits the phase across digit positions.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .cfrac import ConvergentTable
+from .cfrac import ConvergentTable, parse_alpha_spec, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .numeration import encode
 from .numerics import check_size, frac_mul_array, unit
 
-ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and |v| <= bound checks
+ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and for is_unimodular
 
 # Largest value bound B = prod_k max_e |v[k][e]| an atom table may have.  No
 # value g(n), and no partial product values_range forms, exceeds B, and a
@@ -40,58 +40,59 @@ VALUE_BOUND_MAX = math.sqrt(FLOAT_MAX / 2.0**64)
 ATOM_CAP = 1 << 20
 
 
+def _flat(rows) -> np.ndarray:
+    """The atoms of rows, concatenated in row order, as one complex array."""
+    return np.fromiter(chain.from_iterable(rows), dtype=np.complex128, count=sum(map(len, rows)))
+
+
+def _split(flat: np.ndarray, lengths) -> tuple[tuple[complex, ...], ...]:
+    """flat cut back into rows of the given lengths, as tuples of Python complex."""
+    values, ends = flat.tolist(), np.cumsum(lengths).tolist()
+    return tuple(tuple(values[s:e]) for s, e in zip([0] + ends, ends))
+
+
 @dataclass(frozen=True)
 class AlphaFunction:
     """A digit-multiplicative function given by its atom table.
 
     Row k covers digits 0..a_{k+1} (the row-0 slot at a_1 is carried for
     uniformity but never read, since eps_0 < a_1).  v[k][0] = 1 is forced.
+    The rows are checked as one flat array, with no modulus bound asked for
+    (B of VALUE_BOUND_MAX bounds every value), and stored as Python complex.
     """
 
     scale: ConvergentTable
     atoms: tuple[tuple[complex, ...], ...]
-    modulus_bound: float = 1.0
     theta: float | None = None  # set when g(n) = e(theta * sigma(n)) exactly
 
     def __post_init__(self):
-        rows = tuple(tuple(complex(v) for v in row) for row in self.atoms)
-        scale = self.scale
-        if len(rows) != scale.rows:
-            raise ValidationError(
-                f"atom table has {len(rows)} rows, scale certifies {scale.rows} digit positions"
-            )
-        value_bound = 1.0  # B = prod_k max_e |v[k][e]|, see VALUE_BOUND_MAX
-        for k, (top, row) in enumerate(zip(_row_tops(scale), rows)):
-            if len(row) != top + 1:
-                raise ValidationError(f"atom row {k} has {len(row)} entries, expected {top + 1}")
-            if abs(row[0] - 1.0) > ATOM_UNIT_TOL:
-                raise ValidationError(f"atom v[{k}][0] = {row[0]} but must equal 1")
-            for e, v in enumerate(row):
-                if not cmath.isfinite(v):
-                    raise ValidationError(f"atom v[{k}][{e}] = {v} is not finite")
-            try:
-                sizes = [abs(v) for v in row]
-            except OverflowError:
-                raise ValidationError(
-                    f"atom row {k} has a modulus past the float range: correlation sums could overflow"
-                ) from None
-            for e, size in enumerate(sizes):
-                if size > self.modulus_bound + ATOM_UNIT_TOL:
-                    raise ValidationError(
-                        f"|v[{k}][{e}]| = {size} exceeds modulus bound {self.modulus_bound}"
-                    )
-            value_bound *= max(1.0, *sizes[1:])
+        tops = np.array(_row_tops(self.scale))  # CapError before any row is read
+        if len(self.atoms) != len(tops):
+            raise ValidationError(f"atom table has {len(self.atoms)} rows, "
+                                  f"scale certifies {len(tops)} digit positions")
+        lengths = np.array([len(row) for row in self.atoms])
+        # each check refuses at its first offender ([:1]), if there is one
+        for k in np.flatnonzero(lengths != tops + 1)[:1].tolist():
+            raise ValidationError(f"atom row {k} has {lengths[k]} entries, expected {tops[k] + 1}")
+        flat, starts = _flat(self.atoms), np.cumsum(lengths) - lengths
+        for k in np.flatnonzero(np.abs(flat[starts] - 1.0) > ATOM_UNIT_TOL)[:1].tolist():
+            raise ValidationError(f"atom v[{k}][0] = {flat[starts[k]].item()} but must equal 1")
+        for i in np.flatnonzero(~np.isfinite(flat))[:1].tolist():
+            k = int(np.searchsorted(starts, i, side="right")) - 1
+            raise ValidationError(f"atom v[{k}][{i - starts[k]}] = {flat[i].item()} is not finite")
+        flat[starts] = 1.0
+        with np.errstate(over="ignore"):  # a modulus past the float range is inf, refused below
+            sizes = np.hypot(flat.real, flat.imag)
+        # B = prod_k max(1, max_e |v[k][e]|), see VALUE_BOUND_MAX
+        value_bound = math.prod(np.maximum.reduceat(sizes, starts).tolist())
         if value_bound > VALUE_BOUND_MAX:
-            raise ValidationError(
-                f"atom table value bound {value_bound:.3g} exceeds {VALUE_BOUND_MAX:.3g}: "
-                "correlation sums could overflow"
-            )
-        if value_bound**2 * scale.limit > FLOAT_MAX:
-            raise ValidationError(
-                f"atom table value bound {value_bound:.3g} squared times the scale limit "
-                f"{scale.limit} passes the float range: correlation sums could overflow"
-            )
-        object.__setattr__(self, "atoms", tuple((1 + 0j,) + row[1:] for row in rows))
+            raise ValidationError(f"atom table value bound {value_bound:.3g} exceeds "
+                                  f"{VALUE_BOUND_MAX:.3g}: correlation sums could overflow")
+        if value_bound**2 * self.scale.limit > FLOAT_MAX:
+            raise ValidationError(f"atom table value bound {value_bound:.3g} squared times the "
+                                  f"scale limit {self.scale.limit} passes the float range: "
+                                  "correlation sums could overflow")
+        object.__setattr__(self, "atoms", _split(flat, lengths))
 
     @property
     def is_unimodular(self) -> bool:
@@ -111,7 +112,16 @@ def from_theta(theta: float, scale: ConvergentTable) -> AlphaFunction:
     """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e), one row sliced per row."""
     tops = _row_tops(scale)
     e = unit(frac_mul_array(np.arange(max(tops) + 1), theta)).tolist()
-    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), 1.0, float(theta))
+    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), float(theta))
+
+
+def _multipliers(q, lengths: np.ndarray) -> np.ndarray:
+    """b * q_k for each digit b < lengths[k] of each row k, flat in row order: int64, or
+    Python ints where one passes 2**63 - 1 (frac_mul_array reduces either exactly)."""
+    top = max(((n - 1) * qk for n, qk in zip(lengths.tolist(), q)), default=0)
+    dtype = np.int64 if top < 1 << 63 else object
+    b = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return b.astype(dtype) * np.repeat(np.array(q[: len(lengths)], dtype=dtype), lengths)
 
 
 @dataclass(frozen=True)
@@ -120,9 +130,8 @@ class _Rows:
 
     atoms[k, 1 + b] = v_k(b) and mult[k, 1 + b] = b * q_k for each digit
     b <= last[k] of row k; column 0 and the columns past a row's end hold a
-    zero atom, so prefix sums along a row start from 0.  mult is int64, or
-    an object array of Python ints where a top-row multiplier passes
-    2**63 - 1 (frac_mul_array reduces either exactly).
+    zero atom, so prefix sums along a row start from 0.  mult has the dtype
+    _multipliers gives it.
     """
 
     atoms: np.ndarray
@@ -131,15 +140,13 @@ class _Rows:
 
     @classmethod
     def of(cls, g: AlphaFunction, rows) -> "_Rows":
-        q = g.scale.q
-        atoms = np.zeros((len(rows), 1 + max(map(len, rows), default=0)), dtype=np.complex128)
-        mult = [[0] * atoms.shape[1] for _ in rows]
-        for k, row in enumerate(rows):
-            atoms[k, 1 : len(row) + 1] = row
-            mult[k][1 : len(row) + 1] = range(0, len(row) * q[k], q[k])
-        top = max(((len(row) - 1) * q[k] for k, row in enumerate(rows)), default=0)
-        mult = np.array(mult, dtype=np.int64 if top < 1 << 63 else object).reshape(atoms.shape)
-        return cls(atoms, mult, np.array([len(row) - 1 for row in rows], dtype=np.intp))
+        lengths = np.array([len(row) for row in rows], dtype=np.intp)
+        column = np.arange(1 + lengths.max(initial=0))
+        filled = (column >= 1) & (column <= lengths[:, None])  # row-major: the flat order
+        mult = _multipliers(g.scale.q, lengths)
+        out = cls(np.zeros(filled.shape, np.complex128), np.zeros(filled.shape, mult.dtype), lengths - 1)
+        out.atoms[filled], out.mult[filled] = _flat(rows), mult
+        return out
 
     def twist(self, betas: np.ndarray) -> np.ndarray:
         """The rows of g twisted by each of B betas, a (B, K, W + 1) array.
@@ -156,14 +163,14 @@ class _Rows:
 def twist(g: AlphaFunction, beta: float) -> AlphaFunction:
     """Pointwise product with e(-n * beta), realized on the atom table.
 
-    The phase of the atom at e * q_k picks up -e * q_k * beta, reduced
-    exactly for every multiplier (a top row may pass 2**63): the one-beta
-    case of _Rows.twist, the twist the spectrum probes and scale_sums run.
-    beta = 0 leaves every atom untouched.
+    The phase of the atom at e * q_k picks up -e * q_k * beta: one exact
+    reduction (frac_mul_array) over the flat multipliers of every atom, no
+    row padded, bit for bit the one-beta rows of _Rows.twist (the twist of
+    the spectrum probes and scale_sums).  beta = 0 leaves every atom as it is.
     """
-    h = _Rows.of(g, g.atoms).twist(np.array([beta], dtype=np.float64))[0]
-    atoms = tuple(tuple(h[k, 1 : len(row) + 1].tolist()) for k, row in enumerate(g.atoms))
-    return AlphaFunction(g.scale, atoms, g.modulus_bound, g.theta if beta == 0.0 else None)
+    lengths = np.array([len(row) for row in g.atoms])
+    h = _flat(g.atoms) * unit(frac_mul_array(_multipliers(g.scale.q, lengths), -beta))
+    return AlphaFunction(g.scale, _split(h, lengths), g.theta if beta == 0.0 else None)
 
 
 def evaluate(g: AlphaFunction, n: int) -> complex:
@@ -213,10 +220,10 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
 
     The document maps digit positions to rows of [re, im] pairs:
     {"0": [[1,0], [re,im], ...], "1": ...}.  Every certified position needs a
-    row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1 and that
-    every atom is finite and that the atom products B stay below
-    VALUE_BOUND_MAX, with B**2 times the scale limit below FLOAT_MAX.  The
-    modulus bound is taken as the largest atom modulus found.
+    row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1, that
+    every atom is finite, and that the product B of the rows' largest moduli
+    stays below VALUE_BOUND_MAX, with B**2 times the scale limit below
+    FLOAT_MAX.  No modulus bound is asked for: B alone bounds every value.
     """
     try:
         data = json.loads(document) if isinstance(document, str) else document
@@ -226,22 +233,24 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
         raise ValidationError("atom table must be a JSON object of rows")
     rows = []
     for k in range(len(_row_tops(scale))):  # CapError before any row is parsed
-        key = str(k)
-        if key not in data:
+        if str(k) not in data:
             raise ValidationError(f"atom table missing row {k}")
-        raw = data[key]
-        if not isinstance(raw, list) or not all(isinstance(p, list) and len(p) == 2 for p in raw):
-            raise ValidationError(f"atom row {k} must be a list of [re, im] pairs")
         try:
-            rows.append(tuple(complex(float(re), float(im)) for re, im in raw))
+            pairs = np.array(data[str(k)], dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"atom row {k} entries must be [re, im] pairs of numbers") from exc
-    # hypot, not abs: abs(v) raises OverflowError where |v| passes the float range
-    bound = max((math.hypot(v.real, v.imag) for row in rows for v in row), default=1.0)
-    return AlphaFunction(scale, tuple(rows), bound, None)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(f"atom row {k} must be a list of [re, im] pairs")
+        rows.append(pairs.view(np.complex128).ravel().tolist())  # each pair's bits as one complex
+    return AlphaFunction(scale, tuple(rows))
 
 
 # --- function spec grammar ---------------------------------------------------
+
+def fn_for(alpha_spec: str, fn_spec: str, upto: int) -> AlphaFunction:
+    """The fn spec parsed against alpha_spec's table for n < upto, which is then g.scale."""
+    return parse_fn_spec(fn_spec, scale_for(parse_alpha_spec(alpha_spec), upto))
+
 
 def parse_fn_spec(text: str, scale: ConvergentTable) -> AlphaFunction:
     """Parse a function spec string against a scale.

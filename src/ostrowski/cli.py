@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .alphafun import parse_fn_spec
+from .alphafun import fn_for, parse_fn_spec
 from .cfrac import alpha_value, expand, expand_max, parse_alpha_spec, parse_int_list, scale_for
 from .errors import CapError, RangeError, ValidationError
 from .harness import ExperimentConfig, pseudorandomness_experiment, spectrum_experiment, verify_all
@@ -62,12 +62,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _scale_fn(args, upto: int):
-    scale = scale_for(parse_alpha_spec(args.alpha), upto)
-    return scale, parse_fn_spec(args.fn, scale)
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 # --- handlers -----------------------------------------------------------------
@@ -126,7 +121,7 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _, g = _scale_fn(args, args.N + args.R - 1)  # n < N + R - 1 is evaluated
+    g = fn_for(args.alpha, args.fn, args.N + args.R - 1)  # n < N + R - 1 is evaluated
     prof = correlation_profile(g, args.R, args.N)
     rows = [[r, prof.gamma[r].real, prof.gamma[r].imag, abs(prof.gamma[r])]
             for r in range(args.R)]
@@ -159,7 +154,7 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _, g = _scale_fn(args, args.N)
+    g = fn_for(args.alpha, args.fn, args.N)
     scan = spectrum_scan(g, args.N, grid_size=args.grid)
     order = (-scan.grid).argsort(kind="stable")[:5]  # value descending, then j ascending
     rows = [[int(j), j / args.grid, float(scan.grid[j])] for j in order]
@@ -205,6 +200,11 @@ def cmd_experiment(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser, and each subcommand's parser by (command, experiment kind or None)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--alpha", default="golden",
                         help="quotient spec: golden | silver | periodic:<pre>/<per> | list:<a1,...>")
@@ -261,17 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0, help="seed of the scale-sum betas")
 
-    return parser
+    chosen = {(name, None): p for name, p in sub.choices.items()}
+    chosen |= {("experiment", kind): p for kind, p in kinds.choices.items()}
+    return parser, chosen
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use, not at import; parse_args leaves it unchanged."""
-    return build_parser()
+# the process's one parser, built on first use, not at import; parsing leaves it unchanged
+_parsers = functools.cache(_build)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, chosen = _parsers()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # refused by the sub-parser that read them, under its own usage
+        chosen[args.command, vars(args).get("kind")].error("unrecognized arguments: " + " ".join(extra))
     try:
         return globals()["cmd_" + args.command](args)
     except ValidationError as exc:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import spectral
-from .alphafun import AlphaFunction, parse_fn_spec
+from .alphafun import AlphaFunction, fn_for, parse_fn_spec
 from .cfrac import (
     ConvergentTable,
     expand_max,
@@ -30,7 +30,6 @@ from .cfrac import (
 )
 from .errors import RangeError, ValidationError
 from .numeration import _block_table, _greedy, _walk
-from .numerics import pairwise_sum
 
 # Default verification family.
 DEFAULT_ALPHA_SPECS = (
@@ -79,7 +78,7 @@ def _report(name: str, margins, details=()) -> CheckReport:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs for an experiment run; recorded as the payload's config."""
+    """Inputs of an experiment run (its payload's config); each experiment checks what only it reads."""
 
     alpha_spec: str = "golden"
     fn_spec: str = "theta:0.5"
@@ -91,19 +90,10 @@ class ExperimentConfig:
         object.__setattr__(self, "R_list", tuple(int(r) for r in self.R_list))
         if self.N < 1:
             raise ValidationError("N must be >= 1")
-        if any(R < 1 for R in self.R_list):
-            raise ValidationError("every R in R_list must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         parse_alpha_spec(self.alpha_spec)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _scale_and_fn(config: ExperimentConfig, upto: int) -> tuple[ConvergentTable, AlphaFunction]:
-    scale = scale_for(parse_alpha_spec(config.alpha_spec), upto)
-    return scale, parse_fn_spec(config.fn_spec, scale)
 
 
 # --- carry bound -------------------------------------------------------------
@@ -365,16 +355,17 @@ def pseudorandomness_experiment(config: ExperimentConfig) -> dict:
     """
     if not config.R_list:
         raise ValidationError("R_list must not be empty")
+    if any(R < 1 for R in config.R_list):
+        raise ValidationError("every R in R_list must be >= 1")
     if config.N < max(config.R_list):
         raise ValidationError("N must be >= max(R_list)")
     t0 = time.perf_counter()
-    _, g = _scale_and_fn(config, config.N + max(config.R_list) - 1)  # n < N + R - 1
+    g = fn_for(config.alpha_spec, config.fn_spec, config.N + max(config.R_list) - 1)  # n < N + R - 1
     profile = spectral.correlation_profile(g, max(config.R_list), config.N)
     rows = []
     for R in sorted(config.R_list):
-        absm = float(pairwise_sum(np.abs(profile.gamma[:R])).real / R)
-        rows.append({"R": R, "quadratic_mean": spectral.quadratic_mean(profile, R),
-                     "absolute_mean": absm})
+        quad, absm = spectral._profile_means(profile.gamma[:R])
+        rows.append({"R": R, "quadratic_mean": quad, "absolute_mean": absm})
     payload = {
         "config": {k: v for k, v in config.to_dict().items() if k != "seed"},  # seed is never read
         "N": config.N,
@@ -393,8 +384,10 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     the worst contraction margin max(|S_{i+1}| - max(|S_i|, |S_{i-1}|)), 0.0
     with fewer than three scales.
     """
+    if config.seed < 0:
+        raise ValidationError("seed must be >= 0")
     t0 = time.perf_counter()
-    scale, g = _scale_and_fn(config, config.N)
+    g = fn_for(config.alpha_spec, config.fn_spec, config.N)
     ladder_ns = []
     n = config.N
     while n >= 4096:
@@ -404,7 +397,7 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     ladder = [{"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value}
               for n, scan in zip(ladder_ns, spectral._scans(g, ladder_ns, spectral.GRID_DEFAULT))]
     rng = np.random.default_rng(config.seed)
-    K = bisect.bisect_right(scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
+    K = bisect.bisect_right(g.scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
     betas = rng.random(16)
     sums = []
     for beta, S in zip(betas.tolist(), spectral._scale_sums(g, betas, K)):
@@ -479,7 +472,7 @@ def _run_parseval(rng, family) -> CheckReport:
         for lam in range(1, scale.K + 1):
             if scale.q[lam] > 1024:
                 break
-            _, _, delta = spectral.parseval_check(g, lam)
+            _, _, delta = spectral.fourier_coeffs(g, lam).parseval()
             margins.append(IDENTITY_TOL - delta)
     return _report("parseval", margins)
 

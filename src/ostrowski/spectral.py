@@ -70,6 +70,7 @@ class CorrelationProfile:
 
 
 def _profile_means(gamma: np.ndarray) -> tuple[float, float]:
+    """(Q, A): the means of |gamma_r|**2 and of |gamma_r| over the given shifts."""
     power = gamma.real**2 + gamma.imag**2
     quad = pairwise_sum(power).real / len(gamma)
     absm = pairwise_sum(np.abs(gamma)).real / len(gamma)
@@ -260,8 +261,7 @@ def quadratic_mean(profile: CorrelationProfile, R: int | None = None) -> float:
     R = profile.R if R is None else R
     if not 1 <= R <= profile.R:
         raise RangeError(f"R={R} outside the profile range 1..{profile.R}")
-    g = profile.gamma[:R]
-    return pairwise_sum(g.real**2 + g.imag**2).real / R
+    return _profile_means(profile.gamma[:R])[0]
 
 
 @dataclass(frozen=True)
@@ -294,11 +294,6 @@ def fourier_coeffs(g: AlphaFunction, lam: int) -> FourierTable:
         raise CapError(f"q_lam = {q} exceeds the transform cap {DFT_CAP}")
     vals = values_range(g, q)
     return FourierTable(lam, q, _dft_fast(vals), vals)
-
-
-def parseval_check(g: AlphaFunction, lam: int) -> tuple[float, float, float]:
-    """(sum_h |G|^2, (1/q) sum_u |g(u)|^2, |difference|) at level lam."""
-    return fourier_coeffs(g, lam).parseval()
 
 
 def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:

@@ -23,11 +23,11 @@ from ostrowski import (
     encode,
     evaluate,
     fejer_check,
+    fourier_coeffs,
     from_theta,
     gap_structure_sweep,
     large_sieve_check,
     parse_alpha_spec,
-    parseval_check,
     quadratic_mean,
     scale_for,
     scale_sums,
@@ -97,7 +97,7 @@ def test_criterion_2_exact_identities():
         for theta in (0.5, 1 / 3):
             g = from_theta(theta, scale)
             for lam in lam_list:
-                lhs, rhs, delta = parseval_check(g, lam)
+                lhs, rhs, delta = fourier_coeffs(g, lam).parseval()
                 if delta > 1e-10 * max(1.0, abs(rhs)):
                     problems.append(f"parseval {spec_text} theta={theta} lam={lam}")
                 checks += 1

@@ -114,10 +114,9 @@ def test_atom_validation_errors():
     bad[1][0] = 0.5
     with pytest.raises(ValidationError, match="must equal 1"):
         AlphaFunction(scale, tuple(tuple(r) for r in bad))
-    bad = [list(r) for r in rows]
-    bad[2][1] = 3.0
-    with pytest.raises(ValidationError, match="modulus bound"):
-        AlphaFunction(scale, tuple(tuple(r) for r in bad))
+    wide = [list(r) for r in rows]
+    wide[2][1] = 3.0  # no modulus bound: any atom is taken while the value bound holds
+    assert AlphaFunction(scale, tuple(tuple(r) for r in wide)).atoms[2][1] == 3.0
     with pytest.raises(ValidationError, match="rows"):
         AlphaFunction(scale, tuple(tuple(r) for r in rows[:-1]))
 
@@ -236,7 +235,7 @@ def grid_functions(scale):
         row[0] = 1.0
         rows.append(tuple(row.tolist()))
     return ([from_theta(theta, scale) for theta in (0, 0.25, 0.5, 0.75, 1 / 3, 0.1234567, -0.3)]
-            + [AlphaFunction(scale, tuple(rows), modulus_bound=2.0),
+            + [AlphaFunction(scale, tuple(rows)),
                twist(from_theta(0.5, scale), 0.3)])
 
 
@@ -308,6 +307,33 @@ def test_twist_reduces_the_silver_top_row_past_2_63():
         assert abs(v - u * unit_fraction(-Fraction(beta) * e * qK)) < 1e-15
 
 
+@pytest.mark.parametrize("spec", ["golden", "silver", "periodic:/1000", "periodic:3/7,1"])
+@pytest.mark.parametrize("beta", [0.3, -0.37, 0.0, 0.25, -0.75, 1e-9])
+def test_twist_equals_the_batched_row_twist_bit_for_bit(spec, beta):
+    # the flat reduction of twist and the padded one of _Rows.twist (which
+    # scale_sums and the spectrum probes read) give the same atoms; silver's
+    # top row passes 2**63, and quarter turns stay exact
+    g = from_theta(0.1234567, expand_max(parse_alpha_spec(spec)))
+    h = _Rows.of(g, g.atoms).twist(np.array([beta]))[0]
+    for k, row in enumerate(twist(g, beta).atoms):
+        want = h[k, 1 : len(row) + 1]
+        assert np.array_equal(np.array(row).view(np.float64), want.view(np.float64)), (k, beta)
+
+
+def test_twist_allocates_about_its_result():
+    # no padded (rows x widest row) layout: periodic:10000/1 has one row of
+    # 10001 atoms among 74 rows, so a padded array alone is 73 times the atoms
+    g = from_theta(0.5, expand_max(parse_alpha_spec("periodic:10000/1")))
+    atoms = sum(map(len, g.atoms))
+    tracemalloc.start()
+    try:
+        twist(g, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 16 * atoms
+
+
 def test_twist_theta_tag():
     scale = scale_for(GOLDEN, 100)
     g = from_theta(0.5, scale)
@@ -348,12 +374,18 @@ def test_load_atoms_round_trip(tmp_path):
     assert h2.atoms == g.atoms
 
 
-def test_load_atoms_infers_modulus_bound():
+def test_load_atoms_takes_any_modulus_below_the_value_bound():
+    # no modulus bound is asked for or inferred: atoms of modulus 2 load, and
+    # only the value bound B (the product of the rows' largest moduli) refuses
     scale = scale_for(GOLDEN, 200)
     doc = rows_payload(scale, lambda k, e: complex(1.0 if e == 0 else 2.0))
     h = load_atoms(doc, scale)
-    assert h.modulus_bound == pytest.approx(2.0)
+    assert all(v == 2.0 for row in h.atoms for v in row[1:])
     assert not h.is_unimodular and h.theta is None
+    assert values_range(h, 8).tolist() == [2.0 ** sigma(n, scale) for n in range(8)]
+    doc = rows_payload(scale, lambda k, e: complex(2 * VALUE_BOUND_MAX if (k, e) == (3, 1) else 1.0))
+    with pytest.raises(ValidationError, match="could overflow"):
+        load_atoms(doc, scale)
 
 
 def test_load_atoms_rejects_bad_tables():
@@ -436,7 +468,7 @@ def test_atom_products_past_the_value_bound_are_refused():
     # the bound is the product over rows of each row's largest modulus
     big = math.sqrt(VALUE_BOUND_MAX) / 2
     doc = rows_payload(scale, lambda k, e: complex(big if (k, e) in ((0, 1), (3, 1)) else 1.0))
-    assert load_atoms(doc, scale).modulus_bound == big
+    assert load_atoms(doc, scale).atoms[3][1] == big
     doc = rows_payload(scale, lambda k, e: complex(big if k in (0, 2, 3) and e == 1 else 1.0))
     with pytest.raises(ValidationError, match="could overflow"):
         load_atoms(doc, scale)

@@ -169,7 +169,7 @@ def test_fourier_builds_the_value_block_once(monkeypatch, capsys):
     code, _ = run(capsys, "fourier", "--lam", "4")
     assert code == 0 and sizes == [5]  # golden q_4 = 5
     g = from_theta(0.5, scale_for(GOLDEN, 100))
-    for check in (lambda: spectral.parseval_check(g, 4),
+    for check in (lambda: spectral.fourier_coeffs(g, 4).parseval(),
                   lambda: spectral.cyclic_identity_sweep(g, 4, range(3))):
         sizes.clear()
         check()
@@ -238,7 +238,7 @@ def test_out_to_an_unwritable_path_is_exit_2_without_traceback(argv, target, tmp
     proc = run_process(*argv, "--out", path)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [proc.stderr.strip()]  # one line
-    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert proc.stderr.startswith(f"error: cannot write {path!r}: ")
     assert "Traceback" not in proc.stderr
 
 
@@ -293,7 +293,9 @@ def test_spectrum_experiment_refuses_r_list(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "spectrum", "--N", "5000", "--R-list", "8"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --R-list 8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ostrowski experiment spectrum")  # its own usage, not the root's
+    assert "unrecognized arguments: --R-list 8" in err
 
 def test_verify_fn_runs_the_given_function(capsys):
     base_code, base = run(capsys, "verify", "--only", "parseval,cyclic")

@@ -98,7 +98,7 @@ def test_carry_digit_route_without_theta():
     # above the level, which is the same set for generic atoms
     scale = scale_for(GOLDEN, 400)
     g = from_theta(1 / 3, scale)
-    bare = type(g)(scale, g.atoms, g.modulus_bound, None)
+    bare = type(g)(scale, g.atoms)
     lam, r, N = 2, 1, 250
     rep = harness._carry_report(bare, lam, [r], N)
     brute = sum(1 for n in range(N) if psi(n + r, lam, scale) - psi(n, lam, scale) != r)
@@ -121,7 +121,7 @@ def test_carry_margin_matches_per_n_oracle(spec_text, theta, N, lam, data):
     scale = scale_for(parse_alpha_spec(spec_text), 2000)
     g = from_theta(1 / 3 if theta is None else theta, scale)
     if theta is None:
-        g = type(g)(scale, g.atoms, g.modulus_bound, None)
+        g = type(g)(scale, g.atoms)
     q_prev = scale.q[lam - 1]
     r = data.draw(st.integers(0, q_prev - 1), label="r")
     rep = harness._carry_report(g, lam, [r], N)
@@ -386,8 +386,10 @@ def test_experiment_config_validation():
         pseudorandomness_experiment(ExperimentConfig(N=100, R_list=(256,)))
     with pytest.raises(ValidationError):
         ExperimentConfig(N=0, R_list=())
-    with pytest.raises(ValidationError):
-        ExperimentConfig(N=100, R_list=(0, 4))
+    with pytest.raises(ValidationError, match="every R"):  # R_list is checked where it is read
+        pseudorandomness_experiment(ExperimentConfig(N=100, R_list=(0, 4)))
+    with pytest.raises(ValidationError, match="seed"):  # and seed likewise
+        spectrum_experiment(ExperimentConfig(N=100, seed=-1))
     cfg = ExperimentConfig(N=5000, R_list=(16, 64))
     assert ExperimentConfig(**cfg.to_dict()) == cfg
     assert list(cfg.to_dict()) == ["alpha_spec", "fn_spec", "N", "R_list", "seed"]

@@ -37,7 +37,6 @@ from ostrowski import (
     load_atoms,
     parse_alpha_spec,
     parse_fn_spec,
-    parseval_check,
     quadratic_mean,
     scale_for,
     scale_sums,
@@ -70,7 +69,7 @@ def random_atoms(scale, rng, modulus=2.0):
         row = radii * np.exp(2j * np.pi * rng.random(top))
         row[0] = 1.0
         rows.append(tuple(row.tolist()))
-    return AlphaFunction(scale, tuple(rows), modulus_bound=modulus)
+    return AlphaFunction(scale, tuple(rows))
 
 
 # --- correlations ----------------------------------------------------------------
@@ -514,7 +513,7 @@ def test_parseval():
     for theta in (0.5, 1 / 3, 0.1234567):
         g = from_theta(theta, scale)
         for lam in range(1, 8):
-            lhs, rhs, delta = parseval_check(g, lam)
+            lhs, rhs, delta = fourier_coeffs(g, lam).parseval()
             assert delta < 1e-12
             assert rhs == pytest.approx(1.0, abs=1e-12)  # unimodular values
 
