@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -63,7 +63,7 @@ class AlphaFunction:
 
     scale: ConvergentTable
     atoms: tuple[tuple[complex, ...], ...]
-    theta: float | None = None  # set when g(n) = e(theta * sigma(n)) exactly
+    theta: float | None = field(default=None, kw_only=True)  # set when g(n) = e(theta * sigma(n)) exactly
 
     def __post_init__(self):
         tops = np.array(_row_tops(self.scale))  # CapError before any row is read
@@ -112,65 +112,68 @@ def from_theta(theta: float, scale: ConvergentTable) -> AlphaFunction:
     """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e), one row sliced per row."""
     tops = _row_tops(scale)
     e = unit(frac_mul_array(np.arange(max(tops) + 1), theta)).tolist()
-    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), float(theta))
+    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), theta=float(theta))
 
 
-def _multipliers(q, lengths: np.ndarray) -> np.ndarray:
-    """b * q_k for each digit b < lengths[k] of each row k, flat in row order: int64, or
-    Python ints where one passes 2**63 - 1 (frac_mul_array reduces either exactly)."""
+def _multipliers(q, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the digits b >= 1 sit among the atoms of rows of the given lengths
+    (a flat boolean mask in row order), and their multipliers b * q_k: int64,
+    or Python ints where one passes 2**63 - 1 (frac_mul_array reduces either
+    exactly).  Digit 0 has phase 0 at every beta, so no twist reduces it."""
     top = max(((n - 1) * qk for n, qk in zip(lengths.tolist(), q)), default=0)
     dtype = np.int64 if top < 1 << 63 else object
     b = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return b.astype(dtype) * np.repeat(np.array(q[: len(lengths)], dtype=dtype), lengths)
+    return b >= 1, b[b >= 1].astype(dtype) * np.repeat(np.array(q[: len(lengths)], dtype=dtype), lengths - 1)
+
+
+def _twisted(atoms: np.ndarray, mult: np.ndarray, beta) -> np.ndarray:
+    """atoms * e(-mult * beta) by one exact reduction; B betas give B rows, each the one-beta call's."""
+    return atoms * unit(frac_mul_array(mult, -beta))
 
 
 @dataclass(frozen=True)
 class _Rows:
-    """Atom rows of g laid out for batched twists.
-
-    atoms[k, 1 + b] = v_k(b) and mult[k, 1 + b] = b * q_k for each digit
-    b <= last[k] of row k; column 0 and the columns past a row's end hold a
-    zero atom, so prefix sums along a row start from 0.  mult has the dtype
-    _multipliers gives it.
-    """
+    """Atom rows of g laid out for batched twists: atoms and mult are the atoms
+    v_k(b) and multipliers (_multipliers) of the digits 1 <= b <= last[k] of
+    each row k, flat; moved marks their places, column 1 + b of row k, in the
+    padded (K, W + 1) layout of twist."""
 
     atoms: np.ndarray
     mult: np.ndarray
+    moved: np.ndarray
     last: np.ndarray
 
     @classmethod
     def of(cls, g: AlphaFunction, rows) -> "_Rows":
         lengths = np.array([len(row) for row in rows], dtype=np.intp)
-        column = np.arange(1 + lengths.max(initial=0))
-        filled = (column >= 1) & (column <= lengths[:, None])  # row-major: the flat order
-        mult = _multipliers(g.scale.q, lengths)
-        out = cls(np.zeros(filled.shape, np.complex128), np.zeros(filled.shape, mult.dtype), lengths - 1)
-        out.atoms[filled], out.mult[filled] = _flat(rows), mult
-        return out
+        moved, mult = _multipliers(g.scale.q, lengths)
+        column = np.arange(1 + lengths.max(initial=0))  # the layout is row-major: the flat order
+        return cls(_flat(rows)[moved], mult, (column >= 2) & (column <= lengths[:, None]), lengths - 1)
 
     def twist(self, betas: np.ndarray) -> np.ndarray:
         """The rows of g twisted by each of B betas, a (B, K, W + 1) array.
 
-        Entry [j, k, 1 + b] is v_k(b) e(-b * q_k * betas[j]); every phase
-        comes from one batched exact reduction.  Columns 0 (no atom) and
-        1 (b = 0) keep phase 0.
-        """
-        h = np.repeat(self.atoms[None], len(betas), axis=0)
-        h[:, :, 2:] *= unit(frac_mul_array(self.mult[:, 2:], -betas))
+        Entry [j, k, 1 + b] is v_k(b) e(-b * q_k * betas[j]), an atom of
+        twist(g, betas[j]); columns 0 and past a row's end are 0, so prefix
+        sums along a row start from 0."""
+        h = np.zeros((len(betas),) + self.moved.shape, np.complex128)
+        h[:, :, 1:2] = 1.0  # v_k(0) = 1 (a slice: a table of no rows has no column 1)
+        h[:, self.moved] = _twisted(self.atoms, self.mult, betas)
         return h
 
 
 def twist(g: AlphaFunction, beta: float) -> AlphaFunction:
     """Pointwise product with e(-n * beta), realized on the atom table.
 
-    The phase of the atom at e * q_k picks up -e * q_k * beta: one exact
-    reduction (frac_mul_array) over the flat multipliers of every atom, no
-    row padded, bit for bit the one-beta rows of _Rows.twist (the twist of
-    the spectrum probes and scale_sums).  beta = 0 leaves every atom as it is.
+    The phase of the atom at e * q_k picks up -e * q_k * beta: _twisted of
+    the flat table, no row padded, as _Rows.twist (scale_sums and the
+    spectrum probes) does for many betas.  beta = 0 leaves every atom as is.
     """
     lengths = np.array([len(row) for row in g.atoms])
-    h = _flat(g.atoms) * unit(frac_mul_array(_multipliers(g.scale.q, lengths), -beta))
-    return AlphaFunction(g.scale, _split(h, lengths), g.theta if beta == 0.0 else None)
+    moved, mult = _multipliers(g.scale.q, lengths)
+    h = _flat(g.atoms)
+    h[moved] = _twisted(h[moved], mult, beta)
+    return AlphaFunction(g.scale, _split(h, lengths), theta=g.theta if beta == 0.0 else None)
 
 
 def evaluate(g: AlphaFunction, n: int) -> complex:
@@ -221,9 +224,8 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
     The document maps digit positions to rows of [re, im] pairs:
     {"0": [[1,0], [re,im], ...], "1": ...}.  Every certified position needs a
     row; AlphaFunction checks its length (a_{k+1} + 1), v[k][0] = 1, that
-    every atom is finite, and that the product B of the rows' largest moduli
-    stays below VALUE_BOUND_MAX, with B**2 times the scale limit below
-    FLOAT_MAX.  No modulus bound is asked for: B alone bounds every value.
+    every atom is finite, and the product B of the rows' largest moduli (see
+    VALUE_BOUND_MAX).  No modulus bound is asked for: B bounds every value.
     """
     try:
         data = json.loads(document) if isinstance(document, str) else document

@@ -199,11 +199,7 @@ def cmd_experiment(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-def _build() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The root parser, and each subcommand's parser by (command, experiment kind or None)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--alpha", default="golden",
@@ -266,8 +262,10 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     return parser, chosen
 
 
-# the process's one parser, built on first use, not at import; parsing leaves it unchanged
-_parsers = functools.cache(_build)
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The process's one build_parser(), built on first use, not at import; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def main(argv=None) -> int:

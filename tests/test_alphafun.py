@@ -121,6 +121,16 @@ def test_atom_validation_errors():
         AlphaFunction(scale, tuple(tuple(r) for r in rows[:-1]))
 
 
+def test_theta_is_keyword_only():
+    # the third positional slot once held the modulus bound: a caller still
+    # passing one gets a TypeError, not a table silently tagged theta = 2.0
+    scale = scale_for(GOLDEN, 30)
+    rows = tuple(tuple([1.0] * (row_top(scale, k) + 1)) for k in range(scale.rows))
+    with pytest.raises(TypeError):
+        AlphaFunction(scale, rows, 2.0)
+    assert AlphaFunction(scale, rows, theta=0.0).theta == 0.0
+
+
 # --- evaluation ------------------------------------------------------------------
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -296,9 +306,9 @@ def test_twist_reduces_the_silver_top_row_past_2_63():
     g = from_theta(0.5, scale)
     beta, qK = 0.3, scale.q[-1]
     rows = _Rows.of(g, g.atoms)
-    assert rows.mult.dtype == object and rows.mult[-1, 3] == 2 * qK > 2**63
-    phases = frac_mul_array(rows.mult[-1, 1:4], -beta)
-    for e, f in enumerate(phases.tolist()):
+    assert rows.mult.dtype == object and rows.mult[-1] == 2 * qK > 2**63
+    phases = frac_mul_array(rows.mult[-2:], -beta)  # digits 1 and 2 of the top row
+    for e, f in enumerate(phases.tolist(), 1):
         exact = (-Fraction(beta) * e * qK) % 1
         gap = abs(Fraction(f) - exact)
         assert min(gap, 1 - gap) <= Fraction(2) ** -52
@@ -310,9 +320,9 @@ def test_twist_reduces_the_silver_top_row_past_2_63():
 @pytest.mark.parametrize("spec", ["golden", "silver", "periodic:/1000", "periodic:3/7,1"])
 @pytest.mark.parametrize("beta", [0.3, -0.37, 0.0, 0.25, -0.75, 1e-9])
 def test_twist_equals_the_batched_row_twist_bit_for_bit(spec, beta):
-    # the flat reduction of twist and the padded one of _Rows.twist (which
-    # scale_sums and the spectrum probes read) give the same atoms; silver's
-    # top row passes 2**63, and quarter turns stay exact
+    # the flat twist and the padded layout of _Rows.twist (which scale_sums
+    # and the spectrum probes read) hold the same atoms in the same places;
+    # silver's top row passes 2**63, and quarter turns stay exact
     g = from_theta(0.1234567, expand_max(parse_alpha_spec(spec)))
     h = _Rows.of(g, g.atoms).twist(np.array([beta]))[0]
     for k, row in enumerate(twist(g, beta).atoms):

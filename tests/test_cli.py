@@ -63,7 +63,7 @@ def test_successive_calls_share_no_parsed_state(capsys):
     assert json.loads(out)["psi"] == {"1": 0}
     _, out = run(capsys, "encode", "4")
     assert json.loads(out)["psi"] == {}
-    assert build_parser() is not build_parser()
+    assert build_parser()[0] is not build_parser()[0]
 
 
 def test_handlers_are_looked_up_by_name_on_each_call(capsys, monkeypatch):
@@ -381,7 +381,7 @@ def sub_parsers(parser, prefix=""):
 
 
 def test_each_subcommand_takes_the_flags_of_the_readme_table():
-    parsers = dict(sub_parsers(build_parser()))
+    parsers = dict(sub_parsers(build_parser()[0]))
     assert set(parsers) == set(FLAGS)
     for name, parser in parsers.items():
         flags = {opt for action in parser._actions for opt in action.option_strings}
