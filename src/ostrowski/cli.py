@@ -37,19 +37,23 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _emit(args, payload: dict, rows, header) -> None:
+def _emit(args, payload: dict, header, rows=None) -> None:
     """Write the payload as JSON (default) or CSV, to stdout or --out.
 
-    CSV starts with `# config: ` and the JSON of payload["config"], then the
-    header and one line per row; every line ends in a bare newline.
+    The one table is `header` over rows of Python scalars in column order:
+    payload["rows"], which JSON prints in place as objects keyed by the header, or
+    else `rows`, CSV's alone.  CSV is `# config: ` and the JSON of payload["config"],
+    the header, one line per row (None an empty field), each ending in a bare newline.
     """
-    if args.format == "csv":
-        lines = ["# config: " + json.dumps(payload["config"])]
-        lines.append(",".join(header))
-        lines += [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
+    if args.format == "json":
+        if rows is None:
+            payload = {**payload, "rows": [dict(zip(header, row)) for row in payload["rows"]]}
         text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = ["# config: " + json.dumps(payload["config"]), ",".join(header)]
+        lines += [",".join("" if c is None else str(c) for c in row)
+                  for row in (payload["rows"] if rows is None else rows)]
+        text = "\n".join(lines) + "\n"
     if args.out is not None:
         _write(args.out, text)
     else:
@@ -80,7 +84,7 @@ def cmd_encode(args) -> int:
     header = ["n", "sigma", "digits"] + [f"psi_{lam}" for lam in (args.lam or [])]
     row = [args.n, d.sigma, ";".join(map(str, d.digits))]
     row += [payload["psi"][str(lam)] for lam in (args.lam or [])]
-    _emit(args, payload, [row], header)
+    _emit(args, payload, header, [row])
     return EXIT_OK
 
 
@@ -89,15 +93,14 @@ def cmd_decode(args) -> int:
     scale = expand(parse_alpha_spec(args.alpha), max(len(digits), 2))
     n = decode(DigitString(digits, scale))
     payload = {"config": _config_dict(args), "digits": list(digits), "n": n}
-    _emit(args, payload, [[";".join(map(str, digits)), n]], ["digits", "n"])
+    _emit(args, payload, ["digits", "n"], [[";".join(map(str, digits)), n]])
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
     scale = scale_for(parse_alpha_spec(args.alpha), max(args.n) + 1)
-    rows = [[n, sigma(n, scale)] for n in args.n]
-    payload = {"config": _config_dict(args), "rows": [{"n": n, "sigma": s} for n, s in rows]}
-    _emit(args, payload, rows, ["n", "sigma"])
+    payload = {"config": _config_dict(args), "rows": [[n, sigma(n, scale)] for n in args.n]}
+    _emit(args, payload, ["n", "sigma"])
     return EXIT_OK
 
 
@@ -106,33 +109,30 @@ def cmd_convergents(args) -> int:
     alpha = p_d/q_d, d = min(K - 1, 40), and its bound 1/(q_d q_{d+1})."""
     spec = parse_alpha_spec(args.alpha)
     scale = expand(spec, args.depth) if args.depth is not None else expand_max(spec)
-    rows = [[i, scale.quotients[i - 1] if i else "", scale.p[i], scale.q[i]]
-            for i in range(scale.K + 1)]
     payload = {
         "config": _config_dict(args),
-        "rows": [{"i": r[0], "a": r[1] or None, "p": r[2], "q": r[3]} for r in rows],
+        "rows": [[i, scale.quotients[i - 1] if i else None, scale.p[i], scale.q[i]]
+                 for i in range(scale.K + 1)],
     }
     if scale.K >= 3:  # alpha_value needs depth >= 2, and row d + 1 for its bound
         approx = alpha_value(spec, min(scale.K - 1, 40))
         payload["alpha"] = approx.value
         payload["alpha_error_bound"] = approx.error_bound
-    _emit(args, payload, rows, ["i", "a", "p", "q"])
+    _emit(args, payload, ["i", "a", "p", "q"])
     return EXIT_OK
 
 
 def cmd_correlate(args) -> int:
     g = fn_for(args.alpha, args.fn, args.N + args.R - 1)  # n < N + R - 1 is evaluated
     prof = correlation_profile(g, args.R, args.N)
-    rows = [[r, prof.gamma[r].real, prof.gamma[r].imag, abs(prof.gamma[r])]
-            for r in range(args.R)]
     payload = {
         "config": _config_dict(args),
         "route": prof.route,
         "quadratic_mean": prof.quadratic_mean,
         "absolute_mean": prof.absolute_mean,
-        "rows": [{"r": r, "re": re, "im": im, "abs": ab} for r, re, im, ab in rows],
+        "rows": [[r, z.real, z.imag, abs(z)] for r, z in enumerate(prof.gamma.tolist())],
     }
-    _emit(args, payload, rows, ["r", "re", "im", "abs"])
+    _emit(args, payload, ["r", "re", "im", "abs"])
     return EXIT_OK
 
 
@@ -141,15 +141,14 @@ def cmd_fourier(args) -> int:
     g = parse_fn_spec(args.fn, scale)
     table = fourier_coeffs(g, args.lam)
     _, _, delta = table.parseval()
-    rows = [[h, table.G[h].real, table.G[h].imag, abs(table.G[h])] for h in range(table.q)]
     payload = {
         "config": _config_dict(args),
         "lam": args.lam,
         "q": table.q,
         "parseval_delta": delta,
-        "rows": [{"h": h, "re": re, "im": im, "abs": ab} for h, re, im, ab in rows],
+        "rows": [[h, z.real, z.imag, abs(z)] for h, z in enumerate(table.G.tolist())],
     }
-    _emit(args, payload, rows, ["h", "re", "im", "abs"])
+    _emit(args, payload, ["h", "re", "im", "abs"])
     return EXIT_OK
 
 
@@ -157,14 +156,14 @@ def cmd_spectrum(args) -> int:
     g = fn_for(args.alpha, args.fn, args.N)
     scan = spectrum_scan(g, args.N, grid_size=args.grid)
     order = (-scan.grid).argsort(kind="stable")[:5]  # value descending, then j ascending
-    rows = [[int(j), j / args.grid, float(scan.grid[j])] for j in order]
     payload = {
         "config": _config_dict(args),
         "beta_peak": scan.beta_peak,
         "peak_value": scan.peak_value,
-        "top_grid_points": [{"j": j, "beta": b, "value": v} for j, b, v in rows],
+        "top_grid_points": [{"j": j, "beta": j / args.grid, "value": v}
+                            for j, v in zip(order.tolist(), scan.grid[order].tolist())],
     }
-    _emit(args, payload, [[scan.beta_peak, scan.peak_value]] , ["beta_peak", "peak_value"])
+    _emit(args, payload, ["beta_peak", "peak_value"], [[scan.beta_peak, scan.peak_value]])
     return EXIT_OK
 
 
@@ -187,13 +186,13 @@ def cmd_experiment(args) -> int:
         rows = [["ladder", r["N"], r["beta_peak"], r["peak_value"]] for r in payload["ladder"]]
         rows += [["scale_sums", s["beta"], len(s["moduli"]), s["contraction_margin"]]
                  for s in payload["scale_sums"]]
-        _emit(args, payload, rows, ["section", "x", "y", "z"])
+        _emit(args, payload, ["section", "x", "y", "z"], rows)
     else:
         if args.R_list is not None:
             fields["R_list"] = parse_int_list(args.R_list, "--R-list")
         payload = pseudorandomness_experiment(ExperimentConfig(**fields))
         rows = [[r["R"], r["quadratic_mean"], r["absolute_mean"]] for r in payload["rows"]]
-        _emit(args, payload, rows, ["R", "quadratic_mean", "absolute_mean"])
+        _emit(args, payload, ["R", "quadratic_mean", "absolute_mean"], rows)
     return EXIT_OK
 
 

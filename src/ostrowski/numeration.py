@@ -153,7 +153,10 @@ def _block_table(
     `count` starts below the limit, or an `end` past it, raise RangeError.
     The start count c_{i+1} = a_{i+1}*c_i + c_{i-1} is checked against
     RANGE_CAP, and the largest start m_{i+1} = a_{i+1}*q_i + m_{i-1} against
-    Q_MAX (RangeError), before both arrays are allocated at once.  Every copy
+    Q_MAX (RangeError), before both arrays are allocated at once.  End mode
+    (count = 0, block_counts') forms no start past Q_MAX instead: each copy
+    takes only its sorted prefix that fits, the table ends at the first start
+    cut, and it refuses only when that start lies below `end`.  Every copy
     reads a prefix already written, so copy b = 0 is never made, and the
     copies of a level double: copies d..2d-1 are copies 0..d-1 shifted by
     d*q_i, so a level takes O(log a_{i+1}) array operations.
@@ -178,25 +181,38 @@ def _block_table(
         copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
         if copies < a:  # the tail block (shifted by a*q_{top-1}) is dropped too
             c, m = copies * c_prev, (copies - 1) * q[top - 1] + m_prev
-    if m > Q_MAX:
+    if m > Q_MAX and count:
         raise RangeError(f"level-{lam} block start {m} passes the 63-bit budget {Q_MAX}")
     check_size(c, f"level-{lam} block-start table")
     starts, eps = np.zeros(c, dtype=np.int64), np.zeros(c, dtype=np.int64)
+
+    def put(n: int, shift: int, digit: int) -> None:
+        """Append starts[:n] + shift, with eps[:n] + digit; a start past Q_MAX ends the table."""
+        nonlocal c, size
+        if m > Q_MAX and int(starts[n - 1]) + shift > Q_MAX:  # end mode: count refused above
+            n = int(np.searchsorted(starts[:n], max(Q_MAX - shift, -1), side="right"))
+            if int(starts[n]) + shift < end:
+                raise RangeError(f"level-{lam} block start {int(starts[n]) + shift} "
+                                 f"passes the 63-bit budget {Q_MAX}")
+            c = size + n
+            if not n:
+                return
+        np.add(starts[:n], shift, out=starts[size : size + n])
+        np.add(eps[:n], digit, out=eps[size : size + n])
+        size += n
+
     size, prev = 1, 1  # starts written (those below q_i) and those below q_{i-1}
     for i in range(lam, top):
         a, below, step = scale.digit_bound(i), size, int(i == lam)
         done = 1  # copies b < done of the starts below q_i written; b = 0 is the prefix
         while done < a and size < c:  # copies done.. are copies 0.. shifted by done*q_i
             take = min(done, a - done, (c - size) // below) * below
-            np.add(starts[:take], done * q[i], out=starts[size : size + take])
-            np.add(eps[:take], done * step, out=eps[size : size + take])
-            size, done = size + take, done + take // below
+            put(take, done * q[i], done * step)
+            done += take // below
         if size < c:  # the tail: the starts below q_{i-1} shifted by a*q_i
-            np.add(starts[:prev], a * q[i], out=starts[size : size + prev])
-            np.add(eps[:prev], a * step, out=eps[size : size + prev])
-            size += prev
+            put(prev, a * q[i], a * step)
         prev = below
-    return starts, eps
+    return starts[:size], eps[:size]
 
 
 def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:

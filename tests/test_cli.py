@@ -14,14 +14,21 @@ import pytest
 
 from ostrowski import (
     GOLDEN,
+    SILVER,
     CheckReport,
     correlation,
+    correlation_profile,
+    expand,
     expand_max,
+    fourier_coeffs,
     from_theta,
     parse_alpha_spec,
+    parse_fn_spec,
     scale_for,
+    sigma,
     values_range,
 )
+from ostrowski.alphafun import fn_for
 from ostrowski.cli import build_parser, main
 import ostrowski.cli as cli
 import ostrowski.harness as harness
@@ -438,6 +445,48 @@ def test_csv_config_line_is_the_json_config(case, to_file, tmp_path, capsys):
     assert lines[0].startswith("# config: ")
     assert json.loads(lines[0][len("# config: "):]) == doc["config"]
     assert lines[1] == header
+
+
+def library_rows(case: str) -> list:
+    """The rows of a TABLE_CASES request, computed by the library."""
+    if case == "sigma":
+        return [[n, sigma(n, expand_max(SILVER))] for n in (4, 12, 33)]
+    if case == "convergents":
+        scale = expand(GOLDEN, 6)
+        return [[i, scale.quotients[i - 1] if i else None, scale.p[i], scale.q[i]]
+                for i in range(scale.K + 1)]
+    if case == "fourier":
+        values = fourier_coeffs(parse_fn_spec("theta:0.3+beta:0.25", expand_max(SILVER)), 6).G
+    else:
+        fn = "theta:0.5" if case == "correlate-levels-exact" else "theta:0.3"
+        values = correlation_profile(fn_for("golden", fn, 2000 + 16 - 1), 16, 2000).gamma
+    return [[k, z.real, z.imag, abs(z)] for k, z in enumerate(map(complex, values))]
+
+
+TABLE_CASES = {
+    "sigma": ("sigma", "4", "12", "33", "--alpha", "silver"),
+    "convergents": ("convergents", "--depth", "6"),
+    "correlate-levels-exact": ("correlate", "--N", "2000", "--R", "16"),
+    "correlate-levels": ("correlate", "--N", "2000", "--R", "16", "--fn", "theta:0.3"),
+    "fourier": ("fourier", "--lam", "6", "--alpha", "silver", "--fn", "theta:0.3+beta:0.25"),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_json_and_csv_are_one_table_of_the_library_numbers(case, capsys):
+    # the CSV header is the JSON row keys, each CSV line parses back to its
+    # JSON row ("" for null), and the rows are the library's numbers exactly
+    _, json_text = run(capsys, *TABLE_CASES[case])
+    _, csv_text = run(capsys, *TABLE_CASES[case], "--format", "csv")
+    doc = json.loads(json_text)
+    header, *lines = csv_text.splitlines()[1:]
+    assert [list(row) for row in doc["rows"]] == [header.split(",")] * len(lines)
+    parsed = [[None if f == "" else ast.literal_eval(f) for f in line.split(",")] for line in lines]
+    assert parsed == [list(row.values()) for row in doc["rows"]] == library_rows(case)
+    if case.startswith("correlate"):
+        assert doc["route"] == case[len("correlate-"):]
+    if case == "convergents":
+        assert list(doc) == ["config", "rows", "alpha", "alpha_error_bound"]
 
 
 # --- exit codes -------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Derandomized hypothesis over the alpha and fn grammars (theta and beta
 including nan, +-inf and 1e300; atom tables that are valid, hold a NaN atom,
 hold a non-list row or miss a row) and small numeric flags, negative ones
-included, over every subcommand but verify and both experiment kinds.  Every
+included, over every subcommand but verify and both experiment kinds, each
+in JSON or CSV; a CSV that exits 0 is one table of equal-width lines.  Every
 integer flag and operand also draws 2**63, 2**64 and 10**30, past the 63-bit
 budget and sys.maxsize; digit strings and R-lists also draw blank entries.
 Otherwise sizes stay small (N <= 2e4, R <= 64, Fourier levels <= 12): the
@@ -123,6 +124,7 @@ def requests(atom_paths):
 @given(data=st.data())
 def test_cli_requests_end_in_a_documented_exit_code(atom_files, data):
     argv = data.draw(requests(atom_files), label="argv")
+    argv += ["--format", data.draw(st.sampled_from(["json", "csv"]), label="format")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -130,3 +132,9 @@ def test_cli_requests_end_in_a_documented_exit_code(atom_files, data):
         except SystemExit as exc:  # argparse refusing the flags
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if code == 0 and argv[-1] == "csv":
+        config, header, *rows = out.getvalue().splitlines()
+        assert config.startswith("# config: ")
+        json.loads(config[len("# config: "):])
+        width = header.count(",")
+        assert all(row.count(",") == width for row in rows), argv

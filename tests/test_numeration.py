@@ -425,15 +425,26 @@ def test_block_starts_past_2_63_match_python_ints_or_are_refused(spec):
 
 @pytest.mark.parametrize("request_", [
     lambda: w_sequence(6, 11, expand_max(parse_alpha_spec("periodic:/1000"))),
-    lambda: block_counts(88, 2**63, expand_max(GOLDEN)),
     lambda: block_counts(6, 10**20, expand_max(parse_alpha_spec("periodic:/1000"))),
-    lambda: block_counts(46, 2**63, expand_max(SILVER)),
-], ids=["p1000-w11", "golden-88", "p1000-1e20", "silver-46"])
+], ids=["p1000-w11", "p1000-1e20"])
 def test_block_starts_past_2_63_are_refused_not_wrapped(request_):
-    # each table holds a start past 2**63 - 1: a wrapped start or count, or
+    # each request needs a start past 2**63 - 1: a wrapped start or count, or
     # numpy's conversion OverflowError, would be the wrong outcome
     with pytest.raises(RangeError, match="63-bit budget"):
         request_()
+
+
+@pytest.mark.parametrize("lam, N, spec", [
+    (49, 2**63 - 1, SILVER), (46, 2**63 - 1, SILVER), (46, 2**63, SILVER), (88, 2**63, GOLDEN),
+], ids=["silver-49-below", "silver-46-below", "silver-46", "golden-88"])
+def test_block_counts_near_2_63_match_the_walk(lam, N, spec):
+    # the whole copies reaching N hold a start past 2**63 - 1, but every start
+    # below N fits: the table stops short of the budget and serves the count
+    scale = expand_max(spec)
+    assert block_counts(lam, N, scale) == walk_block_counts(lam, N, scale)
+    exact = exact_starts_below(lam, N, scale)
+    starts, _ = numeration._block_table(lam, scale, end=N)
+    assert starts.tolist()[: len(exact)] == exact
 
 
 
