@@ -7,8 +7,9 @@ Any other exception is a bug and propagates.
 
 Every subcommand, and each experiment kind, accepts only the flags it
 reads.  All output except the verify report goes through `_emit`: JSON, or
-CSV whose first line is `# config: ` and the JSON of the payload's `config`.
-Every file, the verify report's included, goes through `_write`.
+CSV whose first line is `# config: ` and the JSON of the payload's `config`,
+its one table streamed a chunk of rows at a time.  Every file, the verify
+report's included, goes through `_write`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RANGE = 3
+CHUNK_ROWS = 4096  # table rows formatted and written at a time
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -37,34 +39,102 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _emit(args, payload: dict, header, rows=None) -> None:
-    """Write the payload as JSON (default) or CSV, to stdout or --out.
+class _Table:
+    """`header` over `size` rows; columns(i, j) gives the Python-scalar columns of rows [i, j).
 
-    The one table is `header` over rows of Python scalars in column order:
-    payload["rows"], which JSON prints in place as objects keyed by the header, or
-    else `rows`, CSV's alone.  CSV is `# config: ` and the JSON of payload["config"],
-    the header, one line per row (None an empty field), each ending in a bare newline.
+    So only one chunk of rows exists as Python objects at a time.
+    """
+
+    def __init__(self, header, size: int, columns):
+        self.header, self.size, self.columns = header, size, columns
+
+    @classmethod
+    def of_rows(cls, header, rows):
+        """The table of rows already built: sigma's, convergents' and the CSV-only ones."""
+        return cls(header, len(rows), lambda i, j: list(zip(*rows[i:j])))
+
+    def chunks(self):
+        """The columns of each chunk of CHUNK_ROWS rows, in order."""
+        for i in range(0, self.size, CHUNK_ROWS):
+            yield self.columns(i, min(i + CHUNK_ROWS, self.size))
+
+
+def _complex_table(index: str, z) -> _Table:
+    """The (index, re, im, abs) table of complex array z, from one tolist() per chunk.
+
+    abs is Python's abs of each complex: np.abs differs from it in the last bit.
+    """
+    def columns(i, j):
+        vals = z[i:j].tolist()
+        return [list(range(i, j)), [v.real for v in vals], [v.imag for v in vals],
+                [abs(v) for v in vals]]
+    return _Table([index, "re", "im", "abs"], len(z), columns)
+
+
+def _emit(args, payload: dict, table: _Table | None = None) -> None:
+    """Write the payload as JSON (default) or CSV, to stdout or --out, a chunk of rows at a time.
+
+    A JSON table is the _Table at payload["rows"]: JSON prints it in that place, one object
+    per row keyed by its header, and the bytes are json.dumps(payload, indent=2) + "\\n" of
+    those row objects (see _json_parts).  CSV prints `table`, if given, else that one:
+    `# config: ` and the JSON of payload["config"], the header, one line per row (None an
+    empty field, else str), each ending in a bare newline.
     """
     if args.format == "json":
-        if rows is None:
-            payload = {**payload, "rows": [dict(zip(header, row)) for row in payload["rows"]]}
-        text = json.dumps(payload, indent=2) + "\n"
+        parts = _json_parts(payload)
     else:
-        lines = ["# config: " + json.dumps(payload["config"]), ",".join(header)]
-        lines += [",".join("" if c is None else str(c) for c in row)
-                  for row in (payload["rows"] if rows is None else rows)]
-        text = "\n".join(lines) + "\n"
+        parts = _csv_parts(payload["config"], table or payload["rows"])
     if args.out is not None:
-        _write(args.out, text)
+        _write(args.out, parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
-def _write(path: str, text: str) -> None:
-    """The one file writer: text to path, ValidationError (exit 2) if it cannot be written."""
+def _json_parts(payload: dict):
+    """json.dumps(payload, indent=2) + "\\n", its table's rows written without the indent encoder.
+
+    The head is the payload dumped with an empty table, split at its one line `\\n  "rows": []`:
+    nested keys sit at least 4 spaces deep and JSON strings hold no raw newline, so that line is
+    the top-level key and the table keeps its place.  Each chunk runs each column through the C
+    encoder, whose tokens for the numbers and None a column holds (float.__repr__, NaN,
+    Infinity, ints, null) are the indent encoder's; a column holds no str, so the split at
+    ", " is exact.  The tokens fill a row template built once from the header.
+    """
+    table = payload.get("rows")
+    if not isinstance(table, _Table):
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    text = json.dumps({**payload, "rows": []}, indent=2) + "\n"
+    if not table.size:
+        yield text
+        return
+    head, _, tail = text.partition('\n  "rows": []')
+    row = "\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in table.header) + "\n    }"
+    sep = head + '\n  "rows": ['
+    for cols in table.chunks():
+        tokens = [json.dumps(col)[1:-1].split(", ") for col in cols]
+        yield sep + ",".join(map(row.__mod__, zip(*tokens)))
+        sep = ","
+    yield "\n  ]" + tail
+
+
+def _csv_parts(config: dict, table: _Table):
+    """The CSV lines of `table` under its `# config: ` and header lines."""
+    yield "# config: " + json.dumps(config) + "\n" + ",".join(table.header) + "\n"
+    for cols in table.chunks():
+        cells = [["" if c is None else str(c) for c in col] for col in cols]
+        yield "".join([",".join(r) + "\n" for r in zip(*cells)])
+
+
+def _write(path: str, parts) -> None:
+    """The one file writer: the strings of iterable `parts`, in order, to path.
+
+    ValidationError (exit 2) if it cannot be written.  A lone str must come as [text]: a bare
+    str would be written one character at a time.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
@@ -84,7 +154,7 @@ def cmd_encode(args) -> int:
     header = ["n", "sigma", "digits"] + [f"psi_{lam}" for lam in (args.lam or [])]
     row = [args.n, d.sigma, ";".join(map(str, d.digits))]
     row += [payload["psi"][str(lam)] for lam in (args.lam or [])]
-    _emit(args, payload, header, [row])
+    _emit(args, payload, _Table.of_rows(header, [row]))
     return EXIT_OK
 
 
@@ -93,14 +163,14 @@ def cmd_decode(args) -> int:
     scale = expand(parse_alpha_spec(args.alpha), max(len(digits), 2))
     n = decode(DigitString(digits, scale))
     payload = {"config": _config_dict(args), "digits": list(digits), "n": n}
-    _emit(args, payload, ["digits", "n"], [[";".join(map(str, digits)), n]])
+    _emit(args, payload, _Table.of_rows(["digits", "n"], [[";".join(map(str, digits)), n]]))
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
     scale = scale_for(parse_alpha_spec(args.alpha), max(args.n) + 1)
-    payload = {"config": _config_dict(args), "rows": [[n, sigma(n, scale)] for n in args.n]}
-    _emit(args, payload, ["n", "sigma"])
+    rows = [[n, sigma(n, scale)] for n in args.n]
+    _emit(args, {"config": _config_dict(args), "rows": _Table.of_rows(["n", "sigma"], rows)})
     return EXIT_OK
 
 
@@ -109,16 +179,14 @@ def cmd_convergents(args) -> int:
     alpha = p_d/q_d, d = min(K - 1, 40), and its bound 1/(q_d q_{d+1})."""
     spec = parse_alpha_spec(args.alpha)
     scale = expand(spec, args.depth) if args.depth is not None else expand_max(spec)
-    payload = {
-        "config": _config_dict(args),
-        "rows": [[i, scale.quotients[i - 1] if i else None, scale.p[i], scale.q[i]]
-                 for i in range(scale.K + 1)],
-    }
+    rows = [[i, scale.quotients[i - 1] if i else None, scale.p[i], scale.q[i]]
+            for i in range(scale.K + 1)]
+    payload = {"config": _config_dict(args), "rows": _Table.of_rows(["i", "a", "p", "q"], rows)}
     if scale.K >= 3:  # alpha_value needs depth >= 2, and row d + 1 for its bound
         approx = alpha_value(spec, min(scale.K - 1, 40))
         payload["alpha"] = approx.value
         payload["alpha_error_bound"] = approx.error_bound
-    _emit(args, payload, ["i", "a", "p", "q"])
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -130,9 +198,9 @@ def cmd_correlate(args) -> int:
         "route": prof.route,
         "quadratic_mean": prof.quadratic_mean,
         "absolute_mean": prof.absolute_mean,
-        "rows": [[r, z.real, z.imag, abs(z)] for r, z in enumerate(prof.gamma.tolist())],
+        "rows": _complex_table("r", prof.gamma),
     }
-    _emit(args, payload, ["r", "re", "im", "abs"])
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -146,9 +214,9 @@ def cmd_fourier(args) -> int:
         "lam": args.lam,
         "q": table.q,
         "parseval_delta": delta,
-        "rows": [[h, z.real, z.imag, abs(z)] for h, z in enumerate(table.G.tolist())],
+        "rows": _complex_table("h", table.G),
     }
-    _emit(args, payload, ["h", "re", "im", "abs"])
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -163,7 +231,8 @@ def cmd_spectrum(args) -> int:
         "top_grid_points": [{"j": j, "beta": j / args.grid, "value": v}
                             for j, v in zip(order.tolist(), scan.grid[order].tolist())],
     }
-    _emit(args, payload, ["beta_peak", "peak_value"], [[scan.beta_peak, scan.peak_value]])
+    peak = _Table.of_rows(["beta_peak", "peak_value"], [[scan.beta_peak, scan.peak_value]])
+    _emit(args, payload, peak)
     return EXIT_OK
 
 
@@ -175,7 +244,7 @@ def cmd_verify(args) -> int:
         print(f"{status} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
               f"instances, worst margin {rep.worst_margin:.3e}")
     if args.out is not None:
-        _write(args.out, json.dumps([asdict(rep) for rep in reports], indent=2) + "\n")
+        _write(args.out, [json.dumps([asdict(rep) for rep in reports], indent=2) + "\n"])
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED
 
 
@@ -186,13 +255,13 @@ def cmd_experiment(args) -> int:
         rows = [["ladder", r["N"], r["beta_peak"], r["peak_value"]] for r in payload["ladder"]]
         rows += [["scale_sums", s["beta"], len(s["moduli"]), s["contraction_margin"]]
                  for s in payload["scale_sums"]]
-        _emit(args, payload, ["section", "x", "y", "z"], rows)
+        _emit(args, payload, _Table.of_rows(["section", "x", "y", "z"], rows))
     else:
         if args.R_list is not None:
             fields["R_list"] = parse_int_list(args.R_list, "--R-list")
         payload = pseudorandomness_experiment(ExperimentConfig(**fields))
-        rows = [[r["R"], r["quadratic_mean"], r["absolute_mean"]] for r in payload["rows"]]
-        _emit(args, payload, ["R", "quadratic_mean", "absolute_mean"], rows)
+        rows = payload["rows"]  # one dict per R, never none: the harness refuses an empty R_list
+        _emit(args, payload, _Table.of_rows(list(rows[0]), [list(r.values()) for r in rows]))
     return EXIT_OK
 
 

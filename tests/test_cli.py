@@ -3,13 +3,17 @@
 import argparse
 import ast
 import cmath
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ostrowski import (
@@ -487,6 +491,80 @@ def test_json_and_csv_are_one_table_of_the_library_numbers(case, capsys):
         assert doc["route"] == case[len("correlate-"):]
     if case == "convergents":
         assert list(doc) == ["config", "rows", "alpha", "alpha_error_bound"]
+
+
+# --- the streamed writer ------------------------------------------------------------
+
+EDGE_VALUES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2**63 - 1, None,
+               0, -1, 1.5, 1e300, -2.5e-300, 0.1 + 0.2, 2**64]
+
+
+def oracle_text(fmt: str, payload: dict, header, rows) -> str:
+    """The writer's bytes by definition: indent=2 JSON of row objects, or CSV's line formula."""
+    if fmt == "json":
+        return json.dumps({**payload, "rows": [dict(zip(header, row)) for row in rows]},
+                          indent=2) + "\n"
+    lines = ["# config: " + json.dumps(payload["config"]), ",".join(header)]
+    lines += [",".join("" if c is None else str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def emitted(payload: dict, fmt: str, path) -> str:
+    """What _emit writes, to stdout (path None) or to the file path."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(argparse.Namespace(format=fmt, out=None if path is None else str(path)), payload)
+    if path is None:
+        return buf.getvalue()
+    assert buf.getvalue() == ""
+    return path.read_bytes().decode()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("size", [0, 1, cli.CHUNK_ROWS, cli.CHUNK_ROWS + 1])
+@pytest.mark.parametrize("last", [True, False], ids=["last-key", "inner-key"])
+def test_emit_writes_the_indent_json_and_csv_of_its_table_at_the_chunk_seams(
+        size, fmt, to_file, last, tmp_path):
+    header = ["i", "x", "y"]
+    cols = [list(range(size)),
+            [EDGE_VALUES[k % len(EDGE_VALUES)] for k in range(size)],
+            [EDGE_VALUES[(3 * k + 1) % len(EDGE_VALUES)] for k in range(size)]]
+    table = cli._Table(header, size, lambda i, j: [c[i:j] for c in cols])
+    payload = {"config": {"alpha": "golden", "note": '"rows": []\n'}, "rows": table}
+    if not last:
+        payload |= {"alpha": 0.5, "nested": {"rows": [], "x": [1, None]}}
+    want = oracle_text(fmt, payload, header, list(zip(*cols)))
+    assert emitted(payload, fmt, tmp_path / "t.out" if to_file else None) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_complex_tables_are_the_rows_of_python_abs(fmt, tmp_path):
+    parts = [0.0, -0.0, 1.5, -2.0, 5e-324, 1e300, float("inf"), -float("inf"), float("nan")]
+    z = np.array([complex(a, b) for a in parts for b in parts] * 60)  # past one chunk
+    assert z.size > cli.CHUNK_ROWS
+    payload = {"config": {}, "lam": 1, "rows": cli._complex_table("h", z), "q": 7}
+    rows = [[h, v.real, v.imag, abs(v)] for h, v in enumerate(z.tolist())]
+    want = oracle_text(fmt, payload, ["h", "re", "im", "abs"], rows)
+    assert emitted(payload, fmt, None) == emitted(payload, fmt, tmp_path / "z.out") == want
+
+
+def test_fourier_output_peaks_at_a_few_times_its_size(tmp_path):
+    # the rows are formatted and written a chunk at a time, so neither a row list
+    # nor the whole text is ever held
+    path = tmp_path / "f.json"
+    argv = ["fourier", "--alpha", "periodic:10000/1", "--fn", "theta:0.5+beta:0.1", "--lam", "1",
+            "--out", str(path)]
+    main(argv)  # the scale and the parser are built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert code == 0 and size > 10**6
+    assert peak <= 4 * size, (peak, size)
 
 
 # --- exit codes -------------------------------------------------------------------

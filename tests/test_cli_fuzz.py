@@ -4,7 +4,10 @@ Derandomized hypothesis over the alpha and fn grammars (theta and beta
 including nan, +-inf and 1e300; atom tables that are valid, hold a NaN atom,
 hold a non-list row or miss a row) and small numeric flags, negative ones
 included, over every subcommand but verify and both experiment kinds, each
-in JSON or CSV; a CSV that exits 0 is one table of equal-width lines.  Every
+in JSON or CSV.  On exit 0 a JSON reply is byte for byte its own
+json.dumps(..., indent=2) re-dump, the streamed writer's oracle, and a CSV is
+one table of equal-width lines; about half the requests run again with --out,
+whose file must hold the bytes stdout got (runtime_seconds masked).  Every
 integer flag and operand also draws 2**63, 2**64 and 10**30, past the 63-bit
 budget and sys.maxsize; digit strings and R-lists also draw blank entries.
 Otherwise sizes stay small (N <= 2e4, R <= 64, Fourier levels <= 12): the
@@ -15,6 +18,7 @@ N-sized block is built.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,21 +124,45 @@ def requests(atom_paths):
     )
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_cli_requests_end_in_a_documented_exit_code(atom_files, data):
-    argv = data.draw(requests(atom_files), label="argv")
-    argv += ["--format", data.draw(st.sampled_from(["json", "csv"]), label="format")]
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("out") / "reply"
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process request."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the flags
             code = exc.code
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def unclocked(text: str) -> str:
+    """The text with the experiments' runtime_seconds masked: it differs between two runs."""
+    return re.sub(r'"runtime_seconds": [^,\n]*', '"runtime_seconds": _', text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_requests_end_in_a_documented_exit_code(atom_files, out_path, data):
+    argv = data.draw(requests(atom_files), label="argv")
+    argv += ["--format", data.draw(st.sampled_from(["json", "csv"]), label="format")]
+    code, text, err = call(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 0 and argv[-1] == "json":
+        # the streamed writer's bytes are those of the indent=2 encoder
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text, argv
     if code == 0 and argv[-1] == "csv":
-        config, header, *rows = out.getvalue().splitlines()
+        config, header, *rows = text.splitlines()
         assert config.startswith("# config: ")
         json.loads(config[len("# config: "):])
         width = header.count(",")
         assert all(row.count(",") == width for row in rows), argv
+    if data.draw(st.booleans(), label="--out"):  # the file holds the bytes stdout would
+        out_path.unlink(missing_ok=True)
+        assert call([*argv, "--out", str(out_path)]) == (code, "", err), argv
+        if code == 0:
+            assert unclocked(out_path.read_bytes().decode()) == unclocked(text), argv
