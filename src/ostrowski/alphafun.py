@@ -101,7 +101,7 @@ class AlphaFunction:
 
 def _row_tops(scale: ConvergentTable) -> list[int]:
     """The digit ceiling a_{k+1} of every certified position k; CapError past ATOM_CAP atoms."""
-    tops = [scale.quotients[k] if k < scale.K else scale.a_next for k in range(scale.rows)]
+    tops = [*scale.quotients, scale.a_next][: scale.rows]
     count = sum(tops) + len(tops)
     if count > ATOM_CAP:
         raise CapError(f"atom table needs {count} atoms, past the cap {ATOM_CAP}")

@@ -220,6 +220,9 @@ def scale_for(spec: QuotientSpec, upto: int) -> ConvergentTable:
         rows.append(row)
     table = _table(spec, rows)
     if table.limit < upto:
+        if table.a_next is None:
+            raise RangeError(f"spec cannot cover n < {upto}: its quotient list ends at "
+                             f"a_{table.K}, which covers n < {table.limit}")
         raise RangeError(f"spec cannot cover n < {upto} within the 63-bit budget")
     return table
 

@@ -322,7 +322,7 @@ def gap_structure_sweep(scale: ConvergentTable, lam_max: int, count: int = GAP_C
 
     Verifies the first `count` gaps of each level in the first count + 1
     starts of its block-start table and eps_lam at each (_block_table, which
-    w_sequence and block_counts read): the starts match {n : psi_lam(n) = 0},
+    w_sequence reads): the starts match {n : psi_lam(n) = 0},
     every gap is q_lam or q_{lam-1}, (away from the degenerate
     q_lam = q_{lam-1} case) a gap is q_{lam-1} exactly where eps_lam of its
     start is a_{lam+1}, and eps_lam equals the scanned digit at every start,
@@ -335,7 +335,7 @@ def gap_structure_sweep(scale: ConvergentTable, lam_max: int, count: int = GAP_C
         raise ValidationError("lam_max must be >= 1")
     if count < 0:
         raise ValidationError("count must be >= 0")
-    tables = [[column[: count + 1] for column in _block_table(lam, scale, count=count + 1)]
+    tables = [[column[: count + 1] for column in _block_table(lam, scale, count + 1)]
               for lam in range(1, lam_max + 1)]
     scans = _gap_scan(scale, [int(starts[-1]) + 1 for starts, _ in tables])
     return _merge("gap_structure", [

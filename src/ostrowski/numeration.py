@@ -138,25 +138,20 @@ class BlockIndex:
     kinds: tuple[str, ...]
 
 
-def _block_table(
-    lam: int, scale: ConvergentTable, count: int = 0, end: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_table(lam: int, scale: ConvergentTable, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-lam block starts in increasing order, with eps_lam of each (int64 arrays).
 
     The starts below q_lam and below q_{lam-1} are both {0}.  The starts
     below q_{i+1} are those below q_i shifted by b*q_i for each b < a_{i+1},
     then those below q_{i-1} shifted by a_{i+1}*q_i; at i = lam the shift
     sets eps_lam to b (or a_{lam+1}), above lam every copy inherits it.  The
-    assembly stops at the first level holding `count` starts and reaching
-    `end`, and never passes scale.limit (q_{K+1} when a_next is known); that
-    last level keeps only the copies needed to reach both.  Fewer than
-    `count` starts below the limit, or an `end` past it, raise RangeError.
-    The start count c_{i+1} = a_{i+1}*c_i + c_{i-1} is checked against
-    RANGE_CAP, and the largest start m_{i+1} = a_{i+1}*q_i + m_{i-1} against
-    Q_MAX (RangeError), before both arrays are allocated at once.  End mode
-    (count = 0, block_counts') forms no start past Q_MAX instead: each copy
-    takes only its sorted prefix that fits, the table ends at the first start
-    cut, and it refuses only when that start lies below `end`.  Every copy
+    assembly stops at the first level holding `count` starts, and never
+    passes scale.limit (q_{K+1} when a_next is known); that last level keeps
+    only the copies needed to reach `count`.  Fewer than `count` starts below
+    the limit raise RangeError.  The start count c_{i+1} = a_{i+1}*c_i + c_{i-1}
+    is checked against RANGE_CAP, and the largest start
+    m_{i+1} = a_{i+1}*q_i + m_{i-1} against Q_MAX (RangeError), before both
+    arrays are allocated at once, as the two rows of one table.  Every copy
     reads a prefix already written, so copy b = 0 is never made, and the
     copies of a level double: copies d..2d-1 are copies 0..d-1 shifted by
     d*q_i, so a level takes O(log a_{i+1}) array operations.
@@ -165,54 +160,37 @@ def _block_table(
         raise ValidationError("lam must be >= 1")
     scale.digit_bound(lam)  # RangeError if the table has no level lam
     q = scale.q
-    bounds = (*q, scale.limit)  # starts below bounds[i]; q_{K+1} = limit when a_next is known
     top, c_prev, c, m_prev, m = lam, 1, 1, 0, 0
-    while (c < count or bounds[top] < end) and top < scale.rows:
+    while c < count and top < scale.rows:
         a = scale.digit_bound(top)
         c_prev, c = c, a * c + c_prev
         m_prev, m = m, a * q[top] + m_prev
         top += 1
     if c < count:
         raise RangeError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
-    if bounds[top] < end:
-        raise RangeError(f"end={end} beyond table limit {scale.limit}")
     if top > lam:
         a = scale.digit_bound(top - 1)
-        copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
+        copies = min(a, -(-count // c_prev))
         if copies < a:  # the tail block (shifted by a*q_{top-1}) is dropped too
             c, m = copies * c_prev, (copies - 1) * q[top - 1] + m_prev
-    if m > Q_MAX and count:
+    if m > Q_MAX:
         raise RangeError(f"level-{lam} block start {m} passes the 63-bit budget {Q_MAX}")
     check_size(c, f"level-{lam} block-start table")
-    starts, eps = np.zeros(c, dtype=np.int64), np.zeros(c, dtype=np.int64)
-
-    def put(n: int, shift: int, digit: int) -> None:
-        """Append starts[:n] + shift, with eps[:n] + digit; a start past Q_MAX ends the table."""
-        nonlocal c, size
-        if m > Q_MAX and int(starts[n - 1]) + shift > Q_MAX:  # end mode: count refused above
-            n = int(np.searchsorted(starts[:n], max(Q_MAX - shift, -1), side="right"))
-            if int(starts[n]) + shift < end:
-                raise RangeError(f"level-{lam} block start {int(starts[n]) + shift} "
-                                 f"passes the 63-bit budget {Q_MAX}")
-            c = size + n
-            if not n:
-                return
-        np.add(starts[:n], shift, out=starts[size : size + n])
-        np.add(eps[:n], digit, out=eps[size : size + n])
-        size += n
-
+    table = np.zeros((2, c), dtype=np.int64)  # rows: the starts and eps_lam of each
     size, prev = 1, 1  # starts written (those below q_i) and those below q_{i-1}
     for i in range(lam, top):
         a, below, step = scale.digit_bound(i), size, int(i == lam)
         done = 1  # copies b < done of the starts below q_i written; b = 0 is the prefix
         while done < a and size < c:  # copies done.. are copies 0.. shifted by done*q_i
             take = min(done, a - done, (c - size) // below) * below
-            put(take, done * q[i], done * step)
+            np.add(table[:, :take], [[done * q[i]], [done * step]], out=table[:, size : size + take])
+            size += take
             done += take // below
         if size < c:  # the tail: the starts below q_{i-1} shifted by a*q_i
-            put(prev, a * q[i], a * step)
+            np.add(table[:, :prev], [[a * q[i]], [a * step]], out=table[:, size : size + prev])
+            size += prev
         prev = below
-    return starts[:size], eps[:size]
+    return table[0], table[1]
 
 
 def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
@@ -223,7 +201,7 @@ def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    starts, eps = _block_table(lam, scale, count=count)
+    starts, eps = _block_table(lam, scale, count)
     short = (eps[: count - 1] == scale.digit_bound(lam)).tolist()
     return BlockIndex(lam, tuple(starts[:count].tolist()),
                       tuple(map((LONG, SHORT).__getitem__, short)))
@@ -232,22 +210,35 @@ def w_sequence(lam: int, count: int, scale: ConvergentTable) -> BlockIndex:
 def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     """Counts (a, b) of long and short gaps among blocks fully inside [0, N).
 
-    Each start w < N from the block-start table ends its block at
-    w + q_{lam-1} when eps_lam(w) = a_{lam+1} and at w + q_lam otherwise.
-    Gaps are classified by their length; in the degenerate case
-    q_lam = q_{lam-1} (lam = 1, a_1 = 1) every gap counts as long.
-    Satisfies |a*q_lam + b*q_{lam-1} - N| <= q_lam.  RangeError where the
-    table reaching N holds a start past Q_MAX = 2**63 - 1.  A block is tested
-    as w <= N - gap, the bound clipped to [-1, Q_MAX] (exact for starts in
-    [0, Q_MAX]), so neither w + gap nor N has to fit in int64.
+    The blocks tile [0, limit) and the one holding N starts at
+    N - psi_lam(N) = sum_{k >= lam} eps_k q_k, so those inside [0, N) start
+    below it: a + b = sum eps_k C_k and b = sum eps_k D_k over N's greedy
+    digits at k >= lam (the limit is q_{K+1} when a_next is known), with C_k
+    the level-lam starts below q_k and D_k those with eps_lam = a_{lam+1}.
+    Both run the start-count recurrence from C_{lam-1} = C_lam = 1 and
+    D_{lam-1} = 1, D_lam = 0: O(K) Python-int steps and no array, whatever N.
+    Gaps are classified by length, so at q_lam = q_{lam-1} (lam = 1, a_1 = 1)
+    every gap is long.  For N >= 0, a*q_lam + b*q_{lam-1} = N - psi_lam(N).
     """
-    starts, eps = _block_table(lam, scale, end=N)
-    q_long, q_short = scale.q[lam], scale.q[lam - 1]
-    short = eps == scale.digit_bound(lam)
-    last_long, last_short = (min(max(N - gap, -1), Q_MAX) for gap in (q_long, q_short))
-    inside = starts <= np.where(short, last_short, last_long)
-    b = 0 if q_long == q_short else int(np.count_nonzero(inside & short))
-    return int(np.count_nonzero(inside)) - b, b
+    if lam < 1:
+        raise ValidationError("lam must be >= 1")
+    scale.digit_bound(lam)  # RangeError if the table has no level lam
+    if N > scale.limit:
+        raise RangeError(f"N={N} beyond table limit {scale.limit}")
+    bounds = (*scale.q, scale.limit)[: scale.rows + 1]  # q_{K+1} = limit when a_next is known
+    top = bisect.bisect_right(bounds, N) - 1  # N's top digit position, -1 for N < 1
+    C, D = [1, 1], [1, 0]  # C_k and D_k for k = lam-1, lam, ..., top
+    for i in range(lam, top):
+        a = scale.digit_bound(i)
+        C.append(a * C[-1] + C[-2])
+        D.append(a * D[-1] + D[-2])
+    blocks, short, rem = 0, 0, N
+    for k in range(top, lam - 1, -1):
+        eps, rem = divmod(rem, bounds[k])
+        blocks, short = blocks + eps * C[k - lam + 1], short + eps * D[k - lam + 1]
+    if scale.q[lam] == scale.q[lam - 1]:
+        short = 0
+    return blocks - short, short
 
 
 # --- vectorized per-n greedy kernels ---------------------------------------

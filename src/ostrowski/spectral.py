@@ -306,15 +306,15 @@ def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
     j = (h*r) mod q: the same arguments as one e() per entry, bit for bit;
     the shifted values g((v+r) mod q) are read from g's block written twice.
     """
-    r = np.array(list(r_values), dtype=np.int64)
-    if (r < 0).any():
+    r = list(map(int, r_values))
+    if any(shift < 0 for shift in r):
         raise ValidationError("r must be >= 0")
     table = fourier_coeffs(g, lam)
     q, vals = table.q, table.values
     check_size(len(r) * q, "cyclic identity matrix")
     power = table.G.real**2 + table.G.imag**2
     h = np.arange(q, dtype=np.int64)
-    s = r % q
+    s = np.array([shift % q for shift in r], dtype=np.int64)  # only r mod q is read: any r >= 0 fits
     hs = np.multiply.outer(s, h)
     hs -= hs // q * q  # (h*s) mod q: floor_divide by a scalar has a fast path that % lacks
     lhs = (power * unit(h / q)[hs]).sum(axis=1)

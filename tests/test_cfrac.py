@@ -142,6 +142,9 @@ def three_pass_expand_max(spec):
 def three_pass_scale_for(spec, upto):
     table = three_pass_expand_max(spec)
     if table.limit < upto:
+        if table.a_next is None:
+            raise RangeError(f"spec cannot cover n < {upto}: its quotient list ends at "
+                             f"a_{table.K}, which covers n < {table.limit}")
         raise RangeError(f"spec cannot cover n < {upto} within the 63-bit budget")
     return three_pass_expand(spec, min(bisect.bisect_left(table.q, upto, 2) - 1, table.K))
 

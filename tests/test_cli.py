@@ -585,6 +585,18 @@ def test_range_error_is_exit_3(capsys):
     assert main(["encode", "-5"]) == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "3", "--alpha", "list:2"],
+     "spec cannot cover n < 4: its quotient list ends at a_1, which covers n < 2"),
+    (["verify", "--alpha", "list:1,2", "--only", "parseval"], "its quotient list ends at a_2"),
+], ids=["encode", "verify"])
+def test_a_finite_list_too_short_names_its_end(argv, message, capsys):
+    # the list ends long before any denominator nears 2**63 - 1
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "63-bit" not in err
+
+
 def test_a_bug_in_a_handler_propagates_out_of_main(monkeypatch):
     # main maps the package's three errors to exit codes, and nothing else
     def index_error(*args):

@@ -355,8 +355,8 @@ def test_gap_check_catches_a_wrong_w_sequence(fault, spec, lam, monkeypatch):
     # (q_1 = q_0) only the digit at lam can tell the kinds apart
     real = harness._block_table
 
-    def broken(level, scale, count=0, end=0):
-        starts, eps = (column.copy() for column in real(level, scale, count=count, end=end))
+    def broken(level, scale, count):
+        starts, eps = (column.copy() for column in real(level, scale, count))
         if level != lam:
             return starts, eps
         if fault == "gap":

@@ -309,7 +309,7 @@ def test_block_table_errors():
         w_sequence(2, 10**6, scale)
 
 
-def concatenating_block_table(lam, scale, count=0, end=0, dtype=np.int64):
+def concatenating_block_table(lam, scale, count, dtype=np.int64):
     """The block-start table by np.concatenate of shifted copies at every level.
 
     The differential oracle of _block_table's in-place build, with the same
@@ -320,19 +320,16 @@ def concatenating_block_table(lam, scale, count=0, end=0, dtype=np.int64):
         raise ValidationError("lam must be >= 1")
     scale.digit_bound(lam)
     q = scale.q
-    bounds = (*q, scale.limit)
     top, c_prev, c = lam, 1, 1
-    while (c < count or bounds[top] < end) and top < scale.rows:
+    while c < count and top < scale.rows:
         c_prev, c = c, scale.digit_bound(top) * c + c_prev
         top += 1
     if c < count:
         raise RangeError(f"only {c} level-{lam} block starts lie below the table limit {scale.limit}")
-    if bounds[top] < end:
-        raise RangeError(f"end={end} beyond table limit {scale.limit}")
     copies = 0
     if top > lam:
         a = scale.digit_bound(top - 1)
-        copies = min(a, max(-(-count // c_prev), -(-end // q[top - 1])))
+        copies = min(a, -(-count // c_prev))
         if copies < a:
             c = copies * c_prev
     starts = prev_starts = np.zeros(1, dtype=dtype)
@@ -364,19 +361,18 @@ def test_block_table_matches_the_concatenating_build_byte_for_byte(text):
     refused = 0
     for lam in range(1, min(12, scale.rows - 1) + 1):
         for count in (0, 1, 2, 3, 5, 10, 11, 100, 10**4 + 1):
-            for end in (0, 1, 7, 100, 10**4, 10**6):
-                want = refusal(concatenating_block_table, lam, scale, count, end)
-                got = refusal(numeration._block_table, lam, scale, count, end)
-                if isinstance(got, str) and "63-bit budget" in got:
-                    assert not isinstance(want, str), (lam, count, end)
-                    exact, _ = concatenating_block_table(lam, scale, count, end, dtype=object)
-                    assert max(exact) > Q_MAX, (lam, count, end)
-                    refused += 1
-                elif isinstance(want, str):
-                    assert got == want, (lam, count, end)
-                else:
-                    for g, w in zip(got, want):
-                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (lam, count, end)
+            want = refusal(concatenating_block_table, lam, scale, count)
+            got = refusal(numeration._block_table, lam, scale, count)
+            if isinstance(got, str) and "63-bit budget" in got:
+                assert not isinstance(want, str), (lam, count)
+                exact, _ = concatenating_block_table(lam, scale, count, dtype=object)
+                assert max(exact) > Q_MAX, (lam, count)
+                refused += 1
+            elif isinstance(want, str):
+                assert got == want, (lam, count)
+            else:
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (lam, count)
     assert (refused > 0) == (text == "periodic:/1000")  # its q_6 is already about 10**18
 
 
@@ -385,7 +381,7 @@ def test_block_table_allocates_only_its_result():
         scale = expand_max(spec)
         tracemalloc.start()
         try:
-            starts, eps = numeration._block_table(1, scale, end=10**6)
+            starts, eps = numeration._block_table(1, scale, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -399,52 +395,48 @@ def exact_starts_below(lam, N, scale):
 @pytest.mark.parametrize("spec", [GOLDEN, SILVER, PERIOD12, parse_alpha_spec("periodic:/1000")],
                          ids=["golden", "silver", "p12", "p1000"])
 def test_block_starts_past_2_63_match_python_ints_or_are_refused(spec):
-    # the top levels of these scales reach past 2**63 - 1: every request
-    # matches the scalar walk in Python ints or names the 63-bit budget,
-    # never a wrapped start or a numpy conversion error
+    # the top levels of these scales reach past 2**63 - 1: block_counts
+    # always matches the scalar walk in Python ints; w_sequence matches it
+    # or names the 63-bit budget, never a wrapped start or a numpy
+    # conversion error
     scale = expand_max(spec)
     served = 0
     for lam in range(max(1, scale.K - 3), scale.rows):
         for N in (2**62, 2**63 - 1, 2**63, scale.limit):
             if N > scale.limit or N // scale.q[lam - 1] >= 10**4:
                 continue  # past the table, or too many starts for the scalar walk
-            requests = ((block_counts, (lam, N), walk_block_counts),
-                        (table_sequence, (lam, len(exact_starts_below(lam, N, scale))),
-                         walk_w_sequence))
-            for f, args, oracle in requests:
-                want = outcome(oracle, *args, scale)
-                try:
-                    got = f(*args, scale)
-                except RangeError as exc:
-                    assert "63-bit budget" in str(exc)
-                    continue
-                assert got == want, (f.__name__, args)
-                served += 1
+            assert block_counts(lam, N, scale) == walk_block_counts(lam, N, scale), (lam, N)
+            count = len(exact_starts_below(lam, N, scale))
+            try:
+                got = table_sequence(lam, count, scale)
+            except RangeError as exc:
+                assert "63-bit budget" in str(exc)
+                continue
+            assert got == outcome(walk_w_sequence, lam, count, scale), (lam, count)
+            served += 1
     assert served
 
 
 @pytest.mark.parametrize("request_", [
     lambda: w_sequence(6, 11, expand_max(parse_alpha_spec("periodic:/1000"))),
-    lambda: block_counts(6, 10**20, expand_max(parse_alpha_spec("periodic:/1000"))),
-], ids=["p1000-w11", "p1000-1e20"])
+], ids=["p1000-w11"])
 def test_block_starts_past_2_63_are_refused_not_wrapped(request_):
-    # each request needs a start past 2**63 - 1: a wrapped start or count, or
-    # numpy's conversion OverflowError, would be the wrong outcome
+    # the request needs a start past 2**63 - 1: a wrapped start, or numpy's
+    # conversion OverflowError, would be the wrong outcome
     with pytest.raises(RangeError, match="63-bit budget"):
         request_()
 
 
 @pytest.mark.parametrize("lam, N, spec", [
     (49, 2**63 - 1, SILVER), (46, 2**63 - 1, SILVER), (46, 2**63, SILVER), (88, 2**63, GOLDEN),
-], ids=["silver-49-below", "silver-46-below", "silver-46", "golden-88"])
+    (6, 10**20, parse_alpha_spec("periodic:/1000")),
+], ids=["silver-49-below", "silver-46-below", "silver-46", "golden-88", "p1000-1e20"])
 def test_block_counts_near_2_63_match_the_walk(lam, N, spec):
-    # the whole copies reaching N hold a start past 2**63 - 1, but every start
-    # below N fits: the table stops short of the budget and serves the count
+    # the block-start table reaching N would hold a start past 2**63 - 1
+    # (periodic:/1000 has 99 blocks of about 10**18 below 10**20, most of
+    # them starting past it); the counts from N's digits are Python ints
     scale = expand_max(spec)
     assert block_counts(lam, N, scale) == walk_block_counts(lam, N, scale)
-    exact = exact_starts_below(lam, N, scale)
-    starts, _ = numeration._block_table(lam, scale, end=N)
-    assert starts.tolist()[: len(exact)] == exact
 
 
 
@@ -461,12 +453,12 @@ def test_block_routes_make_no_scalar_encode(monkeypatch):
 
 
 def test_size_checks_refuse_before_allocating():
-    # each size is refused from the start count or point count alone
+    # each size is refused from the start count or point count alone;
+    # block_counts builds no table, so it serves 2**40 blocks
     scale = scale_for(GOLDEN, 2**41)
-    with pytest.raises(CapError):
-        block_counts(1, 2**40, scale)
-    with pytest.raises(CapError):
-        block_counts(4, 2**40, scale)
+    assert block_counts(1, 2**40, scale) == (2**40, 0)
+    n_long, n_short = block_counts(4, 2**40, scale)
+    assert 0 <= 2**40 - (n_long * scale.q[4] + n_short * scale.q[3]) < scale.q[4]
     with pytest.raises(CapError):
         w_sequence(2, RANGE_CAP + 1, scale)
     with pytest.raises(CapError):
@@ -722,6 +714,20 @@ def test_block_counts_of_an_empty_range():
         assert block_counts(2, N, scale) == (0, 0)
 
 
+def test_block_counts_allocate_no_table():
+    # golden lam = 1 has 3 * 10**6 blocks below N: the block-start table
+    # holding them would take 48 MB; the digit counts take a few Python ints
+    scale = scale_for(GOLDEN, 2**30)
+    tracemalloc.start()
+    try:
+        got = block_counts(1, 3 * 10**6, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (3 * 10**6, 0)
+    assert peak < 64 * 1024
+
+
 @st.composite
 def quotient_specs(draw):
     """Random periodic:<pre>/<per> and finite list: specs with small quotients."""
@@ -745,3 +751,25 @@ def test_encode_decode_round_trip_property(spec, data):
     d = encode(n, scale)
     assert validate(d.digits, scale)
     assert decode(DigitString(d.digits, scale)) == n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spec=quotient_specs(), data=st.data())
+def test_block_counts_match_the_block_start_table(spec, data):
+    # the digit counts against the count-mode table: its starts below N
+    # (counted by a psi_lam scan), each ending its block by its eps_lam
+    scale = expand_max(spec)
+    if scale.rows < 2:
+        return
+    top = min(scale.limit, 10**6)
+    lam = data.draw(st.integers(1, min(scale.rows - 1, bisect.bisect_right(scale.q, top))), label="lam")
+    near = [scale.q[k] + d for k in range(lam, scale.K + 1) for d in (-1, 0, 1)] + [0, scale.limit]
+    N = data.draw(st.sampled_from([n for n in near if 0 <= n <= top]) | st.integers(0, top),
+                  label="N")
+    count = int(np.count_nonzero(psi_range(scale, lam, N) == 0))
+    starts, eps = numeration._block_table(lam, scale, count)
+    q_long, q_short = scale.q[lam], scale.q[lam - 1]
+    short = eps == scale.digit_bound(lam)
+    inside = starts + np.where(short, q_short, q_long) <= N
+    n_short = 0 if q_long == q_short else int(np.count_nonzero(inside & short))
+    assert block_counts(lam, N, scale) == (int(np.count_nonzero(inside)) - n_short, n_short)

@@ -588,6 +588,9 @@ def test_cyclic_identity_sweep_edges():
     assert cyclic_identity_sweep(g, 6, [3, 3 + 13]) == cyclic_identity_sweep(g, 6, [3, 3])  # q_6 = 13
     with pytest.raises(ValidationError):
         cyclic_identity_sweep(g, 6, [0, -1])
+    # only r mod q_6 is read: shifts past 2**63 - 1 are reduced as Python ints
+    big = [2**63, 2**70 + 3]
+    assert cyclic_identity_sweep(g, 6, big) == cyclic_identity_sweep(g, 6, [r % 13 for r in big])
     g = from_theta(1 / 3, scale_for(GOLDEN, 20000))
     with pytest.raises(CapError):  # 6200 shifts x q_20 = 10946 entries pass RANGE_CAP
         cyclic_identity_sweep(g, 20, range(6200))
