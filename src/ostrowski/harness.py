@@ -5,9 +5,12 @@ is what the CLI `verify` subcommand runs.  It builds each function family
 once, before any check runs: by default four quotient specs crossed with four
 theta fn specs.  Margins are oriented so that passing instances have
 margin >= 0.  The brute-force oracles (the psi_lam counts of the densities,
-the carry keys and the gap scan) read the tiles of the greedy walk directly;
-the gap scan walks each n once, down to the lowest level that still needs it,
-and is compared with the starts and digits of the block-start table.
+the carry keys and the gap scan) read the tiles of the greedy walk directly,
+and each of them walks a point once: the carry counts of every (N, lam) are
+streamed off one walk per function, the densities of every level off one
+walk per scale, and the gap scan walks each n down to the lowest level that
+still needs it, to be compared with the starts and digits of the block-start
+table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .cfrac import (
     tail,
 )
 from .errors import RangeError, ValidationError
-from .numeration import _block_table, _greedy, _walk
+from .numeration import _block_table, _walk
 
 # Default verification family.
 DEFAULT_ALPHA_SPECS = (
@@ -116,52 +119,114 @@ def _moved(g: AlphaFunction, d: np.ndarray) -> np.ndarray:
     return d != 0 if den > np.iinfo(d.dtype).max else d & (den - 1) != 0
 
 
-def _moved_transitions(g: AlphaFunction, key: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per block transition w_j -> w_{j+1}: whether crossing it moves the atom product."""
-    return _moved(g, np.diff(key[starts]))
+def _moved_transitions(g: AlphaFunction, start_keys: np.ndarray) -> np.ndarray:
+    """Per transition between consecutive block starts, given their keys: whether it moves the product."""
+    return _moved(g, np.diff(start_keys))
 
 
-def _carry_counts(g: AlphaFunction, lam: int, r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(count, recount) per r: the n < N for which n + r moves g's atom product over digits >= lam.
+class _CarryLevel:
+    """One level's carry counts for every N at once, updated tile by tile off the greedy walk.
 
-    Every level-lam gap is at least q_{lam-1}, so for r < q_{lam-1} the shift
-    n -> n + r leaves the block [w_j, w_{j+1}) exactly for the r values of n
-    just below w_{j+1}, and lands in the next block.  The count is then
+    Per N it keeps M, the moved transitions ending at or below N, and the
+    overhang w_{j+1} - N of the first transition past N (q_{lam-1} when it
+    does not move, -1 until it is seen); per dense shift r (1 and
+    q_{lam-1} - 1) the n < N whose key moves between n and n + r.  Across
+    tiles it carries only the key at the level's last start and, per dense
+    shift r, a ring of the keys at the last r points walked (the key at n in
+    slot n % r), which may span several tiles.
+    """
+
+    def __init__(self, g: AlphaFunction, lam: int, Ns: np.ndarray):
+        self.g, self.Ns = g, Ns
+        self.q_prev = g.scale.q[lam - 1]
+        self.M = np.zeros(len(Ns), dtype=np.int64)
+        self.overhang = np.full(len(Ns), -1, dtype=np.int64)
+        self.last = None
+        self.rings = {r: None for r in sorted({1, self.q_prev - 1}) if 0 < r < self.q_prev}
+        self.dense = {r: np.zeros(len(Ns), dtype=np.int64) for r in self.rings}
+
+    def update(self, base: int, key: np.ndarray, psi: np.ndarray) -> None:
+        """Take the tile [base, base + len(key)): the keys and psi_lam of its points."""
+        at = np.flatnonzero(psi == 0)  # the tile's starts, from base
+        if len(at):  # the first start is n = 0, so later tiles always follow one
+            start_keys = key[at] if self.last is None else np.concatenate((self.last, key[at]))
+            ends = at[1:] if self.last is None else at
+            self.last = start_keys[-1:].copy()
+            moved = _moved_transitions(self.g, start_keys)
+            j = np.searchsorted(ends, self.Ns - base, side="right")
+            self.M += [np.count_nonzero(moved[:end]) for end in j.tolist()]
+            for i in np.flatnonzero((self.overhang < 0) & (j < len(ends))).tolist():
+                self.overhang[i] = base + ends[j[i]] - self.Ns[i] if moved[j[i]] else self.q_prev
+        size, reach = len(key), int(self.Ns.max())
+        for r, ring in self.rings.items():
+            if ring is None:
+                ring = self.rings[r] = np.empty(r, dtype=key.dtype)
+            first, stop = max(base, r), min(base + size, reach + r)  # pairs (m - r, m), m in [first, stop)
+            if first < stop:
+                lo, hi = first - r, stop - r  # the partners: those below base from the ring
+                partner = np.concatenate((ring.take(np.arange(lo, min(base, hi)), mode="wrap"),
+                                          key[max(lo, base) - base : max(hi - base, 0)]))
+                moved = _moved(self.g, key[first - base : stop - base] - partner)
+                for i, N in enumerate(self.Ns.tolist()):
+                    self.dense[r][i] += np.count_nonzero(moved[: max(0, N + r - first)])
+            last = np.arange(max(size - r, 0), size)  # the ring takes the tile's last keys
+            ring.put(base + last, key[last], mode="wrap")
+
+    def counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(count, recount) for r = 0..q_{lam-1}-1 at the i-th N."""
+        r = np.arange(self.q_prev, dtype=np.int64)
+        # no transition seen past N, or one that does not move, adds nothing for r < q_{lam-1}
+        overhang = self.overhang[i] if self.overhang[i] >= 0 else self.q_prev
+        count = r * self.M[i] + np.maximum(0, r - overhang)
+        recount = count.copy()
+        for shift, dense in self.dense.items():
+            recount[shift] = dense[i]
+        return count, recount
+
+
+def _carry_counts(g: AlphaFunction, lam_max: int, N_values) -> dict:
+    """The carry counts of every (N, lam <= lam_max): (count, recount) over r < q_{lam-1}.
+
+    A count is the number of n < N for which n + r moves g's atom product
+    over digits >= lam.  Every level-lam gap is at least q_{lam-1}, so for
+    r < q_{lam-1} the shift n -> n + r leaves the block [w_j, w_{j+1})
+    exactly for the r values of n just below w_{j+1}, and lands in the next
+    block.  The count is then
     r * M, with M the moved transitions ending at or below N, plus the
     max(0, r - (w_{j+1} - N)) values of n below N that cross the one moved
     transition with w_j < N < w_{j+1}.  Shifts r >= q_{lam-1} are never asked
     for: N * r / q_{lam-1} >= N bounds their count trivially.  The shifts
     r = 1 and r = q_{lam-1} - 1 are also counted n by n through the same
     keys, and that dense recount is returned beside the count (equal to it
-    everywhere else).
+    everywhere else).  The key of n is sigma_{>=lam}(n) with a theta tag and
+    the block start n - psi_lam(n) without one.  One greedy walk over
+    [0, max N + q_{lam_max-1} - 1) (RangeError past the scale limit) serves
+    every level, streamed tile by tile into a _CarryLevel each.
     """
-    q_prev = g.scale.q[lam - 1]
-    size = N + int(r.max())
-    hi, ps = _greedy(g.scale, size, lam, digit_sum=True)
-    key = hi if g.theta is not None else np.arange(size) - ps
-    starts = np.flatnonzero(ps == 0)
-    moved = _moved_transitions(g, key, starts)
-    ends = starts[1:]
-    M = np.count_nonzero(moved[ends <= N])
-    j = int(np.searchsorted(ends, N, side="right"))
-    # a transition q_{lam-1} or more past N (or none scanned) adds nothing for r < q_{lam-1}
-    overhang = int(ends[j]) - N if j < len(ends) and moved[j] else q_prev
-    count = r * M + np.maximum(0, r - overhang)
-    recount = count.copy()
-    for i in np.flatnonzero((r == 1) | (r == q_prev - 1)):
-        recount[i] = np.count_nonzero(_moved(g, key[r[i] : r[i] + N] - key[:N]))
-    return count, recount
+    Ns = np.array(N_values, dtype=np.int64)
+    levels = {lam: _CarryLevel(g, lam, Ns) for lam in range(1, lam_max + 1)}
+    stop = int(Ns.max()) + g.scale.q[lam_max - 1] - 1
+    tagged = g.theta is not None
+    tile = key = None
+    for base, k, eps, psi in _walk(g.scale, stop, 1, hi=None if tagged else lam_max):
+        if tagged:  # the key sums the digits of every level down to k
+            if base != tile:
+                tile, key = base, eps.copy()
+            else:
+                key += eps
+        if k <= lam_max:
+            levels[k].update(base, key if tagged else np.arange(base, base + len(psi)) - psi, psi)
+    return {(N, lam): level.counts(i) for lam, level in levels.items() for i, N in enumerate(N_values)}
 
 
-def _carry_report(g: AlphaFunction, lam: int, r_values, N: int) -> CheckReport:
+def _carry_report(g: AlphaFunction, lam: int, N: int, r, count, recount) -> CheckReport:
     """Margin N*r/q_{lam-1} - count per r, or -1 where an instance fails.
 
     The bound count * q_{lam-1} <= N * r is decided in exact integers; an
     instance whose dense recount differs from its block count fails too.
     """
     q_prev = g.scale.q[lam - 1]
-    r = np.asarray(r_values, dtype=np.int64)
-    count, recount = _carry_counts(g, lam, r, N)
+    r = np.asarray(r, dtype=np.int64)
     ok = (count <= N * r // q_prev) & (recount == count)
     margins = np.where(ok, N * r / q_prev - count, -1.0)
     details = []
@@ -178,17 +243,20 @@ def carry_bound_sweep(
 ) -> CheckReport:
     """Exhaustive carry check: every lam <= lam_max, every r < q_{lam-1}.
 
-    RangeError where some N + r passes the scale limit.
+    The counts of every (N, lam) come from one streamed greedy walk
+    (_carry_counts).  RangeError where some N + r passes the scale limit.
     """
     if lam_max < 1:
         raise ValidationError("lam_max must be >= 1")
+    N_values = tuple(N_values)
     if any(N < 1 for N in N_values):
         raise ValidationError("every N must be >= 1")
-    scale = g.scale
+    lam_max = min(lam_max, g.scale.K)
+    counts = _carry_counts(g, lam_max, N_values) if N_values and lam_max else {}
     return _merge("carry_bound", [
-        _carry_report(g, lam, range(scale.q[lam - 1]), N)
+        _carry_report(g, lam, N, np.arange(g.scale.q[lam - 1]), *counts[N, lam])
         for N in N_values
-        for lam in range(1, min(lam_max, scale.K) + 1)
+        for lam in range(1, lam_max + 1)
     ])
 
 
@@ -240,10 +308,9 @@ def _psi_counts(scale: ConvergentTable, lam_max: int, N: int) -> list[np.ndarray
     """
     q = scale.q
     counts = {}
-    for _, k, _, psi in _walk(scale, N, 1):
-        if k <= lam_max:
-            tile = np.bincount(psi, minlength=q[k])
-            counts[k] = counts[k] + tile if k in counts else tile
+    for _, k, _, psi in _walk(scale, N, 1, hi=lam_max):
+        tile = np.bincount(psi, minlength=q[k])
+        counts[k] = counts[k] + tile if k in counts else tile
     return [np.trim_zeros(counts[lam], "b") if lam in counts else np.ones(N, dtype=np.int64)
             for lam in range(1, lam_max + 1)]
 
@@ -284,11 +351,10 @@ def _gap_scan(scale: ConvergentTable, ends) -> list[tuple[np.ndarray, np.ndarray
     lo = 1
     for lam, end in enumerate(ends, start=1):
         stop = max(lo, end)
-        for base, k, digits, rem in _walk(scale, stop, lam, start=lo):
-            if k <= lam_max:
-                at = np.flatnonzero(rem == 0)
-                zeros[k - 1].append(base + at)
-                eps[k - 1].append(digits[at])
+        for base, k, digits, rem in _walk(scale, stop, lam, start=lo, hi=lam_max):
+            at = np.flatnonzero(rem == 0)
+            zeros[k - 1].append(base + at)
+            eps[k - 1].append(digits[at])
         lo = stop
     out = []
     for z, e, end in zip(zeros, eps, ends):

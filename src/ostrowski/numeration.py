@@ -6,7 +6,9 @@ eps_k = a_{k+1} forcing eps_{k-1} = 0.  This module provides the greedy
 encoder/decoder, digit statistics (sigma, psi), the greedy range kernels,
 and the block structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
 The range kernels read one greedy walk (_walk), which takes a range through
-its levels in tiles of WALK_TILE points, so that its buffers stay in cache.
+its levels in tiles of WALK_TILE points, so that its buffers stay in cache;
+it peels the digits that are constant over a tile as Python ints, and
+yields only the levels its reader asks for.
 """
 
 from __future__ import annotations
@@ -252,16 +254,23 @@ WALK_TILE = 1 << 16  # points per tile of the greedy walk: its buffers stay in L
 
 
 def _walk(
-    scale: ConvergentTable, stop: int, lo: int, start: int = 0
+    scale: ConvergentTable, stop: int, lo: int, start: int = 0, hi: int | None = None
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The greedy level walk over n in [start, stop), one tile at a time.
 
     The range splits into tiles [base, base + WALK_TILE) (the last one
     shorter).  Each tile is walked through all its levels before the next
-    starts, and yields (base, k, eps_k, psi_k) per level, for n in the tile.
-    Levels run from the top index of stop - 1 down to lo in every tile;
-    above the top index no digit is peeled and psi_k = n, and no level is
-    yielded there.  Both yielded arrays are the walk's working buffers, which
+    starts, and yields (base, k, eps_k, psi_k) per level lo <= k <= hi (hi
+    defaults to the top), for n in the tile.  Levels run from the top index
+    of stop - 1 down to lo in every tile; above the top index no digit is
+    peeled and psi_k = n, and no level is yielded there.  While every level
+    above k had one digit over the whole tile, the remainders are
+    index + off for one Python int off, and level k's digit is constant over
+    the tile exactly when off // q_k = (off + size - 1) // q_k: such a digit
+    is peeled from off as a Python int, and the remainders are materialized
+    at the first level whose digit varies.  A constant level that is yielded
+    gets buffers filled with its digit and remainders, the same integers as
+    the divide.  Both yielded arrays are the walk's working buffers, which
     the next level overwrites: a consumer copies what it keeps and changes
     neither.  They are int32 lanes when stop <= 2**31 - 1, where every q_k
     walked and every remainder fits, and int64 otherwise.  Four tile-sized
@@ -273,20 +282,33 @@ def _walk(
         raise RangeError(f"count={stop} beyond table limit {scale.limit}")
     check_size(stop - start, "greedy digit pass")
     q = scale.q
-    levels = range(max(bisect.bisect_right(q, stop - 1) - 1, 0), lo - 1, -1)
+    top = max(bisect.bisect_right(q, stop - 1) - 1, 0)
+    hi = top if hi is None else hi
     index = np.arange(min(WALK_TILE, stop - start),
                       dtype=np.int32 if stop <= np.iinfo(np.int32).max else np.int64)
     rem_tile, eps_tile, peeled_tile = np.empty_like(index), np.empty_like(index), np.empty_like(index)
     for base in range(start, stop, WALK_TILE):
         size = min(WALK_TILE, stop - base)
-        rem, eps, peeled = rem_tile[:size], eps_tile[:size], peeled_tile[:size]
-        np.add(index[:size], base, out=rem)
-        for k in levels:
+        rem, eps, peeled, span = rem_tile[:size], eps_tile[:size], peeled_tile[:size], index[:size]
+        off = base  # rem = span + off while every digit above is constant over the tile
+        for k in range(top, lo - 1, -1):
+            if off is not None:
+                digit = off // q[k]
+                if digit == (off + size - 1) // q[k]:
+                    off -= digit * q[k]
+                    if k <= hi:
+                        eps.fill(digit)
+                        np.add(span, off, out=rem)
+                        yield base, k, eps, rem
+                    continue
+                np.add(span, off, out=rem)
+                off = None
             # floor_divide by a scalar has a fast path that np.divmod lacks
             np.floor_divide(rem, q[k], out=eps)
             np.multiply(eps, q[k], out=peeled)
             rem -= peeled
-            yield base, k, eps, rem
+            if k <= hi:
+                yield base, k, eps, rem
 
 
 def _greedy(
@@ -297,11 +319,12 @@ def _greedy(
     Returns the arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k, psi_lo)
     with digit_sum, in the walk's lanes (int32 when stop <= 2**31 - 1); with
     no level between the top index of stop - 1 and lo they are the int64
-    arrays (0, n).  Both are filled tile by tile from the walk, so the
-    working memory is the two results and the walk's tiles.
+    arrays (0, n).  Both are filled tile by tile from the walk, which yields
+    level lo alone unless the digit sum needs every level, so the working
+    memory is the two results and the walk's tiles.
     """
     total = psi = None
-    for base, k, eps, rem in _walk(scale, stop, lo, start):
+    for base, k, eps, rem in _walk(scale, stop, lo, start, hi=None if digit_sum else lo):
         if psi is None:
             psi = np.empty(stop - start, dtype=rem.dtype)
             total = np.zeros_like(psi) if digit_sum else np.empty_like(psi)

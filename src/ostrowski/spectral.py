@@ -305,7 +305,10 @@ def cyclic_identity_sweep(g: AlphaFunction, lam: int, r_values) -> list[float]:
     below 1e-10 * q_lam.  The phases e(j/q) are one table of q roots read at
     j = (h*r) mod q: the same arguments as one e() per entry, bit for bit;
     the shifted values g((v+r) mod q) are read from g's block written twice.
+    Shifts that have a length are counted against the cap before they are listed.
     """
+    if hasattr(r_values, "__len__") and 0 <= lam <= g.scale.K:
+        check_size(len(r_values) * g.scale.q[lam], "cyclic identity matrix")
     r = list(map(int, r_values))
     if any(shift < 0 for shift in r):
         raise ValidationError("r must be >= 0")

@@ -7,6 +7,7 @@ experiments return.
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -79,6 +80,12 @@ def brute_carry_count(g, lam, r, N):
     return sum(1 for n in range(N) if (th * (sum(high[n + r]) - sum(high[n]))) % 1 != 0)
 
 
+def carry_instance(g, lam, r, N):
+    """The report of the one carry instance (lam, r, N), off the streamed counts of level lam."""
+    count, recount = harness._carry_counts(g, lam, (N,))[N, lam]
+    return harness._carry_report(g, lam, N, [r], count[[r]], recount[[r]])
+
+
 @pytest.mark.parametrize("spec,theta", [(GOLDEN, 0.5), (SILVER, 0.25), (GOLDEN, 1 / 3)])
 def test_carry_count_matches_brute_force(spec, theta):
     scale = scale_for(spec, 600)
@@ -86,7 +93,7 @@ def test_carry_count_matches_brute_force(spec, theta):
     for lam in (1, 2, 3):
         q_prev = scale.q[lam - 1]
         for r in range(q_prev):
-            rep = harness._carry_report(g, lam, [r], 400)
+            rep = carry_instance(g, lam, r, 400)
             brute = brute_carry_count(g, lam, r, 400)
             assert rep.instances_run == 1
             assert rep.worst_margin == 400 * r / q_prev - brute
@@ -99,8 +106,8 @@ def test_carry_digit_route_without_theta():
     scale = scale_for(GOLDEN, 400)
     g = from_theta(1 / 3, scale)
     bare = type(g)(scale, g.atoms)
-    lam, r, N = 2, 1, 250
-    rep = harness._carry_report(bare, lam, [r], N)
+    lam, r, N = 3, 1, 250  # a swept shift, r < q_{lam-1} = 2
+    rep = carry_instance(bare, lam, r, N)
     brute = sum(1 for n in range(N) if psi(n + r, lam, scale) - psi(n, lam, scale) != r)
     assert rep.worst_margin == N * r / scale.q[lam - 1] - brute
     assert rep.ok
@@ -124,7 +131,7 @@ def test_carry_margin_matches_per_n_oracle(spec_text, theta, N, lam, data):
         g = type(g)(scale, g.atoms)
     q_prev = scale.q[lam - 1]
     r = data.draw(st.integers(0, q_prev - 1), label="r")
-    rep = harness._carry_report(g, lam, [r], N)
+    rep = carry_instance(g, lam, r, N)
     assert rep.instances_run == 1 and rep.ok, rep.details
     assert rep.worst_margin == N * r / q_prev - brute_carry_count(g, lam, r, N)
 
@@ -134,8 +141,8 @@ def test_carry_recount_catches_a_wrong_transition_count(monkeypatch):
     # block lemma: one block transition marked wrongly fails those instances
     real = harness._moved_transitions
 
-    def broken(g, key, starts):
-        moved = real(g, key, starts).copy()
+    def broken(g, start_keys):
+        moved = real(g, start_keys).copy()
         moved[0] = not moved[0]
         return moved
 
@@ -197,6 +204,52 @@ def test_carry_family_at_a_denominator_past_int32():
     # nonzero difference is a multiple of 2**54
     (rep,) = verify_all(fn_spec="theta:0.3", only="carry")
     assert rep.instances_run == 72108 and rep.ok
+
+
+@pytest.mark.parametrize("tile", [None, 4099], ids=["walk_tile", "tile_4099"])
+def test_carry_counts_match_per_n_keys_across_tiles(tile, monkeypatch):
+    # q_2 = 60001 on periodic:/1,60000: the ring of the dense shift
+    # r = q_2 - 1 holds 60000 keys, which span the tile boundary at 65536
+    # (and 15 tiles of 4099 points); the counts at the sampled shifts, the
+    # dense recounts among them, match the sigma_{>=lam} keys of the scalar
+    # encode, n by n
+    if tile is not None:
+        monkeypatch.setattr(numeration, "WALK_TILE", tile)
+    scale = scale_for(parse_alpha_spec("periodic:/1,60000"), 2 * 10**5)
+    g = from_theta(0.5, scale)
+    Ns = (65535, 65536, 65537)
+    lam_max, q_prev = 3, scale.q[2]
+    assert q_prev == 60001
+    counts = harness._carry_counts(g, lam_max, Ns)
+    digits = [encode(m, scale).digits for m in range(max(Ns) + q_prev - 1)]
+    for lam in range(1, lam_max + 1):
+        key = np.array([sum(d[lam:]) for d in digits])
+        for N in Ns:
+            count, recount = counts[N, lam]
+            shifts = {0, 1, 2, 4098, 4099, 30000, q_prev - 2, q_prev - 1}
+            for r in sorted(shifts & set(range(scale.q[lam - 1]))):
+                brute = np.count_nonzero((key[r : r + N] - key[:N]) % 2)
+                assert count[r] == recount[r] == brute, (lam, N, r)
+    rep = carry_bound_sweep(g, lam_max, Ns)
+    assert rep.ok and rep.instances_run == len(Ns) * (1 + 1 + q_prev)
+
+
+def test_carry_sweep_of_no_N_is_the_empty_report():
+    g = from_theta(0.5, scale_for(GOLDEN, 100))
+    assert carry_bound_sweep(g, 3, ()) == CheckReport("carry_bound", 0, 0, 0.0)
+
+
+def test_carry_family_peak_memory():
+    # one walk streams every level's counts: no level keeps an array the
+    # size of the walked range (12 int32 key rows per function would be 9.5 MiB)
+    tracemalloc.start()
+    try:
+        (rep,) = verify_all(only="carry")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 5 * 2**20
 
 
 def test_carry_validation():
@@ -297,7 +350,7 @@ def per_level_gap_scan(scale, lam, stop):
     """Zeros of psi_lam below stop and eps_lam at them: one chunked greedy pass per level."""
     zero_chunks, eps_chunks = [], []
     for lo in range(0, stop, GAP_SCAN_CHUNK):
-        eps_lam, psi_lam = harness._greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
+        eps_lam, psi_lam = numeration._greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
         zeros = np.flatnonzero(psi_lam == 0)
         zero_chunks.append(lo + zeros)
         eps_chunks.append(eps_lam[zeros])

@@ -689,6 +689,89 @@ def test_greedy_at_the_walk_tile_boundaries(start):
         assert sigma_range(scale, stop)[at].tolist() == [sigma(n, scale) for n in ns]
 
 
+def plain_levels(scale, start, stop, lo, hi):
+    """{k: (eps_k, psi_k)} over n in [start, stop), lo <= k <= hi, reduced one level at a time."""
+    rem = np.arange(start, stop, dtype=np.int64)
+    top = max(bisect.bisect_right(scale.q, stop - 1) - 1, 0)
+    levels = {}
+    for k in range(top, lo - 1, -1):
+        eps = rem // scale.q[k]
+        rem = rem - eps * scale.q[k]
+        if k <= hi:
+            levels[k] = (eps, rem)
+    return levels
+
+
+def check_walk(scale, start, stop, lo, hi, samples):
+    """The walk's yields against plain_levels, their order and lanes, and encode at the sampled n.
+
+    Returns how many (tile, level) yields had one digit over a tile of two or more points.
+    """
+    tile = numeration.WALK_TILE
+    top = max(bisect.bisect_right(scale.q, stop - 1) - 1, 0)
+    want = plain_levels(scale, start, stop, lo, top if hi is None else hi)
+    got = {k: ([], []) for k in want}
+    order, constant = [], 0
+    for base, k, eps, rem in numeration._walk(scale, stop, lo, start=start, hi=hi):
+        assert eps.dtype == rem.dtype == (np.int32 if stop <= 2**31 - 1 else np.int64)
+        assert len(eps) == len(rem) == min(tile, stop - base)
+        order.append((base, k))
+        got[k][0].append(eps.copy())
+        got[k][1].append(rem.copy())
+        constant += len(eps) > 1 and eps.min() == eps.max()
+    assert order == [(base, k) for base in range(start, stop, tile) for k in sorted(want, reverse=True)]
+    for k, (eps, rem) in want.items():
+        assert np.concatenate([np.zeros(0, np.int64), *got[k][0]]).tolist() == eps.tolist()
+        assert np.concatenate([np.zeros(0, np.int64), *got[k][1]]).tolist() == rem.tolist()
+        for n in samples:
+            assert (eps[n - start], rem[n - start]) == (encode(n, scale).digit(k), psi(n, k, scale))
+    return constant
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    head=st.lists(st.integers(1, 9), max_size=3),
+    period=st.lists(st.sampled_from((1, 1, 2, 3, 5, 60, 1000)), min_size=1, max_size=4),
+    tile=st.integers(1, 700),
+    data=st.data(),
+)
+def test_walk_matches_a_plain_greedy_reduction(head, period, tile, data):
+    # random specs and tiles; the range starts and stops within a few points
+    # of a tile boundary or a q_k, so tiles straddle q_k boundaries and
+    # levels whose digit is constant over a tile are peeled as Python ints
+    scale = scale_for(QuotientSpec(tuple(head), tuple(period)), 10**5)
+    edges = sorted({q for q in scale.q if q < 10**5})
+    start = data.draw(st.sampled_from(edges), label="start q") + data.draw(st.integers(-3, 3), label="start off")
+    start = max(0, start)
+    ends = [q for q in edges if start <= q <= start + 40 * tile] + [start + 3 * tile]  # at most 41 tiles
+    stop = data.draw(st.sampled_from(ends), label="stop q")
+    stop = min(max(start, stop + data.draw(st.integers(-3, 3), label="stop off")), scale.limit)
+    lo = data.draw(st.integers(0, 6), label="lo")
+    hi = data.draw(st.one_of(st.none(), st.integers(lo, lo + 6)), label="hi")
+    samples = data.draw(st.lists(st.integers(start, stop - 1), max_size=8), label="n") if stop > start else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeration, "WALK_TILE", tile)
+        check_walk(scale, start, stop, lo, hi, samples)
+
+
+@pytest.mark.parametrize("start, stop, lo, hi", [
+    (3_380_000, 3_380_000 + 5 * 777 + 11, 8, 8),
+    (0, 40_000, 0, None),
+    (2**40 - 3 * 777 - 100, 2**40 + 2 * 777 + 7, 5, 30),
+    (2**40 - RANGE_CAP // 8, 2**40 - RANGE_CAP // 8 + 4 * 777, 20, None),
+], ids=["silver_gap_band", "from_zero", "int64_lanes", "int64_top_levels"])
+def test_walk_peels_tile_constant_digits(start, stop, lo, hi, monkeypatch):
+    # tiles of 777 points: in silver's gap band at lam = 8 the digits of
+    # levels 18..13 are one per tile, peeled as Python ints and not yielded;
+    # near 2**40 the walk runs in int64 lanes
+    monkeypatch.setattr(numeration, "WALK_TILE", 777)
+    scale = scale_for(SILVER, 2**41)
+    rng = np.random.default_rng(start)
+    samples = sorted({start, stop - 1} | set(rng.integers(start, stop, 40).tolist()))
+    yielded_constant = check_walk(scale, start, stop, lo, hi, samples)
+    assert yielded_constant > 0 or hi == lo  # a constant level that is yielded is filled
+
+
 def test_psi_range_validation():
     scale = scale_for(GOLDEN, 100)
     with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ of the spectrum-scan probes.
 """
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -594,6 +595,22 @@ def test_cyclic_identity_sweep_edges():
     g = from_theta(1 / 3, scale_for(GOLDEN, 20000))
     with pytest.raises(CapError):  # 6200 shifts x q_20 = 10946 entries pass RANGE_CAP
         cyclic_identity_sweep(g, 20, range(6200))
+
+
+def test_cyclic_identity_sweep_refuses_before_listing_the_shifts():
+    # 3 * 10**6 shifts x q_8 = 34 pass RANGE_CAP: refused from the range's
+    # length, before a list of its 3 * 10**6 ints is made
+    g = from_theta(1 / 3, scale_for(GOLDEN, 1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapError):
+            cyclic_identity_sweep(g, 8, range(3 * 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ValidationError):  # a negative shift is still refused
+        cyclic_identity_sweep(g, 8, range(-1, 5))
 
 
 # --- exponential sums ----------------------------------------------------------------
