@@ -136,7 +136,7 @@ class _Rows:
     """Atom rows of g laid out for batched twists: atoms and mult are the atoms
     v_k(b) and multipliers (_multipliers) of the digits 1 <= b <= last[k] of
     each row k, flat; moved marks their places, column 1 + b of row k, in the
-    padded (K, W + 1) layout of twist."""
+    padded (K, W + 1) layout that sums twists into."""
 
     atoms: np.ndarray
     mult: np.ndarray
@@ -150,23 +150,25 @@ class _Rows:
         column = np.arange(1 + lengths.max(initial=0))  # the layout is row-major: the flat order
         return cls(_flat(rows)[moved], mult, (column >= 2) & (column <= lengths[:, None]), lengths - 1)
 
-    def twist(self, betas: np.ndarray) -> np.ndarray:
-        """The rows of g twisted by each of B betas, a (B, K, W + 1) array.
+    def sums(self, betas: np.ndarray, *digits) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The rows of g twisted by each of B betas, read at digit arrays d of shape (K,) or (B, K).
 
-        Entry [j, k, 1 + b] is v_k(b) e(-b * q_k * betas[j]), an atom of
-        twist(g, betas[j]); columns 0 and past a row's end are 0, so prefix
-        sums along a row start from 0."""
+        Per d, a pair of (K, B) arrays: at [k, j], the sum over b < d[j, k] of
+        row k of twist(g, betas[j]), added from b = 0 up, and its atom at
+        d[j, k].  One twist serves every d."""
         h = np.zeros((len(betas),) + self.moved.shape, np.complex128)
         h[:, :, 1:2] = 1.0  # v_k(0) = 1 (a slice: a table of no rows has no column 1)
         h[:, self.moved] = _twisted(self.atoms, self.mult, betas)
-        return h
+        below = np.cumsum(h, axis=2)  # column d: the sum over b < d (columns 0 and past a row are 0)
+        j, k = np.arange(len(betas))[:, None], np.arange(len(self.last))
+        return [(below[j, k, d].T, h[j, k, d + 1].T) for d in digits]
 
 
 def twist(g: AlphaFunction, beta: float) -> AlphaFunction:
     """Pointwise product with e(-n * beta), realized on the atom table.
 
     The phase of the atom at e * q_k picks up -e * q_k * beta: _twisted of
-    the flat table, no row padded, as _Rows.twist (scale_sums and the
+    the flat table, no row padded, as _Rows.sums (scale_sums and the
     spectrum probes) does for many betas.  beta = 0 leaves every atom as is.
     """
     lengths = np.array([len(row) for row in g.atoms])

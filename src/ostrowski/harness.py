@@ -463,7 +463,8 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     ladder = [{"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value}
               for n, scan in zip(ladder_ns, spectral._scans(g, ladder_ns, spectral.GRID_DEFAULT))]
     rng = np.random.default_rng(config.seed)
-    K = bisect.bisect_right(g.scale.q, config.N) - 1  # q_0 = 1 alone when N < q_1
+    scales = (*g.scale.q, g.scale.limit)[: g.scale.rows + 1]  # g covers n < N: N may be q_{K+1}
+    K = bisect.bisect_right(scales, config.N) - 1  # q_0 = 1 alone when N < q_1
     betas = rng.random(16)
     sums = []
     for beta, S in zip(betas.tolist(), spectral._scale_sums(g, betas, K)):

@@ -311,43 +311,26 @@ def _walk(
                 yield base, k, eps, rem
 
 
-def _greedy(
-    scale: ConvergentTable, stop: int, lo: int, digit_sum: bool = False, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-down greedy reduction of n in [start, stop) from the top index of stop - 1 to level lo.
-
-    Returns the arrays (eps_lo, psi_lo), or (sum_{k >= lo} eps_k, psi_lo)
-    with digit_sum, in the walk's lanes (int32 when stop <= 2**31 - 1); with
-    no level between the top index of stop - 1 and lo they are the int64
-    arrays (0, n).  Both are filled tile by tile from the walk, which yields
-    level lo alone unless the digit sum needs every level, so the working
-    memory is the two results and the walk's tiles.
-    """
-    total = psi = None
-    for base, k, eps, rem in _walk(scale, stop, lo, start, hi=None if digit_sum else lo):
-        if psi is None:
-            psi = np.empty(stop - start, dtype=rem.dtype)
-            total = np.zeros_like(psi) if digit_sum else np.empty_like(psi)
-        tile = slice(base - start, base - start + len(rem))
-        if digit_sum:
-            total[tile] += eps
-        if k == lo:
-            psi[tile] = rem
-            if not digit_sum:
-                total[tile] = eps
-    if psi is None:
-        n = np.arange(start, stop, dtype=np.int64)
-        return np.zeros_like(n), n
-    return total, psi
-
-
 def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
-    """psi_lam(n) for n = 0..count-1 (int64): the remainder once digits >= lam are peeled."""
+    """psi_lam(n) for n = 0..count-1 (int64): the remainder once digits >= lam are peeled.
+
+    Read off the walk's level lam, tile by tile; psi = n where it yields none.
+    """
     if lam < 0:
         raise ValidationError("lam must be >= 0")
-    return _greedy(scale, count, lam)[1].astype(np.int64, copy=False)
+    psi = None
+    for base, _, _, rem in _walk(scale, count, lam, hi=lam):
+        if psi is None:  # allocated once the walk has checked count
+            psi = np.empty(count, dtype=np.int64)
+        psi[base : base + len(rem)] = rem
+    return np.arange(count, dtype=np.int64) if psi is None else psi
 
 
 def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:
-    """sigma(n) for n = 0..count-1 (int64)."""
-    return _greedy(scale, count, 0, digit_sum=True)[0].astype(np.int64, copy=False)
+    """sigma(n) for n = 0..count-1 (int64): the walk's digits summed over every level."""
+    sigma = None
+    for base, _, eps, _ in _walk(scale, count, 0):
+        if sigma is None:  # allocated once the walk has checked count, in its lanes
+            sigma = np.zeros(count, dtype=eps.dtype)
+        sigma[base : base + len(eps)] += eps
+    return np.zeros(count, dtype=np.int64) if sigma is None else sigma.astype(np.int64, copy=False)

@@ -352,20 +352,11 @@ def _scale_partials(sums, lasts):
         yield P
 
 
-def _partials(rows: _Rows, h: np.ndarray, sums: np.ndarray):
-    """_scale_partials of the twisted rows h = rows.twist(betas): P_0, P_1, ... as (B,) arrays.
-
-    sums[j, k, e] is the sum of row k of h[j] over b < e, added from b = 0 up.
-    """
-    k = np.arange(len(rows.last))
-    return _scale_partials(sums[:, k, rows.last].T, h[:, k, rows.last + 1].T)
-
-
 def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarray:
     """Averages S_i = (1/q_i) sum_{n<q_i} g(n) e(-n*beta) for i = 0..K.
 
     S_i = P_i / q_i, with P_i from the recurrence of _scale_partials run on
-    g's atom rows twisted by beta (_Rows.twist, the twist of alphafun.twist).
+    g's atom rows twisted by beta (_Rows.sums, the twist of alphafun.twist).
     The twist reduces each phase b*q_k*beta exactly (frac_mul_array), so
     scales up to q_K ~ 2**63 are served and S_i matches the direct average
     to rounding (measured: at most 2.5e-16 for q_i <= 1e5).  This is the
@@ -390,11 +381,12 @@ def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarra
 
 
 def _scale_sums(g: AlphaFunction, betas: np.ndarray, K: int) -> np.ndarray:
-    """(B, K + 1) array whose row j is scale_sums(g, betas[j], K)."""
+    """(B, K + 1) array whose row j is scale_sums(g, betas[j], K); K may also
+    be g.scale.rows, one past g.scale.K where a_next is known, with q_K the limit."""
     rows = _Rows.of(g, g.atoms[:K])
     out = np.empty((len(betas), K + 1), dtype=np.complex128)
-    h = rows.twist(betas)
-    for i, (P, q) in enumerate(zip(_partials(rows, h, np.cumsum(h, axis=2)), g.scale.q)):
+    ((sums, lasts),) = rows.sums(betas, rows.last)
+    for i, (P, q) in enumerate(zip(_scale_partials(sums, lasts), (*g.scale.q, g.scale.limit))):
         out.real[:, i] = P.real / q  # parts divided on their own, as Python's complex / int does
         out.imag[:, i] = P.imag / q
     return out
@@ -447,15 +439,11 @@ def _digit_exp_sums(plan: _DigitPlan, betas, length=None) -> np.ndarray:
     """
     betas = np.asarray(betas, dtype=np.float64)
     length = np.zeros(len(betas), dtype=np.intp) if length is None else np.asarray(length)
-    h = plan.rows.twist(betas)
-    sums = np.cumsum(h, axis=2)
     eps = plan.digits[length]
-    j, k = np.arange(len(betas))[:, None], np.arange(eps.shape[1])
-    below = sums[j, k, eps].T
-    at = np.where(eps > 0, h[j, k, eps + 1], 1).T  # 1: a zero digit keeps T_k
+    (sums, lasts), (below, at) = plan.rows.sums(betas, plan.rows.last, eps)
     total = np.ones(len(betas), dtype=np.complex128)
     steps = (eps > 0).any(axis=0).tolist()
-    for step, s, v, P in zip(steps, below, at, _partials(plan.rows, h, sums)):
+    for step, s, v, P in zip(steps, below, at, _scale_partials(sums, lasts)):
         if step:
             total = s * P + v * total
     N = plan.N[length]

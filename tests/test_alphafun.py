@@ -317,17 +317,43 @@ def test_twist_reduces_the_silver_top_row_past_2_63():
         assert abs(v - u * unit_fraction(-Fraction(beta) * e * qK)) < 1e-15
 
 
+def bits(z) -> list:
+    """The float64 bit patterns of a complex array or Python complex, signed zeros told apart."""
+    return np.asarray(z, dtype=np.complex128).view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("spec", ["golden", "silver", "periodic:/1000", "periodic:3/7,1"])
 @pytest.mark.parametrize("beta", [0.3, -0.37, 0.0, 0.25, -0.75, 1e-9])
-def test_twist_equals_the_batched_row_twist_bit_for_bit(spec, beta):
-    # the flat twist and the padded layout of _Rows.twist (which scale_sums
-    # and the spectrum probes read) hold the same atoms in the same places;
+def test_row_sums_equal_scalar_sums_of_the_twist_bit_for_bit(spec, beta):
+    # _Rows.sums (which scale_sums and the spectrum probes read) at every
+    # digit d from 0 to a row's last, against Python-scalar sums of the rows
+    # of twist(g, beta) over b < d, added from 0 up, and the atom at d;
     # silver's top row passes 2**63, and quarter turns stay exact
     g = from_theta(0.1234567, expand_max(parse_alpha_spec(spec)))
-    h = _Rows.of(g, g.atoms).twist(np.array([beta]))[0]
+    rows = _Rows.of(g, g.atoms)
+    digits = [np.minimum(d, rows.last) for d in range(rows.last.max() + 1)]
+    got = rows.sums(np.array([beta]), *digits)
     for k, row in enumerate(twist(g, beta).atoms):
-        want = h[k, 1 : len(row) + 1]
-        assert np.array_equal(np.array(row).view(np.float64), want.view(np.float64)), (k, beta)
+        below = 0j
+        for d, atom in enumerate(row):
+            assert (bits(got[d][0][k]), bits(got[d][1][k])) == (bits([below]), bits([atom])), (k, d)
+            below += atom
+
+
+def test_row_sums_of_a_batch_are_its_one_beta_calls():
+    # each beta's pair does not depend on the others, for a (K,) digit array
+    # and for a (B, K) one, whose row j it reads as the (K,) array does
+    g = from_theta(0.1234567, expand_max(SILVER))
+    rows = _Rows.of(g, g.atoms)
+    betas = np.array([0.3, -0.37, 0.0, 0.25, -0.75, 1e-9, 0.61803398875])
+    eps = np.random.default_rng(7).integers(0, rows.last + 1, size=(len(betas), len(rows.last)))
+    batch = rows.sums(betas, rows.last, eps)
+    for j in range(len(betas)):
+        one = rows.sums(betas[j : j + 1], rows.last, eps[j])
+        for pair, one_pair in zip(batch, one):
+            for got, want in zip(pair, one_pair):
+                assert got.shape == (len(rows.last), len(betas)) and want.shape == (len(rows.last), 1)
+                assert bits(got[:, j]) == bits(want[:, 0]), j
 
 
 def test_twist_allocates_about_its_result():

@@ -652,6 +652,16 @@ def test_the_package_raises_only_its_three_errors():
     assert stray == []
 
 
+def test_spectral_reads_the_twisted_rows_only_through_row_sums():
+    # the padded layout of a batched twist, its prefix sums and its column
+    # offsets stay inside alphafun._Rows.sums: spectral takes no cumsum and
+    # no twist of its own
+    tree = ast.parse(Path(SRC, "ostrowski", "spectral.py").read_text(encoding="utf-8"))
+    called = {ast.unparse(node.func).rsplit(".", 1)[-1]
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "sums" in called and not called & {"cumsum", "twist"}
+
+
 @pytest.mark.parametrize("argv, code", [
     (("convergents", "--depth", str(2**63)), 3),
     (("decode", "0,,1"), 2),

@@ -28,6 +28,7 @@ from ostrowski import (
     density_formula,
     density_sweep,
     encode,
+    expand_max,
     from_theta,
     gap_structure_sweep,
     parse_alpha_spec,
@@ -36,6 +37,7 @@ from ostrowski import (
     psi,
     psi_range,
     scale_for,
+    scale_sums,
     sigma,
     spectrum_experiment,
     tail,
@@ -343,16 +345,12 @@ def test_gap_structure_across_specs():
         assert rep.instances_run == 9 - degenerate
 
 
-GAP_SCAN_CHUNK = 1 << 20  # points per greedy pass of the per-level oracle scan
-
-
 def per_level_gap_scan(scale, lam, stop):
-    """Zeros of psi_lam below stop and eps_lam at them: one chunked greedy pass per level."""
+    """Zeros of psi_lam below stop and eps_lam at them: one walk of [0, stop) yielding level lam alone."""
     zero_chunks, eps_chunks = [], []
-    for lo in range(0, stop, GAP_SCAN_CHUNK):
-        eps_lam, psi_lam = numeration._greedy(scale, min(lo + GAP_SCAN_CHUNK, stop), lam, start=lo)
+    for base, _, eps_lam, psi_lam in numeration._walk(scale, stop, lam, hi=lam):
         zeros = np.flatnonzero(psi_lam == 0)
-        zero_chunks.append(lo + zeros)
+        zero_chunks.append(base + zeros)
         eps_chunks.append(eps_lam[zeros])
     return np.concatenate(zero_chunks), np.concatenate(eps_chunks)
 
@@ -481,6 +479,29 @@ def test_spectrum_experiment_output():
         assert all(m <= 1.0 + 1e-9 for m in entry["moduli"])
     assert payload["config"]["seed"] == 5
     assert "R_list" not in payload["config"]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("alpha, N, scales", [("golden", 4181, 19), ("silver", 5741, 11),
+                                              ("list:1,2,3", 10, 4)])
+def test_spectrum_experiment_reports_every_scale_up_to_N(alpha, N, scales, shift):
+    # N = q_{K+1} is the limit of the table that covers n < N, not one of its
+    # q_i, and its scale sum is still reported; list:1,2,3 (q = 1, 1, 3, 10)
+    # cannot cover n < 11, so N = 11 is refused as before
+    config = ExperimentConfig(alpha, "theta:0.5", N + shift, seed=3)
+    if alpha.startswith("list:") and shift == 1:
+        with pytest.raises(RangeError):
+            spectrum_experiment(config)
+        return
+    full = expand_max(parse_alpha_spec(alpha))
+    K = scales - 1 - (shift < 0)
+    assert full.q[K] <= N + shift and (K == full.K or full.q[K + 1] > N + shift)
+    g = from_theta(0.5, full)
+    for entry in spectrum_experiment(config)["scale_sums"]:
+        mods = np.abs(scale_sums(g, entry["beta"], K)).tolist()
+        assert entry["moduli"] == mods
+        assert entry["contraction_margin"] == max(
+            mods[i + 1] - max(mods[i], mods[i - 1]) for i in range(1, K))
 
 
 def test_spectrum_experiment_ignores_the_unread_r_list():

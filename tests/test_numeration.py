@@ -42,7 +42,7 @@ from ostrowski import (
     w_sequence,
 )
 from ostrowski import harness, numeration
-from ostrowski.numeration import _greedy, _violation
+from ostrowski.numeration import _violation
 from ostrowski.cfrac import Q_MAX
 from ostrowski.numerics import RANGE_CAP
 
@@ -52,6 +52,28 @@ SPECS = (GOLDEN, SILVER, PERIOD12, MIXED)
 FINITE = parse_alpha_spec("list:2,1,3,1,1,4,2,1,3,2,1,2")
 
 CUTOFF = 500
+
+
+def walked(scale, stop, lo, digit_sum=False, start=0):
+    """The walk over n in [start, stop) gathered tile by tile, in its lanes.
+
+    (eps_lo, psi_lo) from a walk that yields level lo alone, or with
+    digit_sum (sum_{k >= lo} eps_k, psi_lo) from one that yields every level
+    from the top down; the int64 arrays (0, n) where no level is walked.
+    """
+    total = psi = None
+    for base, k, eps, rem in numeration._walk(scale, stop, lo, start, hi=None if digit_sum else lo):
+        if psi is None:
+            psi = np.empty(stop - start, dtype=rem.dtype)
+            total = np.zeros_like(psi)
+        tile = slice(base - start, base - start + len(rem))
+        total[tile] += eps
+        if k == lo:
+            psi[tile] = rem
+    if psi is None:
+        n = np.arange(start, stop, dtype=np.int64)
+        return np.zeros_like(n), n
+    return total, psi
 
 
 def legal_strings(scale):
@@ -464,7 +486,27 @@ def test_size_checks_refuse_before_allocating():
     with pytest.raises(CapError):
         psi_range(scale, 3, RANGE_CAP + 1)
     with pytest.raises(CapError):
-        _greedy(scale, 2**40, 0, start=2**40 - RANGE_CAP - 1)
+        walked(scale, 2**40, 0, start=2**40 - RANGE_CAP - 1)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda scale, count: psi_range(scale, 0, count),
+    lambda scale, count: psi_range(scale, 50, count),  # lam past the top: psi = n, no level walked
+    sigma_range,
+], ids=["psi_range", "psi_range_no_level", "sigma_range"])
+def test_kernels_refuse_before_allocating(kernel):
+    # the walk checks its count at its first step, and the kernels allocate
+    # their result only at its first yield
+    scale = scale_for(GOLDEN, 2**41)
+    tracemalloc.start()
+    try:
+        for count, error in ((RANGE_CAP + 1, CapError), (scale.limit + 1, RangeError)):
+            with pytest.raises(error):
+                kernel(scale, count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gap_check_scan_peak_memory():
@@ -561,10 +603,10 @@ def test_kernels_match_encode(spec):
     for lam in (0, 1, 2, 3, 5):
         ps = psi_range(scale, lam, count)
         assert ps.tolist() == [psi(n, lam, scale) for n in range(count)]
-        hi, _ = _greedy(scale, count, lam, digit_sum=True)
+        hi, _ = walked(scale, count, lam, digit_sum=True)
         assert hi.tolist() == [sum(d.digits[lam:]) for d in digits]
     for k in (0, 1, 4):
-        eps, _ = _greedy(scale, count, k)
+        eps, _ = walked(scale, count, k)
         assert eps.tolist() == [d.digit(k) for d in digits]
     # counts at the scale edges: the top level is chosen from count - 1
     edges = {0, 1} | {q + e for q in scale.q if q + 1 <= count for e in (-1, 0, 1)}
@@ -572,13 +614,13 @@ def test_kernels_match_encode(spec):
         top = max(bisect.bisect_right(scale.q, c - 1) - 1, 0)
         for lam in (0, 1, 2, 3, top, top + 1):
             assert psi_range(scale, lam, c).tolist() == [psi(n, lam, scale) for n in range(c)]
-            assert _greedy(scale, c, lam)[0].tolist() == [d.digit(lam) for d in digits[:c]]
-            assert _greedy(scale, c, lam, digit_sum=True)[0].tolist() == [
+            assert walked(scale, c, lam)[0].tolist() == [d.digit(lam) for d in digits[:c]]
+            assert walked(scale, c, lam, digit_sum=True)[0].tolist() == [
                 sum(d.digits[lam:]) for d in digits[:c]
             ]
         # above the top index no digit is peeled: psi = n and eps = 0
         assert psi_range(scale, top + 1, c).tolist() == list(range(c))
-        assert _greedy(scale, c, top + 1)[0].tolist() == [0] * c
+        assert walked(scale, c, top + 1)[0].tolist() == [0] * c
         assert sigma_range(scale, c).tolist() == [d.sigma for d in digits[:c]]
 
 
@@ -608,9 +650,9 @@ def test_greedy_offset_matches_full_pass(spec):
     starts = {0} | {q + e for q in scale.q if q + 1 < stop for e in (-1, 0, 1)}
     for digit_sum in (False, True):
         for lo in (0, 1, 2, 3, 5):
-            full = _greedy(scale, stop, lo, digit_sum)
+            full = walked(scale, stop, lo, digit_sum)
             for start in sorted(starts):
-                part = _greedy(scale, stop, lo, digit_sum, start=start)
+                part = walked(scale, stop, lo, digit_sum, start=start)
                 assert part[0].tolist() == full[0][start:].tolist()
                 assert part[1].tolist() == full[1][start:].tolist()
 
@@ -625,8 +667,8 @@ def test_greedy_lanes_at_the_int32_boundary(start, stop, dtype):
     scale = scale_for(GOLDEN, 2**31 + 4096)
     digits = [encode(n, scale) for n in range(start, stop)]
     for lo in (0, 1, 5, 20):
-        eps, ps = _greedy(scale, stop, lo, start=start)
-        hi, ps_sum = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        eps, ps = walked(scale, stop, lo, start=start)
+        hi, ps_sum = walked(scale, stop, lo, digit_sum=True, start=start)
         assert eps.dtype == ps.dtype == hi.dtype == dtype
         assert eps.tolist() == [d.digit(lo) for d in digits]
         assert hi.tolist() == [sum(d.digits[lo:]) for d in digits]
@@ -653,8 +695,8 @@ def test_tiled_greedy_matches_encode_across_tiles(start, stop, monkeypatch):
     scale = scale_for(GOLDEN, 2**41)
     ns = range(start, stop)
     for lo in (0, 1, 3, 20):
-        eps, ps = _greedy(scale, stop, lo, start=start)
-        hi, ps_sum = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        eps, ps = walked(scale, stop, lo, start=start)
+        hi, ps_sum = walked(scale, stop, lo, digit_sum=True, start=start)
         if lo <= bisect.bisect_right(scale.q, stop - 1) - 1:  # else no level is walked: int64 (0, n)
             assert eps.dtype == (np.int64 if stop > 2**31 - 1 else np.int32)
         want_eps, want_psi, want_hi = greedy_oracle(scale, ns, lo)
@@ -678,8 +720,8 @@ def test_greedy_at_the_walk_tile_boundaries(start):
     ns = sorted({n for n in edges if start <= n < stop} | set(rng.integers(start, stop, 500).tolist()))
     at = np.array(ns) - start
     for lo in (0, 2, 7):
-        eps, ps = _greedy(scale, stop, lo, start=start)
-        hi, _ = _greedy(scale, stop, lo, digit_sum=True, start=start)
+        eps, ps = walked(scale, stop, lo, start=start)
+        hi, _ = walked(scale, stop, lo, digit_sum=True, start=start)
         want_eps, want_psi, want_hi = greedy_oracle(scale, ns, lo)
         assert eps[at].tolist() == want_eps
         assert ps[at].tolist() == want_psi
