@@ -3,13 +3,17 @@
 Subcommands: encode, decode, sigma, convergents, correlate, fourier,
 spectrum, verify, experiment.  Exit codes: 0 success, 1 a check or
 verification failed, 2 usage or ValidationError, 3 RangeError or CapError.
-Any other exception is a bug and propagates.
+Any other exception is a bug and propagates.  A reader that closes stdout
+early (BrokenPipeError) ends the output quietly, under the run's own exit
+code; any other failed write to stdout exits 2, as a failed --out file
+does.  Neither prints a traceback.
 
 Every subcommand, and each experiment kind, accepts only the flags it
 reads.  All output except the verify report goes through `_emit`: JSON, or
 CSV whose first line is `# config: ` and the JSON of the payload's `config`,
 its one table streamed a chunk of rows at a time.  Every file, the verify
-report's included, goes through `_write`.
+report's included, goes through `_write`, and everything on stdout through
+`_print`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -87,7 +92,7 @@ def _emit(args, payload: dict, table: _Table | None = None) -> None:
     if args.out is not None:
         _write(args.out, parts)
     else:
-        sys.stdout.writelines(parts)
+        _print(parts)
 
 
 def _json_parts(payload: dict):
@@ -137,6 +142,31 @@ def _write(path: str, parts) -> None:
             fh.writelines(parts)
     except OSError as exc:
         raise ValidationError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _print(parts) -> None:
+    """The one stdout writer: the strings of iterable `parts`, in order, then a flush.
+
+    The flush makes a failed write fail here, not at interpreter exit.  On any OSError
+    stdout's file descriptor is pointed at os.devnull, so the interpreter's last flush of
+    the unwritten bytes succeeds and prints nothing.  BrokenPipeError (the reader closed the
+    pipe) then ends the output quietly, and the run keeps its exit code; any other OSError
+    becomes ValidationError (exit 2), as in _write.
+    """
+    try:
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation: a stream with no descriptor holds no bytes
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise ValidationError(f"cannot write to stdout: {exc.strerror or exc}") from exc
 
 
 # --- handlers -----------------------------------------------------------------
@@ -239,10 +269,8 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     only = args.only.split(",") if args.only is not None else None
     reports = verify_all(seed=args.seed, only=only, fn_spec=args.fn, alpha_spec=args.alpha)
-    for rep in reports:
-        status = "PASS" if rep.ok else "FAIL"
-        print(f"{status} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
-              f"instances, worst margin {rep.worst_margin:.3e}")
+    _print(f"{'PASS' if rep.ok else 'FAIL'} {rep.check_name}: {rep.instances_passed}/{rep.instances_run} "
+           f"instances, worst margin {rep.worst_margin:.3e}\n" for rep in reports)
     if args.out is not None:
         _write(args.out, [json.dumps([asdict(rep) for rep in reports], indent=2) + "\n"])
     return EXIT_OK if all(rep.ok for rep in reports) else EXIT_CHECK_FAILED

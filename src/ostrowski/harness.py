@@ -7,10 +7,11 @@ theta fn specs.  Margins are oriented so that passing instances have
 margin >= 0.  The brute-force oracles (the psi_lam counts of the densities,
 the carry keys and the gap scan) read the tiles of the greedy walk directly,
 and each of them walks a point once: the carry counts of every (N, lam) are
-streamed off one walk per function, the densities of every level off one
-walk per scale, and the gap scan walks each n down to the lowest level that
-still needs it, to be compared with the starts and digits of the block-start
-table.
+streamed off one walk per function, and the gap scan walks each n down to
+the lowest level that still needs it, to be compared with the starts and
+digits of the block-start table.  The densities walk only the top level
+lam_max of a scale and fold each lower level's counts exactly from the
+level above, as psi_lam(n) = psi_{lam+1}(n) mod q_lam.
 """
 
 from __future__ import annotations
@@ -300,23 +301,29 @@ def _density_margins(scale: ConvergentTable, lam: int, a: np.ndarray, counts: np
 
 
 def _psi_counts(scale: ConvergentTable, lam_max: int, N: int) -> list[np.ndarray]:
-    """np.bincount of psi_lam(n) over n < N for lam = 1..lam_max, from one greedy walk.
+    """np.bincount of psi_lam(n) over n < N for lam = 1..lam_max, from a walk of level lam_max alone.
 
-    Each tile's counts are summed into a q_lam-long row, trimmed after the
-    largest psi_lam seen.  The walk yields no level above the top index of
-    N - 1; there psi_lam(n) = n.
+    The walk's level lam_max is counted tile by tile into a q_{lam_max}-long
+    row; where it yields none (N - 1 < q_{lam_max}), psi_{lam_max}(n) = n and the
+    row is N ones.  Each lower level is folded exactly from the one above,
+    as psi_lam(n) = psi_{lam+1}(n) mod q_lam: counts_lam[v] sums the counts
+    of the values congruent to v, so the row above is cut into q_lam-long
+    pieces and summed.  Every row is trimmed after the largest psi_lam seen.
     """
     q = scale.q
-    counts = {}
-    for _, k, _, psi in _walk(scale, N, 1, hi=lam_max):
-        tile = np.bincount(psi, minlength=q[k])
-        counts[k] = counts[k] + tile if k in counts else tile
-    return [np.trim_zeros(counts[lam], "b") if lam in counts else np.ones(N, dtype=np.int64)
-            for lam in range(1, lam_max + 1)]
+    counts = None
+    for _, _, _, psi in _walk(scale, N, lam_max, hi=lam_max):
+        tile = np.bincount(psi, minlength=q[lam_max])
+        counts = tile if counts is None else counts + tile
+    rows = [np.ones(N, dtype=np.int64) if counts is None else np.trim_zeros(counts, "b")]
+    for lam in range(lam_max - 1, 0, -1):
+        above = np.pad(rows[-1], (0, -len(rows[-1]) % q[lam]))
+        rows.append(np.trim_zeros(above.reshape(-1, q[lam]).sum(axis=0), "b"))
+    return rows[::-1]
 
 
 def density_sweep(scale: ConvergentTable, lam_max: int, N: int = DENSITY_N) -> CheckReport:
-    """Densities for every a < q_lam, lam <= lam_max, from one greedy pass over n < N.
+    """Densities for every a < q_lam, lam <= lam_max, from one walk of level lam_max over n < N.
 
     Also verifies that the formula masses sum to 1 (within 1e-10) per level.
     """

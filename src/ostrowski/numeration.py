@@ -5,10 +5,14 @@ n = sum_k eps_k * q_k with 0 <= eps_0 < a_1, 0 <= eps_k <= a_{k+1}, and
 eps_k = a_{k+1} forcing eps_{k-1} = 0.  This module provides the greedy
 encoder/decoder, digit statistics (sigma, psi), the greedy range kernels,
 and the block structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
-The range kernels read one greedy walk (_walk), which takes a range through
-its levels in tiles of WALK_TILE points, so that its buffers stay in cache;
-it peels the digits that are constant over a tile as Python ints, and
-yields only the levels its reader asks for.
+The range kernels read one greedy walk (_walk), which yields only the
+levels its reader asks for.  It peels the levels above them off the whole
+range first, as a few contiguous runs of remainders (at most
+WALK_TILE // 16), since a range stays such runs until its levels cut it at
+multiples of q_k.  It takes the rest of the levels in tiles of WALK_TILE
+points, so that its buffers stay in cache, and peels the digits that are
+constant over a tile as Python ints.  Its working memory is four
+tile-sized buffers and the capped run arrays, however long the range.
 """
 
 from __future__ import annotations
@@ -253,6 +257,45 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
 WALK_TILE = 1 << 16  # points per tile of the greedy walk: its buffers stay in L2
 
 
+def _runs(
+    q: Sequence[int], start: int, stop: int, top: int, floor: int
+) -> tuple[int, np.ndarray, Sequence[int]]:
+    """Levels top, top - 1, ... down to floor + 1 peeled off [start, stop) as runs, while few.
+
+    Run j covers the indices [cuts[j], cuts[j + 1]) of the range (the last
+    one ends at stop - start), where the remainders are index + offs[j].
+    The range starts as one run, offs = [start]: while one digit covers it,
+    each level is peeled off that Python int.  Level k cuts each run where its
+    remainders reach a multiple of q_k, and the piece with digit d keeps
+    offs[j] - d * q_k; from the first cut on, cuts and offs are int64 arrays
+    (every remainder is then below q_k).  The peel stops before the first
+    level that would leave more than WALK_TILE // 16 runs.  Returns the
+    highest level not peeled (floor, or top when none is), cuts and offs.
+    """
+    size, k, off = stop - start, top, start
+    while k > floor and off // q[k] == (off + size - 1) // q[k]:
+        off -= off // q[k] * q[k]
+        k -= 1
+    cuts = np.zeros(1, dtype=np.int64)
+    if k <= floor or (off + size - 1) // q[k] - off // q[k] >= WALK_TILE // 16:
+        return k, cuts, [off]
+    offs = np.array([off % q[k]], dtype=np.int64)  # level k's first digit taken off in Python ints
+    while k > floor:
+        first = (cuts + offs) // q[k]
+        pieces = (np.append(cuts[1:], size) - 1 + offs) // q[k] - first + 1
+        total = int(pieces.sum())
+        if total > WALK_TILE // 16:
+            break
+        if total > len(cuts):  # the first piece of a run starts at the run, the others at d * q_k - off
+            parent = np.repeat(np.arange(len(cuts)), pieces)
+            digit = first[parent] + np.arange(total) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+            cuts, offs = np.maximum(cuts[parent], digit * q[k] - offs[parent]), offs[parent] - digit * q[k]
+        else:
+            offs -= first * q[k]
+        k -= 1
+    return k, cuts, offs
+
+
 def _walk(
     scale: ConvergentTable, stop: int, lo: int, start: int = 0, hi: int | None = None
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -262,19 +305,28 @@ def _walk(
     shorter).  Each tile is walked through all its levels before the next
     starts, and yields (base, k, eps_k, psi_k) per level lo <= k <= hi (hi
     defaults to the top), for n in the tile.  Levels run from the top index
-    of stop - 1 down to lo in every tile; above the top index no digit is
-    peeled and psi_k = n, and no level is yielded there.  While every level
-    above k had one digit over the whole tile, the remainders are
-    index + off for one Python int off, and level k's digit is constant over
-    the tile exactly when off // q_k = (off + size - 1) // q_k: such a digit
-    is peeled from off as a Python int, and the remainders are materialized
-    at the first level whose digit varies.  A constant level that is yielded
-    gets buffers filled with its digit and remainders, the same integers as
-    the divide.  Both yielded arrays are the walk's working buffers, which
-    the next level overwrites: a consumer copies what it keeps and changes
-    neither.  They are int32 lanes when stop <= 2**31 - 1, where every q_k
-    walked and every remainder fits, and int64 otherwise.  Four tile-sized
-    buffers are the walk's whole working memory, however long the range.
+    of stop - 1 down to lo; above the top index no digit is peeled and
+    psi_k = n, and no level is yielded there.
+
+    The levels above hi, which no reader sees, are first peeled off the
+    whole range as runs (_runs): a contiguous range stays a few contiguous
+    runs of remainders until its levels cut it at multiples of q_k.  Each
+    tile starts at the highest level the runs left, from the runs that cover
+    it.  A tile inside one run has remainders index + off for one Python int
+    off; a tile of several runs materializes them with one np.repeat.  While
+    every level above k had one digit over the tile, the remainders stay
+    index + off, and level k's digit is constant over the tile exactly when
+    off // q_k = (off + size - 1) // q_k: such a digit is peeled from off as
+    a Python int, and the remainders are materialized at the first level
+    whose digit varies.  A constant level that is yielded gets buffers
+    filled with its digit and remainders, the same integers as the divide.
+
+    Both yielded arrays are the walk's working buffers, which the next level
+    overwrites: a consumer copies what it keeps and changes neither.  They
+    are int32 lanes when stop <= 2**31 - 1, where every q_k walked and every
+    remainder fits, and int64 otherwise.  The walk's working memory is four
+    tile-sized buffers, the one np.repeat of a tile of several runs, and
+    run arrays of at most WALK_TILE // 16 entries, however long the range.
     """
     if stop < start:
         raise RangeError(f"count={stop - start} is negative")
@@ -284,14 +336,22 @@ def _walk(
     q = scale.q
     top = max(bisect.bisect_right(q, stop - 1) - 1, 0)
     hi = top if hi is None else hi
+    level, cuts, offs = _runs(q, start, stop, top, max(hi, lo - 1))
     index = np.arange(min(WALK_TILE, stop - start),
                       dtype=np.int32 if stop <= np.iinfo(np.int32).max else np.int64)
     rem_tile, eps_tile, peeled_tile = np.empty_like(index), np.empty_like(index), np.empty_like(index)
     for base in range(start, stop, WALK_TILE):
         size = min(WALK_TILE, stop - base)
         rem, eps, peeled, span = rem_tile[:size], eps_tile[:size], peeled_tile[:size], index[:size]
-        off = base  # rem = span + off while every digit above is constant over the tile
-        for k in range(top, lo - 1, -1):
+        at = base - start
+        first, end = np.searchsorted(cuts, (at, at + size - 1), side="right").tolist()
+        if end == first:  # one run covers the tile: rem = span + off while every digit above is constant
+            off = at + int(offs[first - 1])
+        else:
+            lengths = np.diff(np.concatenate(([at], cuts[first:end], [at + size])))
+            np.add(span, np.repeat((offs[first - 1 : end] + at).astype(rem.dtype), lengths), out=rem)
+            off = None
+        for k in range(level, lo - 1, -1):
             if off is not None:
                 digit = off // q[k]
                 if digit == (off + size - 1) // q[k]:

@@ -355,6 +355,9 @@ def _scale_partials(sums, lasts):
 def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarray:
     """Averages S_i = (1/q_i) sum_{n<q_i} g(n) e(-n*beta) for i = 0..K.
 
+    K defaults to scale.K and may be up to scale.rows: one past scale.K when
+    a_next is known, where the last average runs over n < q_{K+1} = scale.limit.
+
     S_i = P_i / q_i, with P_i from the recurrence of _scale_partials run on
     g's atom rows twisted by beta (_Rows.sums, the twist of alphafun.twist).
     The twist reduces each phase b*q_k*beta exactly (frac_mul_array), so
@@ -375,8 +378,8 @@ def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarra
     scale = g.scale
     if K is None:
         K = scale.K
-    if not 0 <= K <= scale.K:
-        raise RangeError(f"K={K} outside 0..{scale.K}")
+    if not 0 <= K <= scale.rows:
+        raise RangeError(f"K={K} outside 0..{scale.rows}")
     return _scale_sums(g, np.array([beta], dtype=np.float64), K)[0]
 
 

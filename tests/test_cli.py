@@ -253,6 +253,35 @@ def test_out_to_an_unwritable_path_is_exit_2_without_traceback(argv, target, tmp
     assert "Traceback" not in proc.stderr
 
 
+STDOUT_CASES = [
+    ("fourier", "--alpha", "golden", "--fn", "theta:0.5", "--lam", "20"),  # 1.5 MB in chunks
+    ("encode", "5"),  # one short write, flushed by _print
+    ("verify", "--only", "fejer"),
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_CASES, ids=["fourier", "encode", "verify"])
+def test_a_closed_stdout_pipe_ends_the_run_quietly(argv):
+    # the pipe has no reader before the child starts, so its first write
+    # fails with EPIPE: exit 0, nothing on stderr, not even at interpreter exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", STDOUT_CASES, ids=["fourier", "encode", "verify"])
+def test_a_failed_stdout_write_is_exit_2_without_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = run_process(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: No space left on device\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def failing(rng):
         return CheckReport("forced", 1, 0, -1.0)
@@ -616,11 +645,14 @@ def test_a_bug_in_a_handler_propagates_out_of_main(monkeypatch):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_process(*argv) -> subprocess.CompletedProcess:
-    """The CLI in a child process that imports this checkout's package, installed or not."""
+def run_process(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """The CLI in a child process that imports this checkout's package, installed or not.
+
+    stdout is captured unless a file or descriptor is given; stderr always is.
+    """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def raises_in(path: Path) -> list[tuple[str | None, str]]:

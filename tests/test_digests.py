@@ -1,0 +1,76 @@
+"""Committed digests of the package's outputs, recomputed: the "bit for bit" contract as a test.
+
+digests.json maps each name below to the sha1 of an output's bytes, and
+records the numpy and Python versions it was made with.  The integer
+outputs (psi_range at every lam <= 8 and sigma_range) are checked under any
+versions.  The verify_all reports hold float margins that pass through
+np.fft, so their digests are checked only under the recorded versions and
+skipped elsewhere.
+
+A change that alters an output on purpose regenerates the manifest, from
+the root of a checkout, and names each changed digest in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_digests.py
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ostrowski import numeration, parse_alpha_spec, psi_range, scale_for, sigma_range, verify_all
+
+MANIFEST = Path(__file__).with_name("digests.json")
+SPECS = ("golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4", "periodic:/1,1000")
+LAM_MAX = 8
+TILE = numeration.WALK_TILE
+# counts at and across the tile edges; at the largest the levels above lam
+# <= 7 of golden pass WALK_TILE // 16 runs, so the run cap stops their peel
+COUNTS = (1, 2, TILE - 1, TILE, TILE + 1, 3 * TILE + 12345)
+SEEDS = (0, 1)
+FLOAT_NAMES = tuple(f"verify_all seed={seed}" for seed in SEEDS)
+
+
+def kernel_digest(spec_text: str) -> str:
+    """sha1 of psi_range at lam = 0..LAM_MAX, then sigma_range, at each count, as little-endian int64."""
+    scale = scale_for(parse_alpha_spec(spec_text), max(COUNTS))
+    h = hashlib.sha1()
+    for count in COUNTS:
+        for lam in range(LAM_MAX + 1):
+            h.update(psi_range(scale, lam, count).astype("<i8").tobytes())
+        h.update(sigma_range(scale, count).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def compute(name: str) -> str:
+    if name in FLOAT_NAMES:
+        seed = int(name.rpartition("=")[2])
+        return hashlib.sha1(repr(verify_all(seed=seed)).encode()).hexdigest()
+    return kernel_digest(name.removeprefix("psi_range sigma_range "))
+
+
+NAMES = (*FLOAT_NAMES, *(f"psi_range sigma_range {spec}" for spec in SPECS))
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_outputs_match_the_committed_digests(name):
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    if name in FLOAT_NAMES and manifest["versions"] != versions():
+        pytest.skip(f"float digests were made under {manifest['versions']}, this is {versions()}")
+    assert compute(name) == manifest["digests"][name]
+
+
+if __name__ == "__main__":
+    digests = {name: compute(name) for name in NAMES}
+    MANIFEST.write_text(json.dumps({"versions": versions(), "digests": digests}, indent=2) + "\n",
+                        encoding="utf-8")
+    json.dump(digests, sys.stdout, indent=2)
+    print()

@@ -334,6 +334,22 @@ def test_one_pass_densities_match_the_per_level_scans(spec, N):
     assert density_sweep(scale, 6, N) == per_level_density_report(scale, 6, N)
 
 
+@pytest.mark.parametrize("spec", [GOLDEN, SILVER, parse_alpha_spec("periodic:/1,2,3,1,1,4")],
+                         ids=["golden", "silver", "p123114"])
+@pytest.mark.parametrize("at", ["1", "q6-1", "q6", "q6+1", "tile-1", "tile+1"])
+def test_folded_density_counts_match_per_level_counts(spec, at):
+    # level 6 alone is walked and the levels below are folded from it; at
+    # N - 1 < q_6 the walk yields nothing and the fold starts from N ones
+    scale = scale_for(spec, 2 * numeration.WALK_TILE)
+    q6, tile = scale.q[6], numeration.WALK_TILE
+    N = {"1": 1, "q6-1": q6 - 1, "q6": q6, "q6+1": q6 + 1, "tile-1": tile - 1, "tile+1": tile + 1}[at]
+    counts = harness._psi_counts(scale, 6, N)
+    assert len(counts) == 6
+    for lam, got in enumerate(counts, start=1):
+        assert got.dtype == np.int64
+        assert got.tolist() == np.bincount(psi_range(scale, lam, N)).tolist()
+
+
 # --- gap structure -----------------------------------------------------------------
 
 def test_gap_structure_across_specs():

@@ -814,6 +814,88 @@ def test_walk_peels_tile_constant_digits(start, stop, lo, hi, monkeypatch):
     assert yielded_constant > 0 or hi == lo  # a constant level that is yielded is filled
 
 
+def tile_runs(scale, start, stop, lo, hi):
+    """(highest level not peeled as runs, runs in all, runs covering each tile, next cut's runs)."""
+    tile = numeration.WALK_TILE
+    top = max(bisect.bisect_right(scale.q, stop - 1) - 1, 0)
+    floor = max(top if hi is None else hi, lo - 1)
+    level, cuts, offs = numeration._runs(scale.q, start, stop, top, floor)
+    size = stop - start
+    covering = [1 + int(np.count_nonzero((cuts > at) & (cuts < min(at + tile, size))))
+                for at in range(0, size, tile)]
+    q, offs = scale.q[level], np.asarray(offs, dtype=object)
+    cut = int(((np.append(cuts[1:], size) - 1 + offs) // q - (cuts + offs) // q + 1).sum())
+    return level, len(cuts), covering, cut
+
+
+@pytest.mark.parametrize("start, stop, lo, hi, level, one, several", [
+    (3_380_000, 3_380_000 + 10 * 777 + 5, 8, 8, 8, True, True),
+    (3_380_000, 3_380_000 + 10 * 777 + 5, 2, 2, 6, True, True),
+    (0, 10 * 777 + 5, 3, 3, 6, True, True),
+    (2**31 + 100 - 4 * 777 - 5, 2**31 + 100, 3, 3, 5, True, True),
+    (1000, 1000 + 5 * 777, 0, None, 9, True, False),
+    (4256, 5741, 2, 30, 9, True, False),
+], ids=["tiles_in_one_run", "run_cap_above_hi", "from_zero", "int64_lanes", "hi_none", "hi_above_top"])
+def test_walk_starts_each_tile_from_its_runs(start, stop, lo, hi, level, one, several, monkeypatch):
+    # tiles of 777 points and at most 777 // 16 = 48 runs.  Silver's levels
+    # above hi are cut into runs: at lam = 8 runs of 2378 points hold most
+    # tiles whole; at hi = 2 or 3 the cap stops the cut at level 6 or 5, above
+    # hi, and most tiles span several runs; hi = None, or hi above the top
+    # level 9, peels no level as runs
+    monkeypatch.setattr(numeration, "WALK_TILE", 777)
+    scale = scale_for(SILVER, 2**41)
+    got_level, runs, covering, cut = tile_runs(scale, start, stop, lo, hi)
+    assert got_level == level
+    if hi is None or hi > level:
+        assert runs == 1
+    elif level > hi:  # the cut at this level would pass the cap
+        assert runs <= 48 < cut
+    assert (min(covering) == 1, max(covering) > 1) == (one, several)
+    rng = np.random.default_rng(start)
+    samples = sorted({start, stop - 1} | set(rng.integers(start, stop, 40).tolist()))
+    check_walk(scale, start, stop, lo, hi, samples)
+
+
+@pytest.mark.parametrize("start, stop", [(2**63 - 1000, 2**63 + 1000), (-3000, 0)],
+                         ids=["across_2_63", "below_the_limit"])
+def test_walk_past_2_63_matches_encode(start, stop, monkeypatch):
+    # golden's largest table reaches past 2**63 - 1: remainders there fit
+    # int64 lanes only once the top level is peeled, which the one run
+    # does in Python ints
+    monkeypatch.setattr(numeration, "WALK_TILE", 777)
+    scale = expand_max(GOLDEN)
+    if stop <= 0:
+        start, stop = scale.limit + start, scale.limit + stop
+    assert stop > 2**63
+    rng = np.random.default_rng(7)
+    at = sorted({0, stop - start - 1} | set(rng.integers(0, stop - start, 60).tolist()))
+    ns = [start + i for i in at]
+    for lo in (0, 5, 40):
+        eps, ps = walked(scale, stop, lo, start=start)
+        hi, _ = walked(scale, stop, lo, digit_sum=True, start=start)
+        want_eps, want_psi, want_hi = greedy_oracle(scale, ns, lo)
+        assert eps[at].tolist() == want_eps
+        assert ps[at].tolist() == want_psi
+        assert hi[at].tolist() == want_hi
+
+
+def test_walk_memory_is_its_tiles_and_capped_runs():
+    # 2**22 points at lam = 1: 64 tiles of 2**16 int32 lanes, each cut from
+    # up to 4096 runs; the buffers are four tiles and the repeat of one, the
+    # runs a few arrays of at most WALK_TILE // 16 int64 entries
+    scale = scale_for(GOLDEN, 2**22)
+    tile, cap = numeration.WALK_TILE, numeration.WALK_TILE // 16
+    tracemalloc.start()
+    try:
+        yields = sum(1 for _ in numeration._walk(scale, 2**22, 1, hi=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert yields == 2**22 // tile
+    assert tile_runs(scale, 0, 2**22, 1, 1)[1] > cap // 2  # the runs fill half their cap or more
+    assert peak <= 5 * 4 * tile + 12 * 8 * cap + 64 * 1024
+
+
 def test_psi_range_validation():
     scale = scale_for(GOLDEN, 100)
     with pytest.raises(ValidationError):

@@ -57,6 +57,7 @@ from ostrowski.spectral import (
     _digit_plan,
     _refine,
     _scale_partials,
+    _scale_sums,
     _top_local_maxima,
 )
 
@@ -140,7 +141,7 @@ def test_sums_and_inequality_checks_refuse_bad_sizes():
             exponential_sum(g, 0.3, N)
         with pytest.raises(ValidationError, match="N must be"):
             spectrum_scan(g, N)
-    for K in (-1, g.scale.K + 1):
+    for K in (-1, g.scale.rows + 1):
         with pytest.raises(RangeError, match=f"K={K}"):
             scale_sums(g, 0.3, K)
     with pytest.raises(ValidationError):
@@ -633,6 +634,19 @@ def test_scale_sums_known_values():
     S = scale_sums(g, 0.0, 3)
     assert S[0] == 1.0 and S[1] == 1.0 and S[2] == 0.0
     assert S[3] == -(1 / 3)
+
+
+def test_scale_sums_serve_the_row_past_K():
+    # a_next is known, so the table has rows = K + 1 and the last average
+    # runs over n < q_{K+1} = limit, the row _scale_sums already serves
+    g = from_theta(0.5, scale_for(GOLDEN, 4181))
+    assert (g.scale.K, g.scale.rows, g.scale.limit) == (17, 18, 4181)
+    S = scale_sums(g, 0.3, 18)
+    assert S.tobytes() == _scale_sums(g, np.array([0.3]), 18)[0].tobytes()
+    direct = np.sum(values_range(twist(g, 0.3), 4181)).item() / 4181
+    assert abs(S[-1] - direct) <= 2.5e-16
+    with pytest.raises(RangeError, match="K=19 outside 0..18"):
+        scale_sums(g, 0.3, 19)
 
 
 def test_scale_sums_match_direct_averages():
