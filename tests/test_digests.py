@@ -4,8 +4,9 @@ digests.json maps each name below to the sha1 of an output's bytes, and
 records the numpy and Python versions it was made with.  The integer
 outputs (psi_range at every lam <= 8 and sigma_range) are checked under any
 versions.  The verify_all reports hold float margins that pass through
-np.fft, so their digests are checked only under the recorded versions and
-skipped elsewhere.
+np.fft, and the atom readers (values_range, twist, correlation_profile,
+spectrum_scan, scale_sums) give float outputs, so their digests are checked
+only under the recorded versions and skipped elsewhere.
 
 A change that alters an output on purpose regenerates the manifest, from
 the root of a checkout, and names each changed digest in CHANGES.md:
@@ -22,7 +23,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ostrowski import numeration, parse_alpha_spec, psi_range, scale_for, sigma_range, verify_all
+from ostrowski import (
+    correlation_profile,
+    numeration,
+    parse_alpha_spec,
+    psi_range,
+    scale_for,
+    scale_sums,
+    sigma_range,
+    spectrum_scan,
+    twist,
+    values_range,
+    verify_all,
+)
+from ostrowski.alphafun import fn_for
 
 MANIFEST = Path(__file__).with_name("digests.json")
 SPECS = ("golden", "silver", "periodic:/1,2", "periodic:/1,2,3,1,1,4", "periodic:/1,1000")
@@ -32,7 +46,13 @@ TILE = numeration.WALK_TILE
 # <= 7 of golden pass WALK_TILE // 16 runs, so the run cap stops their peel
 COUNTS = (1, 2, TILE - 1, TILE, TILE + 1, 3 * TILE + 12345)
 SEEDS = (0, 1)
-FLOAT_NAMES = tuple(f"verify_all seed={seed}" for seed in SEEDS)
+READER_SPECS = ("golden", "silver", "periodic:/1,2,3,1,1,4", "periodic:/1,1000", "periodic:3/7,1",
+                "list:" + ",".join(map(str, range(1, 21))), "periodic:1000/1")
+READER_FNS = ("theta:0.5", "theta:0.1234567", "theta:-0.3", "theta:0.25+beta:0.75", "theta:0.3+beta:0.61")
+READER_NS = (1, 7, 1000, 40000)
+READER_R = 64
+FLOAT_NAMES = (*(f"verify_all seed={seed}" for seed in SEEDS),
+               *(f"atom readers {spec}" for spec in READER_SPECS))
 
 
 def kernel_digest(spec_text: str) -> str:
@@ -46,10 +66,30 @@ def kernel_digest(spec_text: str) -> str:
     return h.hexdigest()
 
 
+def reader_digest(spec_text: str) -> str:
+    """sha1 over each fn spec and N of: values_range, the flat atoms of twist(g, 0.37),
+    correlation_profile's gamma and route at R = READER_R, spectrum_scan's peak
+    and grid, and scale_sums(g, 0.3), on g's table for n < N + READER_R."""
+    h = hashlib.sha1()
+    for fn_spec in READER_FNS:
+        for N in READER_NS:
+            g = fn_for(spec_text, fn_spec, N + READER_R)
+            profile = correlation_profile(g, READER_R, N)
+            scan = spectrum_scan(g, N)
+            for part in (values_range(g, N), np.concatenate(twist(g, 0.37).atoms),
+                         profile.gamma, profile.route.encode(),
+                         repr((scan.beta_peak, scan.peak_value)).encode(), scan.grid,
+                         scale_sums(g, 0.3)):
+                h.update(part if isinstance(part, bytes) else part.tobytes())
+    return h.hexdigest()
+
+
 def compute(name: str) -> str:
-    if name in FLOAT_NAMES:
+    if name.startswith("verify_all "):
         seed = int(name.rpartition("=")[2])
         return hashlib.sha1(repr(verify_all(seed=seed)).encode()).hexdigest()
+    if name.startswith("atom readers "):
+        return reader_digest(name.removeprefix("atom readers "))
     return kernel_digest(name.removeprefix("psi_range sigma_range "))
 
 
