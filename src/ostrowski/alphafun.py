@@ -1,10 +1,10 @@
 """Functions multiplicative over Ostrowski digits.
 
-An AlphaFunction is stored by its atom table: atoms[k][e] is the value at
-e * q_k, and the value at any n is the product of the atoms of its digits
-(empty product at n = 0).  The canonical family is g(n) = e(theta * sigma(n));
-twisting by e(-n * beta) stays inside the class because n = sum eps_k q_k
-splits the phase across digit positions.
+An AlphaFunction is stored by its atom table, one read-only array whose row
+k holds atoms[k][e], the value at e * q_k; the value at any n is the product
+of the atoms of its digits (empty product at n = 0).  The canonical family is
+g(n) = e(theta * sigma(n)); twisting by e(-n * beta) stays inside the class
+because n = sum eps_k q_k splits the phase across digit positions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import pairwise
 
 import numpy as np
 
@@ -34,36 +34,29 @@ ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and for is_unimodular
 FLOAT_MAX = float(np.finfo(np.float64).max)
 VALUE_BOUND_MAX = math.sqrt(FLOAT_MAX / 2.0**64)
 
-# Most atoms a table may hold over all its rows (about 80 MB while it is
-# built); a scale whose digit ceilings sum past it is refused before any row
-# is built.
+# Most atoms a table may hold over all its rows (about 50 MB traced while it
+# is built: 43 MB by from_theta, 50 MB by load_atoms of a parsed document);
+# a scale whose digit ceilings sum past it is refused before any row is built.
 ATOM_CAP = 1 << 20
 
 
-def _flat(rows) -> np.ndarray:
-    """The atoms of rows, concatenated in row order, as one complex array."""
-    return np.fromiter(chain.from_iterable(rows), dtype=np.complex128, count=sum(map(len, rows)))
-
-
-def _split(flat: np.ndarray, lengths) -> tuple[tuple[complex, ...], ...]:
-    """flat cut back into rows of the given lengths, as tuples of Python complex."""
-    values, ends = flat.tolist(), np.cumsum(lengths).tolist()
-    return tuple(tuple(values[s:e]) for s, e in zip([0] + ends, ends))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaFunction:
     """A digit-multiplicative function given by its atom table.
 
     Row k covers digits 0..a_{k+1} (the row-0 slot at a_1 is carried for
     uniformity but never read, since eps_0 < a_1).  v[k][0] = 1 is forced.
-    The rows are checked as one flat array, with no modulus bound asked for
-    (B of VALUE_BOUND_MAX bounds every value), and stored as Python complex.
+    The rows, of any sequence type, are copied into one read-only complex128
+    array flat (row k is flat[starts[k]:starts[k+1]], atoms[k] its view) and
+    checked there once, with no modulus bound (B of VALUE_BOUND_MAX bounds
+    every value).  Tables are equal only when they are one object.
     """
 
     scale: ConvergentTable
-    atoms: tuple[tuple[complex, ...], ...]
+    atoms: tuple[np.ndarray, ...]
     theta: float | None = field(default=None, kw_only=True)  # set when g(n) = e(theta * sigma(n)) exactly
+    flat: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         tops = np.array(_row_tops(self.scale))  # CapError before any row is read
@@ -74,17 +67,17 @@ class AlphaFunction:
         # each check refuses at its first offender ([:1]), if there is one
         for k in np.flatnonzero(lengths != tops + 1)[:1].tolist():
             raise ValidationError(f"atom row {k} has {lengths[k]} entries, expected {tops[k] + 1}")
-        flat, starts = _flat(self.atoms), np.cumsum(lengths) - lengths
-        for k in np.flatnonzero(np.abs(flat[starts] - 1.0) > ATOM_UNIT_TOL)[:1].tolist():
+        flat, starts = np.concatenate(self.atoms, dtype=np.complex128), np.r_[0, np.cumsum(lengths)]
+        for k in np.flatnonzero(np.abs(flat[starts[:-1]] - 1.0) > ATOM_UNIT_TOL)[:1].tolist():
             raise ValidationError(f"atom v[{k}][0] = {flat[starts[k]].item()} but must equal 1")
         for i in np.flatnonzero(~np.isfinite(flat))[:1].tolist():
             k = int(np.searchsorted(starts, i, side="right")) - 1
             raise ValidationError(f"atom v[{k}][{i - starts[k]}] = {flat[i].item()} is not finite")
-        flat[starts] = 1.0
+        flat[starts[:-1]] = 1.0
         with np.errstate(over="ignore"):  # a modulus past the float range is inf, refused below
             sizes = np.hypot(flat.real, flat.imag)
         # B = prod_k max(1, max_e |v[k][e]|), see VALUE_BOUND_MAX
-        value_bound = math.prod(np.maximum.reduceat(sizes, starts).tolist())
+        value_bound = math.prod(np.maximum.reduceat(sizes, starts[:-1]).tolist())
         if value_bound > VALUE_BOUND_MAX:
             raise ValidationError(f"atom table value bound {value_bound:.3g} exceeds "
                                   f"{VALUE_BOUND_MAX:.3g}: correlation sums could overflow")
@@ -92,11 +85,14 @@ class AlphaFunction:
             raise ValidationError(f"atom table value bound {value_bound:.3g} squared times the "
                                   f"scale limit {self.scale.limit} passes the float range: "
                                   "correlation sums could overflow")
-        object.__setattr__(self, "atoms", _split(flat, lengths))
+        flat.flags.writeable = starts.flags.writeable = False
+        rows = tuple(flat[s:e] for s, e in pairwise(starts.tolist()))
+        for name, value in (("flat", flat), ("starts", starts), ("atoms", rows)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_unimodular(self) -> bool:
-        return all(abs(abs(v) - 1.0) <= ATOM_UNIT_TOL for row in self.atoms for v in row)
+        return bool(np.all(np.abs(np.abs(self.flat) - 1.0) <= ATOM_UNIT_TOL))
 
 
 def _row_tops(scale: ConvergentTable) -> list[int]:
@@ -109,10 +105,10 @@ def _row_tops(scale: ConvergentTable) -> list[int]:
 
 
 def from_theta(theta: float, scale: ConvergentTable) -> AlphaFunction:
-    """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e), one row sliced per row."""
+    """g(n) = e(theta * sigma(n)): every atom at digit e is e(theta * e), each row a prefix of one array."""
     tops = _row_tops(scale)
-    e = unit(frac_mul_array(np.arange(max(tops) + 1), theta)).tolist()
-    return AlphaFunction(scale, tuple(tuple(e[: top + 1]) for top in tops), theta=float(theta))
+    e = unit(frac_mul_array(np.arange(max(tops) + 1), theta))
+    return AlphaFunction(scale, [e[: top + 1] for top in tops], theta=float(theta))
 
 
 def _multipliers(q, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,11 +140,13 @@ class _Rows:
     last: np.ndarray
 
     @classmethod
-    def of(cls, g: AlphaFunction, rows) -> "_Rows":
-        lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    def of(cls, g: AlphaFunction, K: int, width: int | None = None) -> "_Rows":
+        """Rows 0..K-1 of g, the last cut to its first width atoms (default: all of them)."""
+        lengths = np.diff(g.starts[: K + 1])
+        lengths[-1:] = lengths[-1:] if width is None else width
         moved, mult = _multipliers(g.scale.q, lengths)
-        column = np.arange(1 + lengths.max(initial=0))  # the layout is row-major: the flat order
-        return cls(_flat(rows)[moved], mult, (column >= 2) & (column <= lengths[:, None]), lengths - 1)
+        col = np.arange(1 + lengths.max(initial=0))  # the layout is row-major: the flat order
+        return cls(g.flat[: lengths.sum()][moved], mult, (col >= 2) & (col <= lengths[:, None]), lengths - 1)
 
     def sums(self, betas: np.ndarray, *digits) -> list[tuple[np.ndarray, np.ndarray]]:
         """The rows of g twisted by each of B betas, read at digit arrays d of shape (K,) or (B, K).
@@ -167,15 +165,15 @@ class _Rows:
 def twist(g: AlphaFunction, beta: float) -> AlphaFunction:
     """Pointwise product with e(-n * beta), realized on the atom table.
 
-    The phase of the atom at e * q_k picks up -e * q_k * beta: _twisted of
-    the flat table, no row padded, as _Rows.sums (scale_sums and the
-    spectrum probes) does for many betas.  beta = 0 leaves every atom as is.
+    The phase of the atom at e * q_k picks up -e * q_k * beta: _twisted of one
+    copy of g.flat, no row padded, as _Rows.sums (scale_sums and the spectrum
+    probes) does for many betas.  beta = 0 leaves every atom as is.
     """
-    lengths = np.array([len(row) for row in g.atoms])
-    moved, mult = _multipliers(g.scale.q, lengths)
-    h = _flat(g.atoms)
+    moved, mult = _multipliers(g.scale.q, np.diff(g.starts))
+    h = g.flat.copy()
     h[moved] = _twisted(h[moved], mult, beta)
-    return AlphaFunction(g.scale, _split(h, lengths), theta=g.theta if beta == 0.0 else None)
+    rows = [h[s:e] for s, e in pairwise(g.starts.tolist())]
+    return AlphaFunction(g.scale, rows, theta=g.theta if beta == 0.0 else None)
 
 
 def evaluate(g: AlphaFunction, n: int) -> complex:
@@ -183,7 +181,7 @@ def evaluate(g: AlphaFunction, n: int) -> complex:
     out = complex(1.0)
     for k, e in enumerate(encode(n, g.scale).digits):
         if e:
-            out *= g.atoms[k][e]
+            out *= g.atoms[k].item(e)  # Python's complex product: numpy's scalar one rounds otherwise
     return out
 
 
@@ -245,8 +243,8 @@ def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:
             raise ValidationError(f"atom row {k} entries must be [re, im] pairs of numbers") from exc
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValidationError(f"atom row {k} must be a list of [re, im] pairs")
-        rows.append(pairs.view(np.complex128).ravel().tolist())  # each pair's bits as one complex
-    return AlphaFunction(scale, tuple(rows))
+        rows.append(pairs.view(np.complex128).ravel())  # each pair's bits as one complex
+    return AlphaFunction(scale, rows)
 
 
 # --- function spec grammar ---------------------------------------------------

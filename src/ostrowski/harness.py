@@ -91,7 +91,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "R_list", tuple(int(r) for r in self.R_list))
+        object.__setattr__(self, "R_list", tuple(self.R_list))
+        for name, value in (("N", self.N), ("seed", self.seed), *(("every R", r) for r in self.R_list)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.N < 1:
             raise ValidationError("N must be >= 1")
         parse_alpha_spec(self.alpha_spec)

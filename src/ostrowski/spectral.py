@@ -161,7 +161,7 @@ def _level_sums(g: AlphaFunction, R: int, N: int, digits: tuple[int, ...], lag) 
     long, short = [], []  # (level, coefficient) of the pieces of [0, M), in order
     H = 1 + 0j
     for k in reversed(range(len(digits))):
-        row = g.atoms[k]
+        row = g.atoms[k][: digits[k] + 1].tolist()  # Python complex: numpy's scalar products round otherwise
         (long if k >= k0 else short).extend((k, H * row[b]) for b in range(digits[k]))
         H *= row[digits[k]]
     (long if k0 == 0 else short).append((0, H))
@@ -171,7 +171,7 @@ def _level_sums(g: AlphaFunction, R: int, N: int, digits: tuple[int, ...], lag) 
     tau = np.ones(span, dtype=np.complex128)
     coef[0, 0] = coef[1, 1] = 1
     for j in range(1, span - 1):
-        row = g.atoms[k0 + j]
+        row = g.atoms[k0 + j].tolist()
         a = len(row) - 1
         s2 = sum(v.real**2 + v.imag**2 for v in row[:a])
         s1 = sum(w * v.conjugate() for v, w in zip(row, row[1:]))
@@ -198,11 +198,13 @@ def _level_sums(g: AlphaFunction, R: int, N: int, digits: tuple[int, ...], lag) 
     return total + lag(window, R) - lag(window[: R - 1], R) - lag(window[t:], R)
 
 
-def _gaussian_square_bound(rows) -> int | None:
-    """B**2 = prod over the rows of max_b |v(b)|**2 if every atom is a Gaussian integer, else None."""
-    if not all(v.real.is_integer() and v.imag.is_integer() for row in rows for v in row):
+def _gaussian_square_bound(g: AlphaFunction, K: int) -> int | None:
+    """B**2 = prod over rows k < K of max_b |v_k(b)|**2 if every atom there is a Gaussian integer, else None;
+    the squares are floats, exact up to 2**53 (all the exact route takes) and at least 2**53 past it."""
+    atoms = g.flat[: g.starts[K]]
+    if not np.array_equal(np.rint(atoms), atoms):
         return None
-    return prod(max(int(v.real) ** 2 + int(v.imag) ** 2 for v in row) for row in rows)
+    return prod(map(int, np.maximum.reduceat(atoms.real**2 + atoms.imag**2, g.starts[:K]).tolist()))
 
 
 def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
@@ -241,7 +243,7 @@ def correlation_profile(g: AlphaFunction, R: int, N: int) -> CorrelationProfile:
     if M > g.scale.limit:
         raise RangeError(f"N + R - 1 = {M} past the scale limit {g.scale.limit}")
     digits = encode(M - 1, g.scale).digits
-    square_bound = _gaussian_square_bound(g.atoms[: len(digits)])
+    square_bound = _gaussian_square_bound(g, len(digits))
     try:
         if square_bound is None or M * square_bound > EXACT_INT_MAX:
             raise _Inexact
@@ -386,7 +388,7 @@ def scale_sums(g: AlphaFunction, beta: float, K: int | None = None) -> np.ndarra
 def _scale_sums(g: AlphaFunction, betas: np.ndarray, K: int) -> np.ndarray:
     """(B, K + 1) array whose row j is scale_sums(g, betas[j], K); K may also
     be g.scale.rows, one past g.scale.K where a_next is known, with q_K the limit."""
-    rows = _Rows.of(g, g.atoms[:K])
+    rows = _Rows.of(g, K)
     out = np.empty((len(betas), K + 1), dtype=np.complex128)
     ((sums, lasts),) = rows.sums(betas, rows.last)
     for i, (P, q) in enumerate(zip(_scale_partials(sums, lasts), (*g.scale.q, g.scale.limit))):
@@ -416,10 +418,7 @@ def _digit_plan(g: AlphaFunction, lengths) -> _DigitPlan:
     digits = np.zeros((len(expansions), K), dtype=np.intp)
     for r, eps in enumerate(expansions):
         digits[r, : len(eps)] = eps
-    rows = [g.atoms[k] for k in range(K - 1)]
-    if K:
-        rows.append(g.atoms[K - 1][: digits[:, -1].max() + 1])
-    return _DigitPlan(np.array(lengths), digits, _Rows.of(g, rows))
+    return _DigitPlan(np.array(lengths), digits, _Rows.of(g, K, digits[:, -1:].max(initial=0) + 1))
 
 
 def _digit_exp_sums(plan: _DigitPlan, betas, length=None) -> np.ndarray:

@@ -305,7 +305,7 @@ def test_twist_reduces_the_silver_top_row_past_2_63():
     scale = expand_max(SILVER)
     g = from_theta(0.5, scale)
     beta, qK = 0.3, scale.q[-1]
-    rows = _Rows.of(g, g.atoms)
+    rows = _Rows.of(g, g.scale.rows)
     assert rows.mult.dtype == object and rows.mult[-1] == 2 * qK > 2**63
     phases = frac_mul_array(rows.mult[-2:], -beta)  # digits 1 and 2 of the top row
     for e, f in enumerate(phases.tolist(), 1):
@@ -330,7 +330,7 @@ def test_row_sums_equal_scalar_sums_of_the_twist_bit_for_bit(spec, beta):
     # of twist(g, beta) over b < d, added from 0 up, and the atom at d;
     # silver's top row passes 2**63, and quarter turns stay exact
     g = from_theta(0.1234567, expand_max(parse_alpha_spec(spec)))
-    rows = _Rows.of(g, g.atoms)
+    rows = _Rows.of(g, g.scale.rows)
     digits = [np.minimum(d, rows.last) for d in range(rows.last.max() + 1)]
     got = rows.sums(np.array([beta]), *digits)
     for k, row in enumerate(twist(g, beta).atoms):
@@ -344,7 +344,7 @@ def test_row_sums_of_a_batch_are_its_one_beta_calls():
     # each beta's pair does not depend on the others, for a (K,) digit array
     # and for a (B, K) one, whose row j it reads as the (K,) array does
     g = from_theta(0.1234567, expand_max(SILVER))
-    rows = _Rows.of(g, g.atoms)
+    rows = _Rows.of(g, g.scale.rows)
     betas = np.array([0.3, -0.37, 0.0, 0.25, -0.75, 1e-9, 0.61803398875])
     eps = np.random.default_rng(7).integers(0, rows.last + 1, size=(len(betas), len(rows.last)))
     batch = rows.sums(betas, rows.last, eps)
@@ -368,6 +368,50 @@ def test_twist_allocates_about_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 16 * atoms
+
+
+def traced_peak(build):
+    """(result, traced peak in bytes) of build()."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_building_a_table_of_a_million_atoms_stays_within_four_copies():
+    # one 10**6 + 1 atom row: each build holds the table, one copy of its
+    # atoms and the moduli at most (the tuple layout peaked at 8.0x from
+    # from_theta and 7.5x from load_atoms, its Python complex rows)
+    scale = scale_for(parse_alpha_spec("periodic:1000000/1"), 4 * 10**6)
+    g = from_theta(0.3, scale)
+    atoms = sum(map(len, g.atoms))
+    assert atoms == 1_000_009
+    doc = {str(k): np.asarray(row, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
+           for k, row in enumerate(g.atoms)}
+    for build in (lambda: from_theta(0.3, scale), lambda: load_atoms(doc, scale)):
+        _, peak = traced_peak(build)
+        assert peak <= 4 * 16 * atoms
+
+
+def test_table_is_one_read_only_array_whose_rows_are_views():
+    g = from_theta(0.1234567, expand_max(parse_alpha_spec("periodic:/1,1000")))
+    assert g.flat.dtype == np.complex128 and g.starts.tolist()[::len(g.atoms)] == [0, len(g.flat)]
+    for k, row in enumerate(g.atoms):
+        assert row.base is g.flat and bits(row) == bits(g.flat[g.starts[k] : g.starts[k + 1]])
+    for write in (lambda: g.atoms[1].__setitem__(1, 0.5), lambda: g.flat.__setitem__(0, 2.0),
+                  lambda: g.starts.__setitem__(1, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    # equality is identity; the bits are compared through flat
+    same = AlphaFunction(g.scale, g.atoms, theta=g.theta)
+    assert g == g and same != g and bits(same.flat) == bits(g.flat)
+    assert bits(twist(g, 0.0).flat) == bits(g.flat)
+    h = twist(g, 0.37)
+    doc = {str(k): [[v.real, v.imag] for v in row.tolist()] for k, row in enumerate(h.atoms)}
+    assert bits(load_atoms(doc, h.scale).flat) == bits(h.flat)
+    assert bits(load_atoms(json.dumps(doc), h.scale).flat) == bits(h.flat)
 
 
 def test_twist_theta_tag():
@@ -403,11 +447,11 @@ def test_load_atoms_round_trip(tmp_path):
     g = from_theta(1 / 3, scale)
     doc = rows_payload(scale, lambda k, e: g.atoms[k][e])
     h = load_atoms(doc, scale)
-    assert h.atoms == g.atoms
+    assert h.flat.tobytes() == g.flat.tobytes()
     path = tmp_path / "atoms.json"
     path.write_text(json.dumps(doc))
     h2 = load_atoms(path.read_text(), scale)
-    assert h2.atoms == g.atoms
+    assert h2.flat.tobytes() == g.flat.tobytes()
 
 
 def test_load_atoms_takes_any_modulus_below_the_value_bound():

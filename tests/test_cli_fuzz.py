@@ -24,7 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostrowski import expand_max, parse_alpha_spec
 from ostrowski.cli import main
+from ostrowski.spectral import DFT_CAP
 
 ROWS = 100  # more rows than any scale below certifies; extra rows are ignored
 HUGE = st.sampled_from([2**63, 2**64, 10**30])
@@ -166,3 +168,47 @@ def test_cli_requests_end_in_a_documented_exit_code(atom_files, out_path, data):
         assert call([*argv, "--out", str(out_path)]) == (code, "", err), argv
         if code == 0:
             assert unclocked(out_path.read_bytes().decode()) == unclocked(text), argv
+
+
+# Skewed quotients: one quotient a up to 10**4 makes one atom row 10**4 + 1
+# wide among rows of 2, which every reader of the flat table sees.
+SKEW_N = 10**5
+
+
+def skewed_alphas():
+    a = st.integers(1, 10**4) | st.sampled_from([1000, 9999, 10**4])
+    return st.one_of(a.map("periodic:{}/1".format), a.map("periodic:/1,{}".format),
+                     a.map("list:1,{},1".format))
+
+
+def fourier_levels(alpha):
+    """The levels lam of alpha whose Fourier table has at most SKEW_N entries, within DFT_CAP."""
+    q = expand_max(parse_alpha_spec(alpha)).q
+    return [lam for lam, qk in enumerate(q) if qk <= min(SKEW_N, DFT_CAP)]
+
+
+@st.composite
+def skewed_requests(draw):
+    alpha = draw(skewed_alphas(), label="alpha")
+    fn = draw(st.builds(lambda t, b: f"theta:{t}" if b is None else f"theta:{t}+beta:{b}",
+                        st.sampled_from(FINITE_REALS[:6]), st.none() | st.sampled_from(FINITE_REALS[:6])))
+    N = draw(st.integers(1, SKEW_N) | st.sampled_from([1, 2, SKEW_N]), label="N")
+    shared = ["--alpha", alpha, "--fn", fn]
+    kind = draw(st.sampled_from(["correlate", "spectrum", "sigma", "fourier", "experiment"]))
+    if kind == "correlate":
+        return ["correlate", "--N", str(N), "--R", str(draw(st.integers(1, 64))), *shared]
+    if kind == "spectrum":
+        return ["spectrum", "--N", str(N), "--grid", str(draw(st.integers(16, 512))), *shared]
+    if kind == "sigma":
+        ns = draw(st.lists(st.integers(0, SKEW_N), min_size=1, max_size=3))
+        return ["sigma", *map(str, ns), "--alpha", alpha]
+    if kind == "fourier":
+        return ["fourier", "--lam", str(draw(st.sampled_from(fourier_levels(alpha)))), *shared]
+    return ["experiment", "spectrum", "--N", str(N), "--seed", str(draw(st.integers(0, 5))), *shared]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=skewed_requests())
+def test_skewed_quotient_requests_end_in_a_documented_exit_code(argv):
+    code, text, err = call(argv)
+    assert code in (0, 2, 3), (argv, code, err)

@@ -462,6 +462,16 @@ def test_experiment_config_validation():
     assert list(cfg.to_dict()) == ["alpha_spec", "fn_spec", "N", "R_list", "seed"]
 
 
+@pytest.mark.parametrize("fields", [{"N": 5000.5}, {"N": True}, {"R_list": (32.7,)}, {"R_list": (8, True)},
+                                    {"seed": 2.5}, {"seed": True}],
+                         ids=["fractional_N", "bool_N", "fractional_R", "bool_R", "fractional_seed", "bool_seed"])
+def test_experiment_config_refuses_non_integer_sizes(fields):
+    # a fractional N used to run, R = 32.7 was cut to 32, seed = 2.5 raised
+    # numpy's TypeError and seed = True was echoed as true in the payload
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ExperimentConfig(**{"N": 5000, **fields})
+
+
 def test_pseudorandomness_experiment_output():
     cfg = ExperimentConfig(N=4000, R_list=(8, 32))
     payload = pseudorandomness_experiment(cfg)
@@ -597,7 +607,7 @@ def test_verify_all_runs_fn_spec_families(monkeypatch):
 
     monkeypatch.setattr(harness, "carry_bound_sweep", record)
     verify_all(only="carry", fn_spec=fn)
-    assert [g.atoms for g in seen] == [parse_fn_spec(fn, g.scale).atoms for g in seen]
+    assert [g.flat.tobytes() for g in seen] == [parse_fn_spec(fn, g.scale).flat.tobytes() for g in seen]
     assert [g.scale.spec for g in seen] == [GOLDEN, SILVER]
     seen.clear()
     verify_all(only="carry")
@@ -622,7 +632,7 @@ def test_verify_all_builds_each_function_family_once(monkeypatch):
     assert [text for text, _ in carry] == ["theta:0.5"] * 2
     for (text, g), theta in zip(built, list(harness.DEFAULT_THETAS) * 4 + [0.5] * 2):
         want = from_theta(theta, g.scale)
-        assert g.theta == theta and g.atoms == want.atoms, text
+        assert g.theta == theta and g.flat.tobytes() == want.flat.tobytes(), text
 
 
 def test_verify_all_validates_fn_spec_first(tmp_path):
