@@ -370,16 +370,6 @@ def test_twist_allocates_about_its_result():
     assert peak <= 20 * 16 * atoms
 
 
-def traced_peak(build):
-    """(result, traced peak in bytes) of build()."""
-    tracemalloc.start()
-    try:
-        out = build()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_building_a_table_of_a_million_atoms_stays_within_four_copies():
     # one 10**6 + 1 atom row: each build holds the table, one copy of its
     # atoms and the moduli at most (the tuple layout peaked at 8.0x from
@@ -391,13 +381,18 @@ def test_building_a_table_of_a_million_atoms_stays_within_four_copies():
     doc = {str(k): np.asarray(row, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
            for k, row in enumerate(g.atoms)}
     for build in (lambda: from_theta(0.3, scale), lambda: load_atoms(doc, scale)):
-        _, peak = traced_peak(build)
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak <= 4 * 16 * atoms
 
 
 def test_table_is_one_read_only_array_whose_rows_are_views():
     g = from_theta(0.1234567, expand_max(parse_alpha_spec("periodic:/1,1000")))
-    assert g.flat.dtype == np.complex128 and g.starts.tolist()[::len(g.atoms)] == [0, len(g.flat)]
+    assert g.flat.dtype == np.complex128 and len(g.starts) == len(g.atoms) + 1 and g.starts[-1] == len(g.flat)
     for k, row in enumerate(g.atoms):
         assert row.base is g.flat and bits(row) == bits(g.flat[g.starts[k] : g.starts[k + 1]])
     for write in (lambda: g.atoms[1].__setitem__(1, 0.5), lambda: g.flat.__setitem__(0, 2.0),
