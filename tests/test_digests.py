@@ -2,8 +2,8 @@
 
 digests.json maps each name below to the sha1 of an output's bytes, and
 records the numpy and Python versions it was made with.  The integer
-outputs (psi_range at every lam <= 8 and sigma_range) are checked under any
-versions.  The verify_all reports hold float margins that pass through
+outputs (psi_range at every lam <= 8 and sigma_range, and every yield of
+the greedy walk) are checked under any versions.  The verify_all reports hold float margins that pass through
 np.fft, and the atom readers (values_range, twist, correlation_profile,
 spectrum_scan, scale_sums) give float outputs, so their digests are checked
 only under the recorded versions and skipped elsewhere.
@@ -66,6 +66,26 @@ def kernel_digest(spec_text: str) -> str:
     return h.hexdigest()
 
 
+def walk_digest(spec_text: str) -> str:
+    """sha1 of every (base, k, eps, rem) the greedy walk yields, eps and rem as little-endian int64.
+
+    At each count: from 0 with hi = lam for lam = 0..LAM_MAX, and with
+    hi = None; from start = count - count // 3 with hi = None and hi = LAM_MAX.
+    """
+    scale = scale_for(parse_alpha_spec(spec_text), max(COUNTS))
+    h = hashlib.sha1()
+    for count in COUNTS:
+        start = count - count // 3
+        walks = [(0, lam, lam) for lam in range(LAM_MAX + 1)]
+        walks += [(0, 0, None), (start, 1, None), (start, 2, LAM_MAX)]
+        for begin, lo, hi in walks:
+            for base, k, eps, rem in numeration._walk(scale, count, lo, start=begin, hi=hi):
+                h.update(repr((base, k)).encode())
+                h.update(eps.astype("<i8").tobytes())
+                h.update(rem.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
 def reader_digest(spec_text: str) -> str:
     """sha1 over each fn spec and N of: values_range, the flat atoms of twist(g, 0.37),
     correlation_profile's gamma and route at R = READER_R, spectrum_scan's peak
@@ -90,10 +110,13 @@ def compute(name: str) -> str:
         return hashlib.sha1(repr(verify_all(seed=seed)).encode()).hexdigest()
     if name.startswith("atom readers "):
         return reader_digest(name.removeprefix("atom readers "))
+    if name.startswith("_walk "):
+        return walk_digest(name.removeprefix("_walk "))
     return kernel_digest(name.removeprefix("psi_range sigma_range "))
 
 
-NAMES = (*FLOAT_NAMES, *(f"psi_range sigma_range {spec}" for spec in SPECS))
+NAMES = (*FLOAT_NAMES, *(f"psi_range sigma_range {spec}" for spec in SPECS),
+         *(f"_walk {spec}" for spec in SPECS))
 
 
 def versions() -> dict:
