@@ -18,7 +18,7 @@ import numpy as np
 
 from .cfrac import ConvergentTable, parse_alpha_spec, scale_for
 from .errors import CapError, RangeError, ValidationError
-from .numeration import encode
+from .numeration import _level_table, encode
 from .numerics import check_size, frac_mul_array, unit
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and for is_unimodular
@@ -188,34 +188,20 @@ def evaluate(g: AlphaFunction, n: int) -> complex:
 def values_range(g: AlphaFunction, count: int) -> np.ndarray:
     """g(n) for n = 0..count-1 as one complex array, allocated once.
 
-    Level by level: the values over [0, q_{i+1}) are g on [0, q_i) times
-    v_i(b) for each b < a = a_{i+1}, then g on [0, q_{i-1}) times v_i(a).
-    Both sources are prefixes already written, so copy b = 0 is the prefix
-    itself and each other copy is one multiply into the next free slots, up
-    to count.  Atom products accumulate in increasing digit order, as in
-    evaluate: the two agree exactly when the atoms are exactly representable
-    and to a few ulps per factor otherwise (vector and scalar complex
-    products round differently).  A longer build extends a shorter one bit
-    for bit.
+    Filled level by level by the level-copy kernel (numeration._level_table):
+    the values over [0, q_{i+1}) are g on [0, q_i) times v_i(b) for each
+    b < a = a_{i+1}, then g on [0, q_{i-1}) times v_i(a), the atoms read from
+    the view of row i.  Both sources are prefixes already written, so copy
+    b = 0 is the prefix itself, copies b = 1..a-1 are one multiply into the
+    next free slots, broadcast over b, and the tail one more, up to count.
+    Each product is value times atom, in that order, so atom products
+    accumulate in increasing digit order, as in evaluate: the two agree
+    exactly when the atoms are exactly representable and to a few ulps per
+    factor otherwise (vector and scalar complex products round differently).
+    A longer build extends a shorter one bit for bit.
     """
-    if count < 0 or count > g.scale.limit:
-        raise RangeError(f"count={count} outside [0, {g.scale.limit}] for this scale")
-    check_size(count, "values_range")
-    q = g.scale.q
-    out = np.empty(count, dtype=np.complex128)
-    size = min(q[1], count)
-    out[:size] = g.atoms[0][:size]  # single-digit values; v_0(0) = 1 at n = 0
-    i = 1
-    while size < count:
-        row = g.atoms[i]
-        for b in range(1, len(row)):
-            take = min(q[i] if b < len(row) - 1 else q[i - 1], count - size)
-            np.multiply(out[:take], row[b], out=out[size : size + take])
-            size += take
-            if size == count:
-                break
-        i += 1
-    return out
+    atoms = g.atoms
+    return _level_table(g.scale, count, "values_range", np.multiply, lambda i, m: atoms[i])
 
 
 def load_atoms(document: str | dict, scale: ConvergentTable) -> AlphaFunction:

@@ -158,6 +158,11 @@ class ConvergentTable:
         """Number of digit positions with a known bound: digits 0..rows-1."""
         return self.K + 1 if self.a_next is not None else self.K
 
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """q_0..q_K, then the limit q_{K+1} when a_next is known: one per digit position, and the next."""
+        return (*self.q, self.limit)[: self.rows + 1]
+
 
 def _convergents(spec: QuotientSpec) -> Iterator[tuple[int, int, int]]:
     """(a_i, p_i, q_i) for i = 1, 2, ... while the quotients last and q_i <= Q_MAX.

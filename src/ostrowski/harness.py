@@ -473,8 +473,7 @@ def spectrum_experiment(config: ExperimentConfig) -> dict:
     ladder = [{"N": n, "beta_peak": scan.beta_peak, "peak_value": scan.peak_value}
               for n, scan in zip(ladder_ns, spectral._scans(g, ladder_ns, spectral.GRID_DEFAULT))]
     rng = np.random.default_rng(config.seed)
-    scales = (*g.scale.q, g.scale.limit)[: g.scale.rows + 1]  # g covers n < N: N may be q_{K+1}
-    K = bisect.bisect_right(scales, config.N) - 1  # q_0 = 1 alone when N < q_1
+    K = bisect.bisect_right(g.scale.bounds, config.N) - 1  # N may be q_{K+1}; q_0 = 1 alone when N < q_1
     betas = rng.random(16)
     sums = []
     for beta, S in zip(betas.tolist(), spectral._scale_sums(g, betas, K)):
@@ -621,10 +620,10 @@ def verify_all(
     The families that check a function (FN_FAMILIES) run by default on the
     theta family: parseval and cyclic over the four default scales, carry
     over golden and silver.  With alpha_spec they run on that one scale
-    instead (ValidationError if `only` selects none of them), and with
-    fn_spec on fn_spec parsed against each of their scales.  Both function
-    families are built once, before any check runs, when fn_spec is given
-    or `only` selects one of FN_FAMILIES, so an atom table that does not fit
+    instead, and with fn_spec on fn_spec parsed against each of their
+    scales; either is a ValidationError if `only` selects none of them.
+    Both function families are built once, before any check runs, when
+    `only` selects one of FN_FAMILIES, so an atom table that does not fit
     raises ValidationError, naming the scale, first.
     """
     if seed < 0:
@@ -639,10 +638,11 @@ def verify_all(
     if unknown:
         raise ValidationError(f"unknown check families: {unknown}; know {sorted(CHECK_FAMILIES)}")
     selected = set(FN_FAMILIES) & set(names)
-    if alpha_spec is not None and not selected:
-        raise ValidationError(f"an alpha spec applies to the families {', '.join(FN_FAMILIES)} only")
+    for what, spec in (("an alpha spec", alpha_spec), ("a function spec", fn_spec)):
+        if spec is not None and not selected:
+            raise ValidationError(f"{what} applies to the families {', '.join(FN_FAMILIES)} only")
     families = {}
-    if fn_spec is not None or selected:
+    if selected:
         identity_specs = DEFAULT_ALPHA_SPECS if alpha_spec is None else (alpha_spec,)
         carry_specs = CARRY_SPECS if alpha_spec is None else (alpha_spec,)
         identity = _family(identity_specs, IDENTITY_UPTO, THETA_FNS if fn_spec is None else [fn_spec])

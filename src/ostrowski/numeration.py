@@ -3,15 +3,17 @@
 Every n >= 0 below the scale's limit has a unique expansion
 n = sum_k eps_k * q_k with 0 <= eps_0 < a_1, 0 <= eps_k <= a_{k+1}, and
 eps_k = a_{k+1} forcing eps_{k-1} = 0.  This module provides the greedy
-encoder/decoder, digit statistics (sigma, psi), the greedy range kernels,
+encoder/decoder, digit statistics (sigma, psi), the per-n range tables,
 and the block structure of the set {n : eps_0(n) = ... = eps_{lam-1}(n) = 0}.
-The range kernels read one greedy walk (_walk), which yields only the
-levels its reader asks for.  It peels the levels above them off the whole
+One level-copy kernel (_level_table) fills the range tables (psi_range,
+sigma_range, alphafun.values_range) from the prefix already written, since
+[0, q_{i+1}) is a_{i+1} copies of [0, q_i) and one of [0, q_{i-1}).  The
+verify oracles read one greedy walk (_walk), which yields only the levels
+its reader asks for.  It peels the levels above them off the whole
 range first, as a few contiguous runs of remainders (at most
 WALK_TILE // 16), since a range stays such runs until its levels cut it at
 multiples of q_k.  It takes the rest of the levels in tiles of WALK_TILE
-points, so that its buffers stay in cache, and peels the digits that are
-constant over a tile as Python ints.  Its working memory is four
+points, so that its buffers stay in cache.  Its working memory is four
 tile-sized buffers and the capped run arrays, however long the range.
 """
 
@@ -231,7 +233,7 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     scale.digit_bound(lam)  # RangeError if the table has no level lam
     if N > scale.limit:
         raise RangeError(f"N={N} beyond table limit {scale.limit}")
-    bounds = (*scale.q, scale.limit)[: scale.rows + 1]  # q_{K+1} = limit when a_next is known
+    bounds = scale.bounds  # q_{K+1} = limit when a_next is known
     top = bisect.bisect_right(bounds, N) - 1  # N's top digit position, -1 for N < 1
     C, D = [1, 1], [1, 0]  # C_k and D_k for k = lam-1, lam, ..., top
     for i in range(lam, top):
@@ -247,19 +249,70 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     return blocks - short, short
 
 
-# --- vectorized per-n greedy kernels ---------------------------------------
-#
-# These run the same greedy reduction as encode, but over a whole range of n
-# at once.  They are the throughput path for the harness and the reference
-# path for differential tests (bit-for-bit the per-n semantics, since the
-# arithmetic is identical integer arithmetic).
+# --- per-n range tables ------------------------------------------------------
+
+def _level_table(scale: ConvergentTable, count: int, what: str, op, coefs) -> np.ndarray:
+    """The per-n table over [0, count) of a quantity that combines digit by digit, level by level.
+
+    [0, q_{i+1}) is a = a_{i+1} copies of [0, q_i), copy b shifted by b*q_i,
+    then one copy of [0, q_{i-1}) shifted by a*q_i.  coefs(i, m) gives the
+    level-i coefficients of the digits b = 0..m-1 (or more: a view of a
+    longer row is fine).  Level 0 is its coefficients (n < q_1 is its digit
+    eps_0); an entry of level i >= 1 is op(the prefix entry it copies, its
+    digit's coefficient), in that order.  Every source is a prefix already
+    written, so copy b = 0 is never made; copies b = 1..full are one op,
+    broadcast over b, and copy full + 1 (partial, or the tail) one more,
+    stopping at count.  A level asks only for the digits it writes,
+    m <= count / q_i + 2.  RangeError outside [0, limit] and CapError past
+    RANGE_CAP (naming `what`) come before any allocation.
+    """
+    if count < 0 or count > scale.limit:
+        raise RangeError(f"count={count} outside [0, {scale.limit}] for this scale")
+    check_size(count, what)
+    q, tops = scale.q, (*scale.quotients, scale.a_next)  # tops[i] = a_{i+1}, the top digit of level i
+    size, i = min(q[1], count), 1
+    first = coefs(0, size)[:size]
+    out = np.empty(count, dtype=first.dtype)
+    out[:size] = first
+    while size < count:
+        a, step = tops[i], q[i]
+        full = min(a - 1, (count - size) // step)  # whole copies b = 1..full of the prefix [0, q_i)
+        c = coefs(i, full + 2)
+        if full:
+            block = out[size : size + full * step]
+            if full > 1:
+                op(out[:step], c[1 : full + 1, None], out=block.reshape(full, step))
+            else:  # one copy: a flat op costs less than a broadcast one
+                op(out[:step], c[1], out=block)
+            size += full * step
+        take = min(count - size, step if full < a - 1 else q[i - 1])
+        op(out[:take], c[full + 1], out=out[size : size + take])
+        size += take
+        i += 1
+    return out
+
+
+def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
+    """psi_lam(n) for n = 0..count-1 (int64): each digit b at a level i < lam adds b*q_i, above it 0."""
+    if lam < 0:
+        raise ValidationError("lam must be >= 0")
+    return _level_table(scale, count, "psi_range", np.add,
+                        lambda i, m: np.arange(m) * (scale.q[i] if i < lam else 0))
+
+
+def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:
+    """sigma(n) for n = 0..count-1 (int64): each digit b adds b."""
+    return _level_table(scale, count, "sigma_range", np.add, lambda i, m: np.arange(m))
+
+
+# --- the greedy walk: encode's reduction over a range of n, for the verify oracles
 
 WALK_TILE = 1 << 16  # points per tile of the greedy walk: its buffers stay in L2
 
 
 def _runs(
     q: Sequence[int], start: int, stop: int, top: int, floor: int
-) -> tuple[int, np.ndarray, Sequence[int]]:
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Levels top, top - 1, ... down to floor + 1 peeled off [start, stop) as runs, while few.
 
     Run j covers the indices [cuts[j], cuts[j + 1]) of the range (the last
@@ -267,19 +320,15 @@ def _runs(
     The range starts as one run, offs = [start]: while one digit covers it,
     each level is peeled off that Python int.  Level k cuts each run where its
     remainders reach a multiple of q_k, and the piece with digit d keeps
-    offs[j] - d * q_k; from the first cut on, cuts and offs are int64 arrays
-    (every remainder is then below q_k).  The peel stops before the first
-    level that would leave more than WALK_TILE // 16 runs.  Returns the
-    highest level not peeled (floor, or top when none is), cuts and offs.
+    offs[j] - d * q_k.  The peel stops before the first level that would
+    leave more than WALK_TILE // 16 runs.  Returns the highest level not
+    peeled (floor, or top when none is), and cuts and offs as int64 arrays.
     """
     size, k, off = stop - start, top, start
     while k > floor and off // q[k] == (off + size - 1) // q[k]:
         off -= off // q[k] * q[k]
         k -= 1
-    cuts = np.zeros(1, dtype=np.int64)
-    if k <= floor or (off + size - 1) // q[k] - off // q[k] >= WALK_TILE // 16:
-        return k, cuts, [off]
-    offs = np.array([off % q[k]], dtype=np.int64)  # level k's first digit taken off in Python ints
+    cuts, offs = np.zeros(1, dtype=np.int64), np.array([off], dtype=np.int64)
     while k > floor:
         first = (cuts + offs) // q[k]
         pieces = (np.append(cuts[1:], size) - 1 + offs) // q[k] - first + 1
@@ -311,27 +360,26 @@ def _walk(
     The levels above hi, which no reader sees, are first peeled off the
     whole range as runs (_runs): a contiguous range stays a few contiguous
     runs of remainders until its levels cut it at multiples of q_k.  Each
-    tile starts at the highest level the runs left, from the runs that cover
-    it.  A tile inside one run has remainders index + off for one Python int
-    off; a tile of several runs materializes them with one np.repeat.  While
-    every level above k had one digit over the tile, the remainders stay
-    index + off, and level k's digit is constant over the tile exactly when
-    off // q_k = (off + size - 1) // q_k: such a digit is peeled from off as
-    a Python int, and the remainders are materialized at the first level
-    whose digit varies.  A constant level that is yielded gets buffers
-    filled with its digit and remainders, the same integers as the divide.
+    tile starts at the highest level the runs left, its remainders
+    materialized from the runs that cover it with one np.repeat, and each
+    level below is one divide over the tile.
 
     Both yielded arrays are the walk's working buffers, which the next level
     overwrites: a consumer copies what it keeps and changes neither.  They
     are int32 lanes when stop <= 2**31 - 1, where every q_k walked and every
-    remainder fits, and int64 otherwise.  The walk's working memory is four
-    tile-sized buffers, the one np.repeat of a tile of several runs, and
-    run arrays of at most WALK_TILE // 16 entries, however long the range.
+    remainder fits, and int64 otherwise.  So that every n fits int64 lanes,
+    stop - 1 > Q_MAX is refused with RangeError before anything is
+    allocated: no reader walks past it (the psi and carry counts walk from 0
+    for at most RANGE_CAP points, the gap bands end below a block start
+    <= Q_MAX).  The working memory is four tile-sized buffers, the np.repeat
+    of a tile, and run arrays of at most WALK_TILE // 16 entries.
     """
     if stop < start:
         raise RangeError(f"count={stop - start} is negative")
     if stop > scale.limit:
         raise RangeError(f"count={stop} beyond table limit {scale.limit}")
+    if stop - 1 > Q_MAX:
+        raise RangeError(f"the walk reaches n={stop - 1}, past the 63-bit budget {Q_MAX}")
     check_size(stop - start, "greedy digit pass")
     q = scale.q
     top = max(bisect.bisect_right(q, stop - 1) - 1, 0)
@@ -345,52 +393,12 @@ def _walk(
         rem, eps, peeled, span = rem_tile[:size], eps_tile[:size], peeled_tile[:size], index[:size]
         at = base - start
         first, end = np.searchsorted(cuts, (at, at + size - 1), side="right").tolist()
-        if end == first:  # one run covers the tile: rem = span + off while every digit above is constant
-            off = at + int(offs[first - 1])
-        else:
-            lengths = np.diff(np.concatenate(([at], cuts[first:end], [at + size])))
-            np.add(span, np.repeat((offs[first - 1 : end] + at).astype(rem.dtype), lengths), out=rem)
-            off = None
+        lengths = np.diff(np.concatenate(([at], cuts[first:end], [at + size])))
+        np.add(span, np.repeat((offs[first - 1 : end] + at).astype(rem.dtype), lengths), out=rem)
         for k in range(level, lo - 1, -1):
-            if off is not None:
-                digit = off // q[k]
-                if digit == (off + size - 1) // q[k]:
-                    off -= digit * q[k]
-                    if k <= hi:
-                        eps.fill(digit)
-                        np.add(span, off, out=rem)
-                        yield base, k, eps, rem
-                    continue
-                np.add(span, off, out=rem)
-                off = None
             # floor_divide by a scalar has a fast path that np.divmod lacks
             np.floor_divide(rem, q[k], out=eps)
             np.multiply(eps, q[k], out=peeled)
             rem -= peeled
             if k <= hi:
                 yield base, k, eps, rem
-
-
-def psi_range(scale: ConvergentTable, lam: int, count: int) -> np.ndarray:
-    """psi_lam(n) for n = 0..count-1 (int64): the remainder once digits >= lam are peeled.
-
-    Read off the walk's level lam, tile by tile; psi = n where it yields none.
-    """
-    if lam < 0:
-        raise ValidationError("lam must be >= 0")
-    psi = None
-    for base, _, _, rem in _walk(scale, count, lam, hi=lam):
-        if psi is None:  # allocated once the walk has checked count
-            psi = np.empty(count, dtype=np.int64)
-        psi[base : base + len(rem)] = rem
-    return np.arange(count, dtype=np.int64) if psi is None else psi
-
-
-def sigma_range(scale: ConvergentTable, count: int) -> np.ndarray:
-    """sigma(n) for n = 0..count-1 (int64): the walk's digits summed over every level."""
-    sigma = None
-    for base, _, eps, _ in _walk(scale, count, 0):
-        if sigma is None:  # allocated once the walk has checked count, in its lanes
-            sigma = np.zeros(count, dtype=eps.dtype)
-        sigma[base : base + len(eps)] += eps
-    return np.zeros(count, dtype=np.int64) if sigma is None else sigma.astype(np.int64, copy=False)

@@ -391,7 +391,7 @@ def _scale_sums(g: AlphaFunction, betas: np.ndarray, K: int) -> np.ndarray:
     rows = _Rows.of(g, K)
     out = np.empty((len(betas), K + 1), dtype=np.complex128)
     ((sums, lasts),) = rows.sums(betas, rows.last)
-    for i, (P, q) in enumerate(zip(_scale_partials(sums, lasts), (*g.scale.q, g.scale.limit))):
+    for i, (P, q) in enumerate(zip(_scale_partials(sums, lasts), g.scale.bounds)):
         out.real[:, i] = P.real / q  # parts divided on their own, as Python's complex / int does
         out.imag[:, i] = P.imag / q
     return out

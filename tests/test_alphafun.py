@@ -174,6 +174,29 @@ def test_values_range_agrees_with_evaluate(theta):
         assert np.array_equal(vr.view(np.float64), ev.view(np.float64))
 
 
+@pytest.mark.parametrize("text, most", [("periodic:/1,1000", 11 * 10**5), ("periodic:10000/1", 4 * 10**5),
+                                        ("list:1,100000,1,1,1,1,1", 5 * 10**5)])
+def test_values_range_on_skewed_quotients(text, most):
+    # a thousand or a hundred thousand copies of one level, or q_1 = 10**4
+    # atoms at level 0: at counts q_k - 1, q_k and q_k + 1, values_range equals
+    # evaluate at the ends, every q_k inside and a random sample, exactly for
+    # the quarter-turn atoms of theta = 1/4
+    scale = scale_for(parse_alpha_spec(text), most)
+    counts = sorted({q + d for q in scale.q for d in (-1, 0, 1) if 1 <= q + d <= most})
+    rng = np.random.default_rng(11)
+    for theta in (0.25, 0.1234567):
+        g = from_theta(theta, scale)
+        for count in counts:
+            vr = values_range(g, count)
+            at = sorted({n for q in scale.q for n in (0, q - 1, q, count - 1) if 0 <= n < count}
+                        | set(rng.integers(0, count, 20).tolist()))
+            ev = np.array([evaluate(g, n) for n in at])
+            if theta == 0.25:
+                assert np.array_equal(vr[at], ev), (theta, count)
+            else:
+                assert np.max(np.abs(vr[at] - ev)) < 1e-13, (theta, count)
+
+
 def test_values_range_size_cap():
     # refused from the count alone, before the value block is allocated
     g = from_theta(0.5, scale_for(GOLDEN, RANGE_CAP + 2))

@@ -84,6 +84,20 @@ def test_finite_list_runs_out():
         expand(spec, 4)
 
 
+def test_bounds_end_at_the_limit():
+    # with a_next known the last bound is q_{K+1} = a_next*q_K + q_{K-1}, the
+    # limit; without it the bounds are the q_k alone, the last of them the limit
+    with_next = expand(GOLDEN, 5)
+    assert with_next.bounds == (1, 1, 2, 3, 5, 8, 13) == (*with_next.q, with_next.limit)
+    assert len(with_next.bounds) == with_next.rows + 1
+    finite = expand_max(QuotientSpec((2, 3, 1), ()))
+    assert finite.a_next is None
+    assert finite.bounds == finite.q == (1, 2, 7, 9) and finite.bounds[-1] == finite.limit
+    assert len(finite.bounds) == finite.rows + 1
+    top = expand_max(GOLDEN)  # q_{K+1} passes 2**63 - 1 and is still the last bound
+    assert top.bounds[-1] == top.limit > Q_MAX >= top.q[-1]
+
+
 @pytest.mark.parametrize("K", [2**63 - 1, 2**63, 2**64, 10**30])
 def test_expand_past_sys_maxsize_is_refused(K):
     # the recurrence stops at Q_MAX rows, so no K reaches islice's limit

@@ -374,6 +374,15 @@ def test_verify_alpha_needs_a_function_family(capsys):
     assert code == 0 and out.startswith("PASS fejer")
 
 
+def test_verify_fn_needs_a_function_family(capsys):
+    # --fn is read by parseval, cyclic and carry only, as --alpha is
+    assert main(["verify", "--fn", "theta:0.3", "--only", "fejer"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "function spec" in err
+    code, out = run(capsys, "verify", "--fn", "theta:0.3", "--only", "fejer,parseval")
+    assert code == 0 and out.startswith("PASS fejer")
+
+
 # --- one flag surface, one writer -------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

@@ -638,5 +638,14 @@ def test_verify_all_builds_each_function_family_once(monkeypatch):
 def test_verify_all_validates_fn_spec_first(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"0": [[1.0, 0.0]]}))
-    with pytest.raises(ValidationError):
-        verify_all(only="fejer", fn_spec=f"atoms:{bad}")
+    with pytest.raises(ValidationError, match="on the golden scale"):  # before fejer runs
+        verify_all(only=["fejer", "parseval"], fn_spec=f"atoms:{bad}")
+
+
+@pytest.mark.parametrize("only", ["fejer", ["fejer", "density", "gaps"]])
+def test_verify_all_fn_spec_needs_a_function_family(only):
+    # parseval, cyclic and carry read a function spec; no other family does
+    with pytest.raises(ValidationError, match="function spec applies to the families"):
+        verify_all(only=only, fn_spec="theta:0.3")
+    (fejer, parseval) = verify_all(only=["fejer", "parseval"], fn_spec="theta:0.3")
+    assert fejer.ok and parseval.ok and parseval.instances_run == 42

@@ -491,12 +491,11 @@ def test_size_checks_refuse_before_allocating():
 
 @pytest.mark.parametrize("kernel", [
     lambda scale, count: psi_range(scale, 0, count),
-    lambda scale, count: psi_range(scale, 50, count),  # lam past the top: psi = n, no level walked
+    lambda scale, count: psi_range(scale, 50, count),  # lam past the top: psi = n
     sigma_range,
 ], ids=["psi_range", "psi_range_no_level", "sigma_range"])
 def test_kernels_refuse_before_allocating(kernel):
-    # the walk checks its count at its first step, and the kernels allocate
-    # their result only at its first yield
+    # the level-copy kernel checks its count before it allocates anything
     scale = scale_for(GOLDEN, 2**41)
     tracemalloc.start()
     try:
@@ -629,8 +628,8 @@ def test_kernels_match_encode(spec):
     (sigma_range, 3),
 ], ids=["psi_range", "sigma_range"])
 def test_kernel_peak_memory(kernel, arrays):
-    # the greedy pass splits the remainder in place: working memory is the
-    # remainder and digit arrays (plus the running sum), no temporaries
+    # the level-copy kernel writes its one result in place, from its own
+    # prefix: no temporaries but coefficient arrays of a few entries
     count = 10**6
     scale = scale_for(GOLDEN, count)
     tracemalloc.start()
@@ -641,6 +640,59 @@ def test_kernel_peak_memory(kernel, arrays):
         tracemalloc.stop()
     assert len(out) == count
     assert peak <= arrays * 8 * count + 64 * 1024
+
+
+# skewed quotients, each with the largest count its tests reach
+SKEWED = [("periodic:/1,1000", 11 * 10**5), ("periodic:10000/1", 4 * 10**5),
+          ("list:1,100000,1,1,1,1,1", 5 * 10**5)]
+
+
+def skewed_counts(scale, most):
+    """q_k - 1, q_k and q_k + 1 for every q_k, up to most."""
+    return sorted({q + d for q in scale.q for d in (-1, 0, 1) if 0 <= q + d <= most})
+
+
+@pytest.mark.parametrize("text, most", SKEWED)
+def test_kernels_on_skewed_quotients(text, most):
+    # a thousand or a hundred thousand copies of one level, or q_1 = 10**4
+    # digits at level 0: at counts q_k - 1, q_k and q_k + 1 the level-copy
+    # tables match the walk at every n, and the scalar psi and sigma at
+    # sampled n (the ends, every q_k inside, and a random sample)
+    scale = scale_for(parse_alpha_spec(text), most)
+    rng = np.random.default_rng(5)
+    for count in skewed_counts(scale, most):
+        top = max(bisect.bisect_right(scale.q, count - 1) - 1, 0)
+        at = sorted({n for q in scale.q for n in (0, q - 1, q, count - 1) if 0 <= n < count}
+                    | set(rng.integers(0, max(count, 1), 20).tolist() if count else []))
+        got = sigma_range(scale, count)
+        assert got.dtype == np.int64
+        assert got.tolist() == walked(scale, count, 0, digit_sum=True)[0].tolist()
+        assert got[at].tolist() == [sigma(n, scale) for n in at]
+        for lam in sorted({0, 1, 2, 3, top, top + 1}):
+            got = psi_range(scale, lam, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == walked(scale, count, lam)[1].tolist(), (count, lam)
+            assert got[at].tolist() == [psi(n, lam, scale) for n in at], (count, lam)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda scale, count: psi_range(scale, 2, count),
+    lambda scale, count: psi_range(scale, 5, count),
+    sigma_range,
+], ids=["psi_range_2", "psi_range_5", "sigma_range"])
+def test_kernels_ask_only_for_the_digits_they_write(kernel):
+    # a_2 = 10**9: coefficients for every digit of level 1 would take 8 GB;
+    # ten values need those of the digits b <= 9 alone
+    scale = scale_for(parse_alpha_spec("list:1,1000000000,1,1"), 10)
+    assert scale.digit_bound(1) == 10**9
+    tracemalloc.start()
+    try:
+        out = kernel(scale, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == list(range(10))  # n < q_2 is its level-1 digit: psi_2 = sigma = n
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["golden", "silver", "p12", "p123114"])
@@ -804,14 +856,14 @@ def test_walk_matches_a_plain_greedy_reduction(head, period, tile, data):
 ], ids=["silver_gap_band", "from_zero", "int64_lanes", "int64_top_levels"])
 def test_walk_peels_tile_constant_digits(start, stop, lo, hi, monkeypatch):
     # tiles of 777 points: in silver's gap band at lam = 8 the digits of
-    # levels 18..13 are one per tile, peeled as Python ints and not yielded;
-    # near 2**40 the walk runs in int64 lanes
+    # levels 18..13 are one per tile and not yielded; levels with one digit
+    # per tile are yielded too, and near 2**40 the walk runs in int64 lanes
     monkeypatch.setattr(numeration, "WALK_TILE", 777)
     scale = scale_for(SILVER, 2**41)
     rng = np.random.default_rng(start)
     samples = sorted({start, stop - 1} | set(rng.integers(start, stop, 40).tolist()))
     yielded_constant = check_walk(scale, start, stop, lo, hi, samples)
-    assert yielded_constant > 0 or hi == lo  # a constant level that is yielded is filled
+    assert yielded_constant > 0 or hi == lo  # some yielded level has one digit over a tile
 
 
 def tile_runs(scale, start, stop, lo, hi):
@@ -856,17 +908,22 @@ def test_walk_starts_each_tile_from_its_runs(start, stop, lo, hi, level, one, se
     check_walk(scale, start, stop, lo, hi, samples)
 
 
-@pytest.mark.parametrize("start, stop", [(2**63 - 1000, 2**63 + 1000), (-3000, 0)],
-                         ids=["across_2_63", "below_the_limit"])
+@pytest.mark.parametrize("start, stop", [(2**63 - 1000, 2**63 + 1000), (-3000, 0), (2**63 - 2000, 2**63)],
+                         ids=["across_2_63", "below_the_limit", "up_to_2_63"])
 def test_walk_past_2_63_matches_encode(start, stop, monkeypatch):
-    # golden's largest table reaches past 2**63 - 1: remainders there fit
-    # int64 lanes only once the top level is peeled, which the one run
-    # does in Python ints
+    # golden's largest table reaches past 2**63 - 1, but the walk's remainders
+    # live in int64 lanes: a range past n = 2**63 - 1 is refused with
+    # RangeError at the walk's first step, and one ending there matches encode
     monkeypatch.setattr(numeration, "WALK_TILE", 777)
     scale = expand_max(GOLDEN)
     if stop <= 0:
         start, stop = scale.limit + start, scale.limit + stop
-    assert stop > 2**63
+    assert scale.limit > 2**63
+    if stop - 1 > Q_MAX:
+        for lo, hi in ((0, None), (5, 5), (40, None)):
+            with pytest.raises(RangeError, match="63-bit budget"):
+                next(numeration._walk(scale, stop, lo, start=start, hi=hi))
+        return
     rng = np.random.default_rng(7)
     at = sorted({0, stop - start - 1} | set(rng.integers(0, stop - start, 60).tolist()))
     ns = [start + i for i in at]
