@@ -17,9 +17,9 @@ from itertools import pairwise
 import numpy as np
 
 from .cfrac import ConvergentTable, parse_alpha_spec, scale_for
-from .errors import CapError, RangeError, ValidationError
+from .errors import CapError, ValidationError
 from .numeration import _level_table, encode
-from .numerics import check_size, frac_mul_array, unit
+from .numerics import frac_mul_array, unit
 
 ATOM_UNIT_TOL = 1e-12  # slack for the forced v[k][0] = 1 and for is_unimodular
 

@@ -233,7 +233,7 @@ def block_counts(lam: int, N: int, scale: ConvergentTable) -> tuple[int, int]:
     scale.digit_bound(lam)  # RangeError if the table has no level lam
     if N > scale.limit:
         raise RangeError(f"N={N} beyond table limit {scale.limit}")
-    bounds = scale.bounds  # q_{K+1} = limit when a_next is known
+    bounds = scale.bounds
     top = bisect.bisect_right(bounds, N) - 1  # N's top digit position, -1 for N < 1
     C, D = [1, 1], [1, 0]  # C_k and D_k for k = lam-1, lam, ..., top
     for i in range(lam, top):

@@ -832,7 +832,7 @@ def check_walk(scale, start, stop, lo, hi, samples):
 def test_walk_matches_a_plain_greedy_reduction(head, period, tile, data):
     # random specs and tiles; the range starts and stops within a few points
     # of a tile boundary or a q_k, so tiles straddle q_k boundaries and
-    # levels whose digit is constant over a tile are peeled as Python ints
+    # some levels have one digit over a whole tile
     scale = scale_for(QuotientSpec(tuple(head), tuple(period)), 10**5)
     edges = sorted({q for q in scale.q if q < 10**5})
     start = data.draw(st.sampled_from(edges), label="start q") + data.draw(st.integers(-3, 3), label="start off")
@@ -854,10 +854,11 @@ def test_walk_matches_a_plain_greedy_reduction(head, period, tile, data):
     (2**40 - 3 * 777 - 100, 2**40 + 2 * 777 + 7, 5, 30),
     (2**40 - RANGE_CAP // 8, 2**40 - RANGE_CAP // 8 + 4 * 777, 20, None),
 ], ids=["silver_gap_band", "from_zero", "int64_lanes", "int64_top_levels"])
-def test_walk_peels_tile_constant_digits(start, stop, lo, hi, monkeypatch):
+def test_walk_divides_tile_constant_digits(start, stop, lo, hi, monkeypatch):
     # tiles of 777 points: in silver's gap band at lam = 8 the digits of
-    # levels 18..13 are one per tile and not yielded; levels with one digit
-    # per tile are yielded too, and near 2**40 the walk runs in int64 lanes
+    # levels 18..13 are one per tile and not yielded; a yielded level with one
+    # digit per tile is divided like any other, and near 2**40 the walk runs
+    # in int64 lanes
     monkeypatch.setattr(numeration, "WALK_TILE", 777)
     scale = scale_for(SILVER, 2**41)
     rng = np.random.default_rng(start)
